@@ -6,10 +6,13 @@
 //
 //   - connected components via Shiloach-Vishkin label propagation in
 //     branch-based, branch-avoiding and hybrid forms, plus a union-find
-//     baseline (ConnectedComponents);
+//     baseline (KindCC);
 //   - top-down BFS in branch-based and branch-avoiding forms, plus a
-//     direction-optimizing baseline (ShortestHops);
-//   - multi-core variants of both kernels on a shared worker-pool engine;
+//     direction-optimizing baseline (KindBFS), and a batch-aware
+//     multi-source form (KindBFSBatch);
+//   - weighted shortest paths — Bellman-Ford in both forms, Dijkstra,
+//     and a parallel delta-stepping kernel (KindSSSP);
+//   - multi-core variants of every family on a shared worker-pool engine;
 //   - an instrumented machine model — 2-bit branch predictor, LRU cache
 //     hierarchy, per-microarchitecture cost model — that reproduces the
 //     paper's per-iteration hardware-event measurements (ProfileSV,
@@ -23,15 +26,13 @@
 // Every kernel family is executed through the unified request/response
 // entry point Run (and WorkerPool.Run for resident-pool serving), which
 // carries cooperative cancellation, the kernel's Stats, and reusable
-// Workspaces — see run.go. The per-kernel free functions below predate
-// Run and remain as thin deprecated wrappers.
+// Workspaces — see run.go.
 //
 // The deeper machinery lives in the internal packages; this facade is the
 // supported API surface.
 package bagraph
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -62,7 +63,8 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 	return graph.Build(n, edges, graph.Options{})
 }
 
-// NewDigraph builds a directed graph over n vertices.
+// NewDigraph builds a directed graph over n vertices. The kernels
+// assume symmetric adjacency: Run rejects a digraph with ErrDirected.
 func NewDigraph(n int, edges []Edge) (*Graph, error) {
 	return graph.Build(n, edges, graph.Options{Directed: true})
 }
@@ -101,21 +103,8 @@ func (a CCAlgorithm) String() string {
 	}
 }
 
-// ConnectedComponents labels every vertex with the smallest vertex id in
-// its connected component. All algorithms produce identical labels.
-//
-// Deprecated: use Run with Request{Kind: KindCC, CC: alg}, which also
-// returns the kernel's Stats and honors a context.
-func ConnectedComponents(g *Graph, alg CCAlgorithm) ([]uint32, error) {
-	res, err := Run(context.Background(), g, Request{Kind: KindCC, CC: alg})
-	if err != nil {
-		return nil, err
-	}
-	return res.Labels, nil
-}
-
 // ComponentCount returns the number of connected components given a
-// labeling from ConnectedComponents.
+// KindCC labeling.
 func ComponentCount(labels []uint32) int { return cc.CountComponents(labels) }
 
 // ccVariant maps a facade algorithm to its parallel inner-loop variant.
@@ -132,29 +121,11 @@ func ccVariant(alg CCAlgorithm) (cc.Variant, error) {
 	}
 }
 
-// ConnectedComponentsParallel is the data-parallel counterpart of
-// ConnectedComponents: Shiloach-Vishkin label propagation over
-// degree-balanced vertex ranges with a per-pass barrier (internal/par).
-// workers < 1 means GOMAXPROCS. The labeling is identical to the
-// sequential kernels'. CCUnionFind has no parallel form and is rejected.
-//
-// Deprecated: use Run with Request{Kind: KindCC, CC: alg, Parallel:
-// true, Workers: workers}.
-func ConnectedComponentsParallel(g *Graph, alg CCAlgorithm, workers int) ([]uint32, error) {
-	res, err := Run(context.Background(), g, Request{
-		Kind: KindCC, CC: alg, Parallel: true, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Labels, nil
-}
-
 // WorkerPool is a persistent set of worker goroutines shared across
-// parallel kernel calls. Each ConnectedComponentsParallel or
-// ShortestHopsParallel call otherwise starts and stops its own pool;
-// query-serving workloads — many small kernels back to back — amortize
-// that startup by keeping one WorkerPool resident. A WorkerPool must be
+// parallel kernel calls. Each parallel package-level Run otherwise
+// starts and stops its own pool; query-serving workloads — many small
+// kernels back to back — amortize that startup by keeping one
+// WorkerPool resident and calling its Run method. A WorkerPool must be
 // released with Close.
 type WorkerPool struct {
 	pool *par.Pool
@@ -172,80 +143,6 @@ func (p *WorkerPool) Workers() int { return p.pool.Workers() }
 // Close stops the worker goroutines. The pool must not be used after
 // Close; Close is idempotent.
 func (p *WorkerPool) Close() { p.pool.Close() }
-
-// ConnectedComponents runs the parallel CC kernel on the resident pool.
-// labels and scratch, when of length |V| and distinct, provide the
-// kernel's label double-buffer and suppress per-call allocations (the
-// returned labeling aliases one of them); pass nil to allocate.
-//
-// Deprecated: use WorkerPool.Run with Request{Kind: KindCC, Parallel:
-// true} and a reusable Workspace in place of the positional buffers.
-func (p *WorkerPool) ConnectedComponents(g *Graph, alg CCAlgorithm, labels, scratch []uint32) ([]uint32, error) {
-	res, err := p.Run(context.Background(), g, Request{
-		Kind: KindCC, CC: alg, Parallel: true,
-		Workspace: &Workspace{Labels: labels, Scratch: scratch},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Labels, nil
-}
-
-// ShortestHops runs the parallel direction-optimizing BFS on the
-// resident pool. dist, when of length |V|, receives the distances and
-// suppresses the per-call result allocation (the returned slice aliases
-// it); pass nil to allocate.
-//
-// Deprecated: use WorkerPool.Run with Request{Kind: KindBFS, Parallel:
-// true} and a reusable Workspace in place of the positional buffer.
-func (p *WorkerPool) ShortestHops(g *Graph, root uint32, dist []uint32) ([]uint32, error) {
-	res, err := p.Run(context.Background(), g, Request{
-		Kind: KindBFS, Parallel: true, Root: root,
-		Workspace: &Workspace{Hops: dist},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hops, nil
-}
-
-// ShortestHopsBatch runs every root of a batch through shared
-// bottom-up mask sweeps on the resident pool (one graph pass per level
-// advances up to 64 searches at once) and returns one distance array
-// per root, each identical to an independent traversal's. dists, when
-// holding len(roots) slices of length |V|, receives the results and
-// suppresses the per-call allocations (the returned slices alias it);
-// pass nil to allocate.
-//
-// Deprecated: use WorkerPool.Run with Request{Kind: KindBFSBatch} and
-// a reusable Workspace in place of the positional buffers.
-func (p *WorkerPool) ShortestHopsBatch(g *Graph, roots []uint32, dists [][]uint32) ([][]uint32, error) {
-	res, err := p.Run(context.Background(), g, Request{
-		Kind: KindBFSBatch, Roots: roots,
-		Workspace: &Workspace{HopsBatch: dists},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.HopsBatch, nil
-}
-
-// ShortestHopsMultiSource is the batch-aware counterpart of
-// ShortestHops: all roots traverse together through shared bottom-up
-// mask sweeps (see WorkerPool.ShortestHopsBatch). workers < 1 means
-// GOMAXPROCS.
-//
-// Deprecated: use Run with Request{Kind: KindBFSBatch, Roots: roots,
-// Workers: workers}.
-func ShortestHopsMultiSource(g *Graph, roots []uint32, workers int) ([][]uint32, error) {
-	res, err := Run(context.Background(), g, Request{
-		Kind: KindBFSBatch, Roots: roots, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.HopsBatch, nil
-}
 
 // BFSVariant selects a breadth-first-search kernel.
 type BFSVariant int
@@ -284,39 +181,6 @@ func checkRoot(g *Graph, root uint32) error {
 		return fmt.Errorf("bagraph: root %d out of range for %d vertices", root, g.NumVertices())
 	}
 	return nil
-}
-
-// ShortestHops returns the hop distance from root to every vertex
-// (Unreached for vertices in other components). All variants produce
-// identical distances.
-//
-// Deprecated: use Run with Request{Kind: KindBFS, BFS: variant, Root:
-// root}, which also returns the kernel's Stats and honors a context.
-func ShortestHops(g *Graph, root uint32, variant BFSVariant) ([]uint32, error) {
-	res, err := Run(context.Background(), g, Request{
-		Kind: KindBFS, BFS: variant, Root: root,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hops, nil
-}
-
-// ShortestHopsParallel is the data-parallel counterpart of ShortestHops:
-// direction-optimizing BFS with per-worker top-down frontier queues and a
-// branch-avoiding bottom-up bitset sweep (internal/par). workers < 1
-// means GOMAXPROCS. Distances are identical to the sequential variants'.
-//
-// Deprecated: use Run with Request{Kind: KindBFS, Parallel: true, Root:
-// root, Workers: workers}.
-func ShortestHopsParallel(g *Graph, root uint32, workers int) ([]uint32, error) {
-	res, err := Run(context.Background(), g, Request{
-		Kind: KindBFS, Parallel: true, Root: root, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hops, nil
 }
 
 // Platforms returns the names of the simulated microarchitectures (the

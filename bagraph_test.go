@@ -2,8 +2,12 @@ package bagraph
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"bagraph/internal/testutil"
 )
 
 func ring(t *testing.T, n int) *Graph {
@@ -43,10 +47,7 @@ func TestConnectedComponentsAllAlgorithms(t *testing.T) {
 	g := ring(t, 40)
 	var ref []uint32
 	for _, alg := range []CCAlgorithm{CCBranchBased, CCBranchAvoiding, CCHybrid, CCUnionFind} {
-		labels, err := ConnectedComponents(g, alg)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
+		labels := runOK(t, g, Request{Kind: KindCC, CC: alg}).Labels
 		if ComponentCount(labels) != 1 {
 			t.Fatalf("%v: ring has %d components", alg, ComponentCount(labels))
 		}
@@ -54,60 +55,27 @@ func TestConnectedComponentsAllAlgorithms(t *testing.T) {
 			ref = labels
 			continue
 		}
-		for v := range ref {
-			if labels[v] != ref[v] {
-				t.Fatalf("%v: labels differ from reference at %d", alg, v)
-			}
-		}
-	}
-	if _, err := ConnectedComponents(g, CCAlgorithm(99)); err == nil {
-		t.Fatal("unknown algorithm accepted")
+		testutil.MustEqualLabels(t, alg.String(), labels, ref)
 	}
 }
 
 func TestConnectedComponentsParallelFacade(t *testing.T) {
 	g := ring(t, 200)
-	ref, err := ConnectedComponents(g, CCBranchBased)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runOK(t, g, Request{Kind: KindCC, CC: CCBranchBased}).Labels
 	for _, alg := range []CCAlgorithm{CCBranchBased, CCBranchAvoiding, CCHybrid} {
 		for _, workers := range []int{0, 1, 4} {
-			labels, err := ConnectedComponentsParallel(g, alg, workers)
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", alg, workers, err)
-			}
-			for v := range ref {
-				if labels[v] != ref[v] {
-					t.Fatalf("%v workers=%d: labels differ at %d", alg, workers, v)
-				}
-			}
+			res := runOK(t, g, Request{Kind: KindCC, CC: alg, Parallel: true, Workers: workers})
+			testutil.MustEqualLabels(t, fmt.Sprintf("%v workers=%d", alg, workers), res.Labels, ref)
 		}
-	}
-	if _, err := ConnectedComponentsParallel(g, CCUnionFind, 2); err == nil {
-		t.Fatal("union-find accepted by parallel facade")
 	}
 }
 
 func TestShortestHopsParallelFacade(t *testing.T) {
 	g := ring(t, 200)
-	ref, err := ShortestHops(g, 7, BFSBranchBased)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runOK(t, g, Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 7}).Hops
 	for _, workers := range []int{0, 1, 4} {
-		dist, err := ShortestHopsParallel(g, 7, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for v := range ref {
-			if dist[v] != ref[v] {
-				t.Fatalf("workers=%d: distances differ at %d", workers, v)
-			}
-		}
-	}
-	if _, err := ShortestHopsParallel(g, 999, 2); err == nil {
-		t.Fatal("out-of-range root accepted")
+		res := runOK(t, g, Request{Kind: KindBFS, Parallel: true, Root: 7, Workers: workers})
+		testutil.MustEqualDists(t, fmt.Sprintf("workers=%d", workers), res.Hops, ref)
 	}
 }
 
@@ -123,10 +91,7 @@ func TestShortestHopsVariants(t *testing.T) {
 	g := ring(t, 30)
 	var ref []uint32
 	for _, v := range []BFSVariant{BFSBranchBased, BFSBranchAvoiding, BFSDirectionOptimizing} {
-		dist, err := ShortestHops(g, 3, v)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
+		dist := runOK(t, g, Request{Kind: KindBFS, BFS: v, Root: 3}).Hops
 		if dist[3] != 0 || dist[18] != 15 {
 			t.Fatalf("%v: distances wrong: d[3]=%d d[18]=%d", v, dist[3], dist[18])
 		}
@@ -134,26 +99,13 @@ func TestShortestHopsVariants(t *testing.T) {
 			ref = dist
 			continue
 		}
-		for i := range ref {
-			if dist[i] != ref[i] {
-				t.Fatalf("%v: distance mismatch at %d", v, i)
-			}
-		}
-	}
-	if _, err := ShortestHops(g, 99, BFSBranchBased); err == nil {
-		t.Fatal("out-of-range root accepted")
-	}
-	if _, err := ShortestHops(g, 0, BFSVariant(9)); err == nil {
-		t.Fatal("unknown variant accepted")
+		testutil.MustEqualDists(t, v.String(), dist, ref)
 	}
 }
 
 func TestUnreachedSentinel(t *testing.T) {
 	g, _ := NewGraph(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	dist, err := ShortestHops(g, 0, BFSBranchAvoiding)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := runOK(t, g, Request{Kind: KindBFS, BFS: BFSBranchAvoiding, Root: 0}).Hops
 	if dist[2] != Unreached || dist[3] != Unreached {
 		t.Fatal("other component not marked Unreached")
 	}
@@ -278,50 +230,33 @@ func TestRunExperimentFacade(t *testing.T) {
 	}
 }
 
-// TestFacadeErrorPaths pins the facade's rejection behaviour: source
-// validation (checkRoot) on every traversal entry point, unknown
-// enum values, and the parallel facade's union-find rejection.
+// TestFacadeErrorPaths pins the rejections of the entry points beside
+// the package-level Run (whose table is TestRunRejections): the resident
+// pool's Run validates exactly like it, and ProfileBFS checks its root.
 func TestFacadeErrorPaths(t *testing.T) {
 	g := ring(t, 8)
-
-	if _, err := ShortestHops(g, 8, BFSBranchBased); err == nil {
-		t.Fatal("out-of-range root accepted by ShortestHops")
-	}
-	if _, err := ShortestHops(g, 0, BFSVariant(99)); err == nil {
-		t.Fatal("unknown BFS variant accepted")
-	}
-	if _, err := ShortestHopsParallel(g, 100, 2); err == nil {
-		t.Fatal("out-of-range root accepted by ShortestHopsParallel")
+	pool := NewWorkerPool(2)
+	defer pool.Close()
+	for _, req := range []Request{
+		{Kind: KindBFS, BFS: BFSBranchBased, Root: 8},
+		{Kind: KindBFS, BFS: BFSVariant(99)},
+		{Kind: KindBFS, Parallel: true, Root: 100},
+		{Kind: KindBFSBatch, Roots: []uint32{0, 99}},
+		{Kind: KindCC, CC: CCAlgorithm(99)},
+		{Kind: KindCC, CC: CCUnionFind, Parallel: true},
+	} {
+		if _, err := pool.Run(context.Background(), g, req); err == nil {
+			t.Errorf("pool.Run(%+v) accepted", req)
+		}
 	}
 	if _, err := ProfileBFS(g, 8, "Haswell", false); err == nil {
 		t.Fatal("out-of-range root accepted by ProfileBFS")
 	}
-	if _, err := ConnectedComponents(g, CCAlgorithm(99)); err == nil {
-		t.Fatal("unknown CC algorithm accepted")
-	}
-	if _, err := ConnectedComponentsParallel(g, CCUnionFind, 2); err == nil {
-		t.Fatal("union-find accepted by the parallel facade")
-	}
-
-	// A 0-vertex graph has no valid root: every root — including 0 —
-	// is out of range. (Regression: checkRoot used to carry a
-	// `NumVertices() > 0 &&` guard that waved any root through on the
-	// empty graph.)
-	empty, err := NewGraph(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ShortestHops(empty, 3, BFSBranchAvoiding); err == nil {
-		t.Fatal("out-of-range root accepted on the 0-vertex graph")
-	}
-	if _, err := ShortestHops(empty, 0, BFSBranchAvoiding); err == nil {
-		t.Fatal("root 0 accepted on the 0-vertex graph")
-	}
 }
 
-// TestWorkerPoolFacade exercises the resident-pool facade: results
-// match the one-shot parallel calls, caller buffers are reused, and
-// the error paths mirror the one-shot facade's.
+// TestWorkerPoolFacade exercises the resident pool: results match the
+// transient-pool Run, and a workspace preset with caller buffers is
+// written in place and yields the same results as a nil-buffer run.
 func TestWorkerPoolFacade(t *testing.T) {
 	g := ring(t, 64)
 	pool := NewWorkerPool(2)
@@ -329,48 +264,28 @@ func TestWorkerPoolFacade(t *testing.T) {
 	if pool.Workers() != 2 {
 		t.Fatalf("Workers() = %d", pool.Workers())
 	}
-
-	want, err := ConnectedComponentsParallel(g, CCHybrid, 2)
-	if err != nil {
-		t.Fatal(err)
+	poolOK := func(req Request) *Result {
+		t.Helper()
+		return poolRunOK(t, pool, g, req)
 	}
+
+	want := runOK(t, g, Request{Kind: KindCC, CC: CCHybrid, Parallel: true, Workers: 2}).Labels
 	labels := make([]uint32, 64)
 	scratch := make([]uint32, 64)
-	got, err := pool.ConnectedComponents(g, CCHybrid, labels, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := poolOK(Request{Kind: KindCC, CC: CCHybrid, Parallel: true,
+		Workspace: &Workspace{Labels: labels, Scratch: scratch}}).Labels
 	if &got[0] != &labels[0] && &got[0] != &scratch[0] {
 		t.Fatal("result does not alias a caller buffer")
 	}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("labels[%d] = %d, want %d", v, got[v], want[v])
-		}
-	}
+	testutil.MustEqualLabels(t, "preset buffers", got, want)
+	testutil.MustEqualLabels(t, "nil buffers", poolOK(Request{Kind: KindCC, CC: CCHybrid, Parallel: true}).Labels, want)
 
-	wantDist, err := ShortestHopsParallel(g, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantDist := runOK(t, g, Request{Kind: KindBFS, Parallel: true, Root: 5, Workers: 2}).Hops
 	buf := make([]uint32, 64)
-	gotDist, err := pool.ShortestHops(g, 5, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotDist := poolOK(Request{Kind: KindBFS, Parallel: true, Root: 5, Workspace: &Workspace{Hops: buf}}).Hops
 	if &gotDist[0] != &buf[0] {
 		t.Fatal("distances do not alias the caller buffer")
 	}
-	for v := range wantDist {
-		if gotDist[v] != wantDist[v] {
-			t.Fatalf("dist[%d] = %d, want %d", v, gotDist[v], wantDist[v])
-		}
-	}
-
-	if _, err := pool.ConnectedComponents(g, CCUnionFind, nil, nil); err == nil {
-		t.Fatal("union-find accepted by the pool facade")
-	}
-	if _, err := pool.ShortestHops(g, 64, nil); err == nil {
-		t.Fatal("out-of-range root accepted by the pool facade")
-	}
+	testutil.MustEqualDists(t, "preset buffer", gotDist, wantDist)
+	testutil.MustEqualDists(t, "nil buffer", poolOK(Request{Kind: KindBFS, Parallel: true, Root: 5}).Hops, wantDist)
 }

@@ -204,7 +204,7 @@ func BenchmarkNativeSV(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("branch-avoiding/%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				labels, _ := cc.SVBranchAvoiding(g)
+				labels, _, _ := cc.SV(context.Background(), g, cc.BranchAvoiding)
 				if len(labels) == 0 && g.NumVertices() > 0 {
 					b.Fatal("no labels")
 				}
@@ -213,7 +213,7 @@ func BenchmarkNativeSV(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("hybrid/%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				labels, _ := cc.SVHybrid(g, cc.HybridOptions{SwitchIteration: -1})
+				labels, _, _ := cc.SV(context.Background(), g, cc.Hybrid)
 				if len(labels) == 0 && g.NumVertices() > 0 {
 					b.Fatal("no labels")
 				}
@@ -246,7 +246,7 @@ func BenchmarkNativeBFS(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("branch-avoiding/%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dist, _ := bfs.TopDownBranchAvoiding(g, 0)
+				dist, _, _ := bfs.TopDown(context.Background(), g, 0, bfs.BranchAvoiding)
 				if len(dist) == 0 {
 					b.Fatal("no distances")
 				}
@@ -255,7 +255,7 @@ func BenchmarkNativeBFS(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("direction-optimizing/%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dist, _ := bfs.DirectionOptimizing(g, 0, 0, 0)
+				dist, _, _ := bfs.DirectionOptimizing(context.Background(), g, 0, 0, 0)
 				if len(dist) == 0 {
 					b.Fatal("no distances")
 				}
@@ -295,7 +295,7 @@ func BenchmarkParallelSV(b *testing.B) {
 	g := benchRMAT(b)
 	b.Run("sequential-baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			labels, _ := cc.SVHybrid(g, cc.HybridOptions{SwitchIteration: -1})
+			labels, _, _ := cc.SV(context.Background(), g, cc.Hybrid)
 			if len(labels) == 0 {
 				b.Fatal("no labels")
 			}
@@ -321,7 +321,7 @@ func BenchmarkParallelBFS(b *testing.B) {
 	g := benchRMAT(b)
 	b.Run("sequential-baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dist, _ := bfs.DirectionOptimizing(g, 0, 0, 0)
+			dist, _, _ := bfs.DirectionOptimizing(context.Background(), g, 0, 0, 0)
 			if len(dist) == 0 {
 				b.Fatal("no distances")
 			}
@@ -552,7 +552,7 @@ func BenchmarkParallelSSSPLightHeavy(b *testing.B) {
 			dist := make([]uint64, g.NumVertices())
 			var light, heavy uint64
 			for i := 0; i < b.N; i++ {
-				var st sssp.Stats
+				var st Stats
 				dist, st, err = sssp.Parallel(w, 0, sssp.ParallelOptions{
 					Pool: pool, Variant: sssp.Hybrid, Delta: delta,
 					LightHeavy: tc.split, Dist: dist,
@@ -675,7 +675,7 @@ func BenchmarkRunOverhead(b *testing.B) {
 	})
 	b.Run("cc/direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			labels, _ := cc.SVBranchAvoiding(g)
+			labels, _, _ := cc.SV(context.Background(), g, cc.BranchAvoiding)
 			if len(labels) == 0 {
 				b.Fatal("no labels")
 			}

@@ -16,15 +16,12 @@
 //	             2^62 domain of the signed-subtraction mask
 //	barrierctx   kernel packages observe cancellation via ctx.Err() at
 //	             pass barriers only
-//	deprecated   first-party code does not call the deprecated facade
-//	             wrappers (replaces scripts/deprecation_guard.sh)
 package main
 
 import (
 	"bagraph/internal/analysis/atomicfree"
 	"bagraph/internal/analysis/barrierctx"
 	"bagraph/internal/analysis/branchfree"
-	"bagraph/internal/analysis/deprecated"
 	"bagraph/internal/analysis/maskdomain"
 	"bagraph/internal/analysis/unitchecker"
 )
@@ -35,6 +32,5 @@ func main() {
 		atomicfree.Analyzer,
 		maskdomain.Analyzer,
 		barrierctx.Analyzer,
-		deprecated.Analyzer,
 	)
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,17 +16,27 @@ import (
 	"bagraph/internal/gen"
 )
 
+// run executes one sequential BFS variant through the unified API.
+func run(g *bagraph.Graph, root uint32, variant bagraph.BFSVariant) *bagraph.Result {
+	res, err := bagraph.Run(context.Background(), g, bagraph.Request{Kind: bagraph.KindBFS, BFS: variant, Root: root})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
+
 func main() {
 	// A 26-point-stencil FEM mesh, the structure class of audikw1/ldoor.
 	g := gen.Grid3D(20, 20, 20, 1)
 	fmt.Println("mesh:", g)
 
 	root := uint32(0)
-	dist, st := bfs.TopDownBranchBased(g, root)
-	if err := bfs.Verify(g, root, dist); err != nil {
+	bb := run(g, root, bagraph.BFSBranchBased)
+	if err := bfs.Verify(g, root, bb.Hops); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("levels: %d, reached %d\n", st.Levels, st.Reached)
+	st := bb.Stats
+	fmt.Printf("levels: %d, reached %d\n", st.Passes, st.Reached)
 	fmt.Println("frontier sizes per level:")
 	for i, s := range st.LevelSizes {
 		bar := ""
@@ -36,8 +47,7 @@ func main() {
 	}
 
 	// Store traffic: the crux of the paper's BFS result.
-	_, bbSt := bfs.TopDownBranchBased(g, root)
-	_, baSt := bfs.TopDownBranchAvoiding(g, root)
+	bbSt, baSt := bb.Stats, run(g, root, bagraph.BFSBranchAvoiding).Stats
 	fmt.Printf("\nstore traffic (distance + queue writes):\n")
 	fmt.Printf("  branch-based:    %8d\n", bbSt.DistStores+bbSt.QueueStores)
 	fmt.Printf("  branch-avoiding: %8d (%.0fx more — the paper's §6.3 blow-up)\n",
@@ -61,8 +71,8 @@ func main() {
 
 	// The direction-optimizing baseline sidesteps the issue entirely by
 	// shrinking the number of edge traversals.
-	_, doSt := bfs.DirectionOptimizing(g, root, 0, 0)
-	fmt.Printf("\ndirection-optimizing baseline: %d levels, %v total\n", doSt.Levels, doSt.Total())
+	doSt := run(g, root, bagraph.BFSDirectionOptimizing).Stats
+	fmt.Printf("\ndirection-optimizing baseline: %d levels, %v total\n", doSt.Passes, doSt.Total())
 }
 
 func maxOf(xs []int) int {

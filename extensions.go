@@ -1,15 +1,13 @@
 package bagraph
 
-// Facade for the extension kernels: the algorithm families the paper's
-// §1 predicts its findings extend to (shortest paths, betweenness
-// centrality, APSP).
+// Weighted graphs and the shortest-path algorithm selector: the first
+// of the algorithm families the paper's §1 predicts its findings extend
+// to. (Betweenness centrality and APSP, the other two, are reproduced as
+// exhibits — see RunExperiment("extensions").)
 
 import (
-	"context"
 	"fmt"
 
-	"bagraph/internal/apsp"
-	"bagraph/internal/bc"
 	"bagraph/internal/graph"
 	"bagraph/internal/sssp"
 )
@@ -80,33 +78,6 @@ func (a SSSPAlgorithm) String() string {
 	}
 }
 
-// ShortestPaths returns weighted shortest-path distances from src
-// (InfDistance for unreachable vertices). All algorithms produce
-// identical distances.
-//
-// Deprecated: use Run with Request{Kind: KindSSSP, SSSP: alg, Root:
-// src}, which also returns the kernel's Stats and honors a context.
-func ShortestPaths(g *WeightedGraph, src uint32, alg SSSPAlgorithm) ([]uint64, error) {
-	return ShortestPathsInto(g, src, alg, nil)
-}
-
-// ShortestPathsInto is ShortestPaths writing into dist when it has
-// length |V| (the returned slice aliases it); any other length
-// allocates. Long-lived callers reuse the buffer across queries.
-//
-// Deprecated: use Run with Request{Kind: KindSSSP, SSSP: alg, Root:
-// src} and a reusable Workspace in place of the positional buffer.
-func ShortestPathsInto(g *WeightedGraph, src uint32, alg SSSPAlgorithm, dist []uint64) ([]uint64, error) {
-	res, err := Run(context.Background(), g, Request{
-		Kind: KindSSSP, SSSP: alg, Root: src,
-		Workspace: &Workspace{Dists: dist},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Dists, nil
-}
-
 // checkSource validates an SSSP source vertex against the graph. On a
 // 0-vertex graph every source is out of range — no vertex exists for
 // the traversal to start from.
@@ -128,74 +99,5 @@ func ssspVariant(alg SSSPAlgorithm) (sssp.Variant, error) {
 		return sssp.Hybrid, nil
 	default:
 		return 0, fmt.Errorf("bagraph: no parallel kernel for %v", alg)
-	}
-}
-
-// ShortestPathsParallel is the data-parallel counterpart of
-// ShortestPaths: a delta-stepping kernel whose bucketed frontiers are
-// relaxed in degree-balanced ranges over the worker-pool engine
-// (internal/par), with the branch-based, branch-avoiding or hybrid
-// relaxation loop selected by alg. workers < 1 means GOMAXPROCS.
-// Distances are identical to the sequential kernels'. SSSPDijkstra has
-// no parallel form and is rejected.
-//
-// Deprecated: use Run with Request{Kind: KindSSSP, SSSP: alg,
-// Parallel: true, Root: src, Workers: workers}.
-func ShortestPathsParallel(g *WeightedGraph, src uint32, alg SSSPAlgorithm, workers int) ([]uint64, error) {
-	res, err := Run(context.Background(), g, Request{
-		Kind: KindSSSP, SSSP: alg, Parallel: true, Root: src, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Dists, nil
-}
-
-// ShortestPaths runs the parallel SSSP kernel on the resident pool.
-// dist, when of length |V|, receives the distances and suppresses the
-// per-call result allocation (the returned slice aliases it); pass nil
-// to allocate. SSSPDijkstra has no parallel form and is rejected.
-//
-// Deprecated: use WorkerPool.Run with Request{Kind: KindSSSP,
-// Parallel: true} and a reusable Workspace in place of the positional
-// buffer.
-func (p *WorkerPool) ShortestPaths(g *WeightedGraph, src uint32, alg SSSPAlgorithm, dist []uint64) ([]uint64, error) {
-	res, err := p.Run(context.Background(), g, Request{
-		Kind: KindSSSP, SSSP: alg, Parallel: true, Root: src,
-		Workspace: &Workspace{Dists: dist},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Dists, nil
-}
-
-// Betweenness returns the exact betweenness centrality of every vertex.
-// With branchAvoiding the Brandes forward phase uses the paper's
-// conditional-move transformation; results are bit-identical either way.
-func Betweenness(g *Graph, branchAvoiding bool) []float64 {
-	if branchAvoiding {
-		vals, _ := bc.BranchAvoiding(g)
-		return vals
-	}
-	vals, _ := bc.BranchBased(g)
-	return vals
-}
-
-// DistanceSummary aggregates all-pairs distance structure (eccentricities,
-// diameter, radius, mean distance) by running a BFS from every vertex.
-type DistanceSummary = apsp.Result
-
-// AllPairsSummary computes the distance summary using the selected BFS
-// kernel for the |V| sweeps. Only BFSBranchBased and BFSBranchAvoiding
-// are supported.
-func AllPairsSummary(g *Graph, variant BFSVariant) (DistanceSummary, error) {
-	switch variant {
-	case BFSBranchBased:
-		return apsp.Summary(g, apsp.BranchBased), nil
-	case BFSBranchAvoiding:
-		return apsp.Summary(g, apsp.BranchAvoiding), nil
-	default:
-		return DistanceSummary{}, fmt.Errorf("bagraph: unsupported APSP variant %v", variant)
 	}
 }

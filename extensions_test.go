@@ -1,6 +1,7 @@
 package bagraph
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,10 +25,7 @@ func TestShortestPathsAllAlgorithms(t *testing.T) {
 	g := weightedRing(t, 24)
 	var ref []uint64
 	for _, alg := range []SSSPAlgorithm{SSSPBellmanFord, SSSPBellmanFordBranchAvoiding, SSSPDijkstra} {
-		dist, err := ShortestPaths(g, 0, alg)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
+		dist := runOK(t, g, Request{Kind: KindSSSP, SSSP: alg, Root: 0}).Dists
 		if dist[0] != 0 {
 			t.Fatalf("%v: dist[src] = %d", alg, dist[0])
 		}
@@ -35,17 +33,7 @@ func TestShortestPathsAllAlgorithms(t *testing.T) {
 			ref = dist
 			continue
 		}
-		for v := range ref {
-			if dist[v] != ref[v] {
-				t.Fatalf("%v: dist[%d] = %d, want %d", alg, v, dist[v], ref[v])
-			}
-		}
-	}
-	if _, err := ShortestPaths(g, 99, SSSPDijkstra); err == nil {
-		t.Fatal("out-of-range source accepted")
-	}
-	if _, err := ShortestPaths(g, 0, SSSPAlgorithm(9)); err == nil {
-		t.Fatal("unknown algorithm accepted")
+		testutil.MustEqualDists(t, alg.String(), dist, ref)
 	}
 }
 
@@ -54,10 +42,7 @@ func TestSSSPUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := ShortestPaths(g, 0, SSSPBellmanFordBranchAvoiding)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := runOK(t, g, Request{Kind: KindSSSP, SSSP: SSSPBellmanFordBranchAvoiding, Root: 0}).Dists
 	if dist[2] != InfDistance {
 		t.Fatalf("isolated vertex distance = %d, want InfDistance", dist[2])
 	}
@@ -68,45 +53,6 @@ func TestSSSPAlgorithmStrings(t *testing.T) {
 		if strings.HasPrefix(a.String(), "SSSPAlgorithm(") {
 			t.Fatalf("missing name for %d", a)
 		}
-	}
-}
-
-func TestBetweennessFacade(t *testing.T) {
-	// Path of 5: interior vertices have positive centrality, endpoints 0.
-	g, _ := NewGraph(5, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
-	bb := Betweenness(g, false)
-	ba := Betweenness(g, true)
-	for v := range bb {
-		if bb[v] != ba[v] {
-			t.Fatalf("variants differ at %d", v)
-		}
-	}
-	if bb[0] != 0 || bb[2] <= bb[1] == false && bb[2] != 4 {
-		t.Fatalf("path centralities: %v", bb)
-	}
-	if bb[2] != 4 { // middle of P5: pairs {0,3},{0,4},{1,3},{1,4}
-		t.Fatalf("bc[2] = %v, want 4", bb[2])
-	}
-}
-
-func TestAllPairsSummaryFacade(t *testing.T) {
-	g := ring(t, 10)
-	a, err := AllPairsSummary(g, BFSBranchBased)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := AllPairsSummary(g, BFSBranchAvoiding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Diameter != 5 || b.Diameter != 5 {
-		t.Fatalf("ring diameter = %d/%d, want 5", a.Diameter, b.Diameter)
-	}
-	if a.MeanDistance != b.MeanDistance {
-		t.Fatal("summaries differ between variants")
-	}
-	if _, err := AllPairsSummary(g, BFSDirectionOptimizing); err == nil {
-		t.Fatal("unsupported variant accepted")
 	}
 }
 
@@ -124,91 +70,65 @@ func TestRunExtensionsExperiment(t *testing.T) {
 	}
 }
 
-// TestExtensionsErrorPaths pins the extension facade's rejections:
-// source validation, unknown enum values, unsupported APSP variants.
+// TestExtensionsErrorPaths pins the weighted family's rejections on the
+// resident pool's Run (TestRunRejections holds the package-level table):
+// source validation, unknown enum values, the baselines without a
+// parallel form, and the parallel-only hybrid.
 func TestExtensionsErrorPaths(t *testing.T) {
 	w := weightedRing(t, 6)
-	if _, err := ShortestPaths(w, 6, SSSPDijkstra); err == nil {
-		t.Fatal("out-of-range source accepted")
-	}
-	if _, err := ShortestPaths(w, 0, SSSPAlgorithm(99)); err == nil {
-		t.Fatal("unknown SSSP algorithm accepted")
-	}
-	if _, err := ShortestPaths(w, 0, SSSPHybrid); err == nil {
-		t.Fatal("hybrid accepted by the sequential facade (it exists only in the parallel kernel)")
-	}
-	g := ring(t, 6)
-	if _, err := AllPairsSummary(g, BFSDirectionOptimizing); err == nil {
-		t.Fatal("unsupported APSP variant accepted")
+	pool := NewWorkerPool(2)
+	defer pool.Close()
+	for _, req := range []Request{
+		{Kind: KindSSSP, SSSP: SSSPDijkstra, Root: 6},
+		{Kind: KindSSSP, SSSP: SSSPAlgorithm(99)},
+		{Kind: KindSSSP, SSSP: SSSPAlgorithm(99), Parallel: true},
+		{Kind: KindSSSP, SSSP: SSSPHybrid},
+		{Kind: KindSSSP, SSSP: SSSPDijkstra, Parallel: true},
+		{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true, Root: 9999},
+	} {
+		if _, err := pool.Run(context.Background(), w, req); err == nil {
+			t.Errorf("pool.Run(%+v) accepted", req)
+		}
 	}
 }
 
-// TestShortestPathsParallelFacade checks the parallel SSSP facade:
-// every parallel-capable algorithm matches the sequential oracle, and
-// the rejections (Dijkstra has no parallel form, unknown enums,
-// out-of-range sources) hold on both the package-level entry point and
-// the WorkerPool method.
+// TestShortestPathsParallelFacade checks the parallel SSSP kernel from
+// both entry points: every parallel-capable algorithm matches the
+// sequential oracle at several pool widths, and the resident pool writes
+// a preset buffer in place with the same result as a nil-buffer run.
 func TestShortestPathsParallelFacade(t *testing.T) {
 	w := testutil.RandomWeighted(250, 800, 40, 5)
-	want, err := ShortestPaths(w, 4, SSSPDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runOK(t, w, Request{Kind: KindSSSP, SSSP: SSSPDijkstra, Root: 4}).Dists
 	for _, alg := range []SSSPAlgorithm{SSSPBellmanFord, SSSPBellmanFordBranchAvoiding, SSSPHybrid} {
-		got, err := ShortestPathsParallel(w, 4, alg, 3)
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+		for _, workers := range []int{1, 3} {
+			got := runOK(t, w, Request{Kind: KindSSSP, SSSP: alg, Parallel: true, Root: 4, Workers: workers}).Dists
+			testutil.MustEqualDists(t, alg.String(), got, want)
 		}
-		testutil.MustEqualDists(t, alg.String(), got, want)
-	}
-	if _, err := ShortestPathsParallel(w, 4, SSSPDijkstra, 2); err == nil {
-		t.Fatal("dijkstra accepted by the parallel facade")
-	}
-	if _, err := ShortestPathsParallel(w, 4, SSSPAlgorithm(99), 2); err == nil {
-		t.Fatal("unknown algorithm accepted by the parallel facade")
-	}
-	if _, err := ShortestPathsParallel(w, 9999, SSSPHybrid, 2); err == nil {
-		t.Fatal("out-of-range source accepted by the parallel facade")
 	}
 
 	pool := NewWorkerPool(2)
 	defer pool.Close()
 	buf := make([]uint64, w.NumVertices())
-	got, err := pool.ShortestPaths(w, 4, SSSPHybrid, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &buf[0] {
+	req := Request{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true, Root: 4}
+	testutil.MustEqualDists(t, "pool/nil", poolRunOK(t, pool, w, req).Dists, want)
+	req.Workspace = &Workspace{Dists: buf}
+	preset := poolRunOK(t, pool, w, req).Dists
+	if &preset[0] != &buf[0] {
 		t.Fatal("pool SSSP result does not alias the caller buffer")
 	}
-	testutil.MustEqualDists(t, "pool/hybrid", got, want)
-	if _, err := pool.ShortestPaths(w, 4, SSSPDijkstra, nil); err == nil {
-		t.Fatal("dijkstra accepted by the pool facade")
-	}
-	if _, err := pool.ShortestPaths(w, 9999, SSSPHybrid, nil); err == nil {
-		t.Fatal("out-of-range source accepted by the pool facade")
-	}
+	testutil.MustEqualDists(t, "pool/preset", preset, want)
 }
 
-// TestShortestHopsMultiSourceFacade checks the batch BFS facade: the
-// shared-sweep results match per-source parallel BFS, root validation
-// covers every batch member, and the pool method honors its buffers.
+// TestShortestHopsMultiSourceFacade checks KindBFSBatch: the
+// shared-sweep results match per-source BFS (duplicates included), and
+// the resident pool writes preset per-root buffers in place.
 func TestShortestHopsMultiSourceFacade(t *testing.T) {
 	g := ring(t, 30)
 	roots := []uint32{0, 7, 7, 29}
-	dists, err := ShortestHopsMultiSource(g, roots, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dists := runOK(t, g, Request{Kind: KindBFSBatch, Roots: roots, Workers: 2}).HopsBatch
 	for i, r := range roots {
-		want, err := ShortestHops(g, r, BFSBranchBased)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := runOK(t, g, Request{Kind: KindBFS, BFS: BFSBranchBased, Root: r}).Hops
 		testutil.MustEqualDists(t, "multi-source", dists[i], want)
-	}
-	if _, err := ShortestHopsMultiSource(g, []uint32{0, 99}, 2); err == nil {
-		t.Fatal("out-of-range batch member accepted")
 	}
 
 	pool := NewWorkerPool(2)
@@ -217,53 +137,40 @@ func TestShortestHopsMultiSourceFacade(t *testing.T) {
 	for i := range bufs {
 		bufs[i] = make([]uint32, g.NumVertices())
 	}
-	got, err := pool.ShortestHopsBatch(g, roots, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if &got[i][0] != &bufs[i][0] {
+	res := poolRunOK(t, pool, g, Request{
+		Kind: KindBFSBatch, Roots: roots, Workspace: &Workspace{HopsBatch: bufs},
+	})
+	for i, got := range res.HopsBatch {
+		if &got[0] != &bufs[i][0] {
 			t.Fatalf("batch result %d does not alias the caller buffer", i)
 		}
-		testutil.MustEqualDists(t, "pool batch", got[i], dists[i])
-	}
-	if _, err := pool.ShortestHopsBatch(g, []uint32{99}, nil); err == nil {
-		t.Fatal("out-of-range batch member accepted by the pool facade")
+		testutil.MustEqualDists(t, "pool batch", got, dists[i])
 	}
 }
 
-// TestShortestPathsIntoAndAttachWeights covers the reusable-buffer SSSP
-// entry point and the weighted-view constructor the daemon uses.
+// TestShortestPathsIntoAndAttachWeights covers the reusable distance
+// buffer of the sequential SSSP kernels and the weighted-view
+// constructor the daemon uses.
 func TestShortestPathsIntoAndAttachWeights(t *testing.T) {
 	g := ring(t, 10)
 	w, err := AttachWeights(g, func(u, v uint32) uint32 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ShortestPaths(w, 0, SSSPDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runOK(t, w, Request{Kind: KindSSSP, SSSP: SSSPDijkstra, Root: 0}).Dists
 	buf := make([]uint64, 10)
 	for _, alg := range []SSSPAlgorithm{SSSPBellmanFord, SSSPBellmanFordBranchAvoiding, SSSPDijkstra} {
-		got, err := ShortestPathsInto(w, 0, alg, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := runOK(t, w, Request{Kind: KindSSSP, SSSP: alg, Root: 0, Workspace: &Workspace{Dists: buf}}).Dists
 		if &got[0] != &buf[0] {
 			t.Fatalf("%v: result does not alias the caller buffer", alg)
 		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%v: dist[%d] = %d, want %d", alg, v, got[v], want[v])
-			}
-		}
+		testutil.MustEqualDists(t, alg.String(), got, want)
 	}
 	// A wrong-size buffer allocates instead of clobbering.
 	small := make([]uint64, 3)
-	got, err := ShortestPathsInto(w, 0, SSSPDijkstra, small)
-	if err != nil || len(got) != 10 {
-		t.Fatalf("wrong-size buffer: len=%d err=%v", len(got), err)
+	got := runOK(t, w, Request{Kind: KindSSSP, SSSP: SSSPDijkstra, Root: 0, Workspace: &Workspace{Dists: small}}).Dists
+	if len(got) != 10 {
+		t.Fatalf("wrong-size buffer: len=%d", len(got))
 	}
 	// Asymmetric weight functions are rejected on undirected graphs.
 	if _, err := AttachWeights(g, func(u, v uint32) uint32 { return u + 1 }); err == nil {

@@ -15,7 +15,7 @@
 // becomes acceptable.
 //
 // The suite itself lives in the subpackages (branchfree, atomicfree,
-// maskdomain, barrierctx, deprecated), the //ba:* directive grammar in
+// maskdomain, barrierctx), the //ba:* directive grammar in
 // directive, the "go vet -vettool" driver in unitchecker, and the
 // fixture-based test harness in analysistest. cmd/balint compiles the
 // suite into the multichecker CI runs.

@@ -11,6 +11,7 @@
 package apsp
 
 import (
+	"context"
 	"fmt"
 
 	"bagraph/internal/bfs"
@@ -21,23 +22,17 @@ import (
 const Inf = bfs.Inf
 
 // Variant selects the BFS kernel used for the sweeps.
-type Variant int
+type Variant = bfs.Variant
 
 // Kernel variants.
 const (
-	BranchBased Variant = iota
-	BranchAvoiding
+	BranchBased    = bfs.BranchBased
+	BranchAvoiding = bfs.BranchAvoiding
 )
 
 func run(g *graph.Graph, root uint32, v Variant) []uint32 {
-	switch v {
-	case BranchAvoiding:
-		dist, _ := bfs.TopDownBranchAvoiding(g, root)
-		return dist
-	default:
-		dist, _ := bfs.TopDownBranchBased(g, root)
-		return dist
-	}
+	dist, _, _ := bfs.TopDown(context.Background(), g, root, v)
+	return dist
 }
 
 // Result summarizes the distance structure of a graph.

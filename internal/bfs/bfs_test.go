@@ -1,24 +1,33 @@
 package bfs
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
+	"bagraph/internal/perfcount"
 )
 
 type kernel struct {
 	name string
-	run  func(*graph.Graph, uint32) ([]uint32, Stats)
+	run  func(*graph.Graph, uint32) ([]uint32, perfcount.Stats)
+}
+
+// topDownBA is the branch-avoiding TopDown to completion.
+func topDownBA(g *graph.Graph, root uint32) ([]uint32, perfcount.Stats) {
+	dist, st, _ := TopDown(context.Background(), g, root, BranchAvoiding)
+	return dist, st
 }
 
 func kernels() []kernel {
 	return []kernel{
 		{"branch-based", TopDownBranchBased},
-		{"branch-avoiding", TopDownBranchAvoiding},
-		{"direction-optimizing", func(g *graph.Graph, r uint32) ([]uint32, Stats) {
-			return DirectionOptimizing(g, r, 0, 0)
+		{"branch-avoiding", topDownBA},
+		{"direction-optimizing", func(g *graph.Graph, r uint32) ([]uint32, perfcount.Stats) {
+			dist, st, _ := DirectionOptimizing(context.Background(), g, r, 0, 0)
+			return dist, st
 		}},
 	}
 }
@@ -104,16 +113,16 @@ func TestLevelAccounting(t *testing.T) {
 	g := gen.Path(10)
 	for _, k := range kernels() {
 		_, st := k.run(g, 0)
-		if st.Levels != 10 {
-			t.Fatalf("%s: levels = %d, want 10 on path10", k.name, st.Levels)
+		if st.Passes != 10 {
+			t.Fatalf("%s: levels = %d, want 10 on path10", k.name, st.Passes)
 		}
 		for i, s := range st.LevelSizes {
 			if s != 1 {
 				t.Fatalf("%s: level %d size %d, want 1", k.name, i, s)
 			}
 		}
-		if len(st.LevelDurations) != st.Levels {
-			t.Fatalf("%s: duration samples %d != levels %d", k.name, len(st.LevelDurations), st.Levels)
+		if len(st.PassDurations) != st.Passes {
+			t.Fatalf("%s: duration samples %d != levels %d", k.name, len(st.PassDurations), st.Passes)
 		}
 		if st.Total() < 0 {
 			t.Fatalf("%s: negative total duration", k.name)
@@ -124,12 +133,12 @@ func TestLevelAccounting(t *testing.T) {
 func TestLevelSizesOnStar(t *testing.T) {
 	g := gen.Star(50)
 	_, st := TopDownBranchBased(g, 0)
-	if st.Levels != 2 || st.LevelSizes[0] != 1 || st.LevelSizes[1] != 49 {
+	if st.Passes != 2 || st.LevelSizes[0] != 1 || st.LevelSizes[1] != 49 {
 		t.Fatalf("star levels: %+v", st.LevelSizes)
 	}
 	// From a leaf: 3 levels (leaf, center, other leaves).
-	_, st2 := TopDownBranchAvoiding(g, 7)
-	if st2.Levels != 3 || st2.LevelSizes[2] != 48 {
+	_, st2 := topDownBA(g, 7)
+	if st2.Passes != 3 || st2.LevelSizes[2] != 48 {
 		t.Fatalf("star-from-leaf levels: %+v", st2.LevelSizes)
 	}
 }
@@ -140,7 +149,7 @@ func TestLevelSizesOnStar(t *testing.T) {
 func TestStoreBlowup(t *testing.T) {
 	g := gen.Grid3D(8, 8, 8, 1) // dense stencil: arcs/V ≈ 20
 	_, bb := TopDownBranchBased(g, 0)
-	_, ba := TopDownBranchAvoiding(g, 0)
+	_, ba := topDownBA(g, 0)
 
 	v := uint64(g.NumVertices())
 	arcs := uint64(g.NumArcs())
@@ -179,14 +188,14 @@ func TestEmptyAndSingleton(t *testing.T) {
 	empty := graph.MustBuild(0, nil, graph.Options{})
 	for _, k := range kernels() {
 		dist, st := k.run(empty, 0)
-		if len(dist) != 0 || st.Levels != 0 {
+		if len(dist) != 0 || st.Passes != 0 {
 			t.Fatalf("%s: empty graph handled wrong", k.name)
 		}
 	}
 	single := graph.MustBuild(1, nil, graph.Options{})
 	for _, k := range kernels() {
 		dist, st := k.run(single, 0)
-		if dist[0] != 0 || st.Reached != 1 || st.Levels != 1 {
+		if dist[0] != 0 || st.Reached != 1 || st.Passes != 1 {
 			t.Fatalf("%s: singleton handled wrong: %v %+v", k.name, dist, st)
 		}
 	}
@@ -197,7 +206,7 @@ func TestDirectionOptimizingUsesBottomUp(t *testing.T) {
 	// aggressive thresholds the kernel must switch to bottom-up and still
 	// be correct. (alpha=1, beta=n forces the check to pass on volume.)
 	g := gen.Complete(60)
-	dist, _ := DirectionOptimizing(g, 0, 1, 1<<30)
+	dist, _, _ := DirectionOptimizing(context.Background(), g, 0, 1, 1<<30)
 	want := referenceDistances(g, 0)
 	for v := range want {
 		if dist[v] != want[v] {
@@ -238,7 +247,7 @@ func TestBranchAvoidingQueueSlack(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 10 + int(seed%100)
 		g := gen.BarabasiAlbert(n, 2, seed)
-		dist, _ := TopDownBranchAvoiding(g, uint32(seed%uint64(n)))
+		dist, _ := topDownBA(g, uint32(seed%uint64(n)))
 		return Verify(g, uint32(seed%uint64(n)), dist) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -38,6 +38,7 @@ import (
 	"bagraph/internal/bitset"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 )
 
 // msWave is the number of sources one shared sweep carries: the width
@@ -59,9 +60,6 @@ type MultiSourceOptions struct {
 	// chunks from stragglers. Both schedules produce byte-identical
 	// distances.
 	Schedule par.Schedule
-	// ChunkFactor scales the Stealing schedule's chunks per worker;
-	// 0 means par.DefaultChunkFactor. Ignored under par.Static.
-	ChunkFactor int
 	// Pool, when non-nil, supplies the worker pool (its size overrides
 	// Workers). The caller keeps ownership; MultiSource will not close
 	// it.
@@ -72,42 +70,6 @@ type MultiSourceOptions struct {
 	// alias it. Long-lived callers (the serving layer) reuse these
 	// across batches.
 	Dists [][]uint32
-}
-
-// MultiStats describes one multi-source run.
-type MultiStats struct {
-	// Waves is the number of 64-source sweeps the batch needed.
-	Waves int
-	// Levels is the total number of shared level sweeps across waves;
-	// k independent traversals would instead pay the sum of every
-	// source's eccentricity.
-	Levels int
-	// LevelDurations holds per-sweep wall-clock times.
-	LevelDurations []time.Duration
-	// Reached is the total number of (source, vertex) discoveries,
-	// including the roots themselves.
-	Reached int
-	// DistStores counts writes into the distance arrays.
-	DistStores uint64
-	// Chunks, Steals and StealPasses describe chunk scheduling across
-	// all shared sweeps (see par.ChunkStats); Steals and StealPasses
-	// are zero under par.Static, Chunks counts under both schedules.
-	Chunks      int
-	Steals      uint64
-	StealPasses uint64
-	// WordsScanned counts the 64-bit active-bitset words the shared
-	// sweeps loaded — the frontier-locality proxy (see
-	// Stats.BUWordsScanned).
-	WordsScanned uint64
-}
-
-// Total returns the summed wall-clock time of all level sweeps.
-func (s MultiStats) Total() time.Duration {
-	var t time.Duration
-	for _, d := range s.LevelDurations {
-		t += d
-	}
-	return t
 }
 
 // msWorker accumulates one worker's contribution to a level sweep.
@@ -125,7 +87,7 @@ type msWorker struct {
 // allowed and produce identical arrays. A cancelled
 // MultiSourceOptions.Ctx is observed at the next sweep barrier and
 // returned as the error.
-func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]uint32, MultiStats, error) {
+func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]uint32, perfcount.Stats, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -144,7 +106,7 @@ func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]ui
 			dists[i][v] = Inf
 		}
 	}
-	var st MultiStats
+	var st perfcount.Stats
 	if n == 0 || k == 0 {
 		return dists, st, ctx.Err()
 	}
@@ -157,7 +119,7 @@ func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]ui
 	offs := g.Offsets()
 	// 64-aligned chunks: each worker owns whole words of the active
 	// bitset, making the saturation clears below race-free.
-	vchunks := par.Partition(offs, par.ChunkCount(pool.Workers(), opt.Schedule, opt.ChunkFactor), 64)
+	vchunks := par.Partition(offs, par.ChunkCount(pool.Workers(), opt.Schedule), 64)
 	acc := make([]msWorker, pool.Workers())
 
 	seen := make([]uint64, n)
@@ -256,8 +218,8 @@ func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]ui
 				acc[t] = msWorker{}
 			}
 			frontier, next = next, frontier
-			st.Levels++
-			st.LevelDurations = append(st.LevelDurations, time.Since(start))
+			st.Passes++
+			st.PassDurations = append(st.PassDurations, time.Since(start))
 			if advanced == 0 {
 				break
 			}

@@ -130,9 +130,9 @@ func TestMultiSourceSharedSweepEconomy(t *testing.T) {
 	sum := 0
 	for _, r := range roots {
 		_, sst := TopDownBranchBased(g, r)
-		sum += sst.Levels
+		sum += sst.Passes
 	}
-	if st.Levels >= sum {
-		t.Fatalf("shared sweep used %d levels, independent traversals %d", st.Levels, sum)
+	if st.Passes >= sum {
+		t.Fatalf("shared sweep used %d levels, independent traversals %d", st.Passes, sum)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"bagraph/internal/bitset"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 )
 
 // ParallelOptions configures ParallelDO.
@@ -61,9 +62,6 @@ type ParallelOptions struct {
 	// chunks from stragglers. Both schedules produce byte-identical
 	// distances.
 	Schedule par.Schedule
-	// ChunkFactor scales the Stealing schedule's chunks per worker;
-	// 0 means par.DefaultChunkFactor. Ignored under par.Static.
-	ChunkFactor int
 	// Pool, when non-nil, supplies the worker pool (its size overrides
 	// Workers). The caller keeps ownership; ParallelDO will not close it.
 	Pool *par.Pool
@@ -89,7 +87,7 @@ type perWorkerLevel struct {
 // returns the distance array, identical to the sequential kernels'. A
 // cancelled ParallelOptions.Ctx is observed at the next level barrier
 // and returned as the error.
-func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, Stats, error) {
+func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -110,7 +108,7 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, Sta
 	for i := range dist {
 		dist[i] = Inf
 	}
-	var st Stats
+	var st perfcount.Stats
 	if n == 0 {
 		return dist, st, ctx.Err()
 	}
@@ -125,7 +123,7 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, Sta
 	// Vertex chunks for bottom-up sweeps: degree-balanced, 64-aligned so
 	// whichever worker runs a chunk owns whole bitset words; fixed across
 	// levels (only the executing worker varies under par.Stealing).
-	chunkTarget := par.ChunkCount(pool.Workers(), opt.Schedule, opt.ChunkFactor)
+	chunkTarget := par.ChunkCount(pool.Workers(), opt.Schedule)
 	vchunks := par.Partition(offs, chunkTarget, 64)
 
 	frontier := []uint32{root}
@@ -222,7 +220,7 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, Sta
 				volume += acc[t].volume
 				st.DistStores += acc[t].distStores
 				st.QueueStores += acc[t].queueStores
-				st.BUWordsScanned += acc[t].wordsScanned
+				st.WordsScanned += acc[t].wordsScanned
 				acc[t] = perWorkerLevel{}
 			}
 			frontierBits, nextBits = nextBits, frontierBits
@@ -273,8 +271,8 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, Sta
 			unvisitedValid = false
 		}
 		level++
-		st.Levels++
-		st.LevelDurations = append(st.LevelDurations, time.Since(start))
+		st.Passes++
+		st.PassDurations = append(st.PassDurations, time.Since(start))
 	}
 	return dist, st, nil
 }

@@ -27,38 +27,45 @@ import (
 
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
+	"bagraph/internal/perfcount"
 )
 
-// Stats describes one SV run.
-type Stats struct {
-	// Iterations is the number of passes of the outer while loop,
-	// including the final pass that observes no change.
-	Iterations int
-	// IterDurations holds the wall-clock time of each pass.
-	IterDurations []time.Duration
-	// IterChanges holds the number of vertices whose label changed in
-	// each pass.
-	IterChanges []int
-	// LabelStores counts writes to the label array.
-	LabelStores uint64
-	// Chunks, Steals and StealPasses describe the parallel kernel's
-	// chunk scheduling across all passes: chunks executed, chunks run
-	// by a worker that did not own them, and victim-selection scans
-	// (see par.ChunkStats). Chunks is zero only for the sequential
-	// kernels; Steals and StealPasses are also zero under par.Static.
-	Chunks      int
-	Steals      uint64
-	StealPasses uint64
+// Variant selects the inner loop of SV and SVParallel.
+type Variant int
+
+const (
+	// BranchBased compares labels with a conditional branch per edge
+	// (the paper's Algorithm 2).
+	BranchBased Variant = iota
+	// BranchAvoiding computes the label minimum with arithmetic masks
+	// (Algorithm 3): no data-dependent branch in the pass.
+	BranchAvoiding
+	// Hybrid runs branch-avoiding passes while labels churn and switches
+	// to the branch-based loop once the per-pass change fraction drops
+	// below hybridChangeFraction (the paper's §6.2 crossover).
+	Hybrid
+)
+
+// String implements fmt.Stringer.
+func (v Variant) String() string {
+	switch v {
+	case BranchBased:
+		return "branch-based"
+	case BranchAvoiding:
+		return "branch-avoiding"
+	case Hybrid:
+		return "hybrid"
+	default:
+		return "unknown"
+	}
 }
 
-// Total returns the summed wall-clock time of all passes.
-func (s Stats) Total() time.Duration {
-	var t time.Duration
-	for _, d := range s.IterDurations {
-		t += d
-	}
-	return t
-}
+// hybridChangeFraction is the Hybrid switch threshold: once the fraction
+// of vertices that changed label in a pass drops below it, the labels
+// have mostly stabilized, the comparison branch has become predictable,
+// and later passes run the branch-based loop. The paper's §6.2 observes
+// a single crossover point, which makes this one-way switch sound.
+const hybridChangeFraction = 0.02
 
 func initLabels(n int) []uint32 {
 	labels := make([]uint32, n)
@@ -69,144 +76,41 @@ func initLabels(n int) []uint32 {
 }
 
 // SVBranchBased runs the branch-based Shiloach-Vishkin kernel
-// (Algorithm 2): the inner loop branches on every label comparison.
-func SVBranchBased(g *graph.Graph) ([]uint32, Stats) {
-	labels, st, _ := SVBranchBasedCtx(context.Background(), g)
+// (Algorithm 2) to completion — the reference oracle the other kernels
+// are validated against.
+func SVBranchBased(g *graph.Graph) ([]uint32, perfcount.Stats) {
+	labels, st, _ := SV(context.Background(), g, BranchBased)
 	return labels, st
 }
 
-// SVBranchBasedCtx is SVBranchBased with cooperative cancellation: the
-// context is observed between passes (never inside the inner loop,
+// SV runs sequential Shiloach-Vishkin label propagation with the inner
+// loop variant selects. BranchBased branches on every label comparison
+// and stores only improvements; BranchAvoiding feeds the comparison into
+// an arithmetic conditional move, leaving the loop tests as the only
+// branches and writing every label exactly once per pass (LabelStores is
+// Passes × |V|); Hybrid starts branch-avoiding and switches once labels
+// stabilize.
+//
+// The context is observed between passes (never inside the inner loop,
 // which stays exactly the paper's operation mix), and a cancelled run
 // returns the labels computed so far alongside ctx's error.
-func SVBranchBasedCtx(ctx context.Context, g *graph.Graph) ([]uint32, Stats, error) {
+func SV(ctx context.Context, g *graph.Graph, variant Variant) ([]uint32, perfcount.Stats, error) {
+	return sv(ctx, g, variant, hybridChangeFraction)
+}
+
+// sv is SV with the Hybrid switch threshold as a parameter, so tests can
+// force the crossover.
+func sv(ctx context.Context, g *graph.Graph, variant Variant, threshold float64) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
 	labels := initLabels(n)
-	var st Stats
+	var st perfcount.Stats
 	adj := g.Adjacency()
 	offs := g.Offsets()
 
+	avoiding := variant == BranchAvoiding || variant == Hybrid
 	for change := true; change; {
 		if err := ctx.Err(); err != nil {
 			return labels, st, err
-		}
-		change = false
-		changed := 0
-		start := time.Now()
-		for v := 0; v < n; v++ {
-			cv := labels[v]
-			cv0 := cv
-			for _, u := range adj[offs[v]:offs[v+1]] {
-				cu := labels[u]
-				if cu < cv {
-					cv = cu
-					labels[v] = cu
-					st.LabelStores++
-					change = true
-				}
-			}
-			if cv != cv0 {
-				changed++
-			}
-		}
-		st.IterDurations = append(st.IterDurations, time.Since(start))
-		st.IterChanges = append(st.IterChanges, changed)
-		st.Iterations++
-	}
-	return labels, st, nil
-}
-
-// SVBranchAvoiding runs the branch-avoiding Shiloach-Vishkin kernel
-// (Algorithm 3): the label comparison feeds an arithmetic conditional
-// move; the only branches left are the loop tests. Every vertex writes its
-// label exactly once per pass, so LabelStores is Iterations × |V|.
-func SVBranchAvoiding(g *graph.Graph) ([]uint32, Stats) {
-	labels, st, _ := SVBranchAvoidingCtx(context.Background(), g)
-	return labels, st
-}
-
-// SVBranchAvoidingCtx is SVBranchAvoiding with cooperative cancellation
-// at pass boundaries (see SVBranchBasedCtx).
-func SVBranchAvoidingCtx(ctx context.Context, g *graph.Graph) ([]uint32, Stats, error) {
-	n := g.NumVertices()
-	labels := initLabels(n)
-	var st Stats
-	adj := g.Adjacency()
-	offs := g.Offsets()
-
-	for change := uint32(1); change != 0; {
-		if err := ctx.Err(); err != nil {
-			return labels, st, err
-		}
-		change = 0
-		changed := 0
-		start := time.Now()
-		//ba:branch-free
-		for v := 0; v < n; v++ {
-			cinit := labels[v]
-			cv := cinit
-			for _, u := range adj[offs[v]:offs[v+1]] {
-				cu := labels[u]
-				// cv ← min(cv, cu) via mask select: no data branch.
-				m := core.MaskLess32(cu, cv)
-				cv = core.Select32(m, cu, cv)
-			}
-			labels[v] = cv
-			st.LabelStores++
-			diff := cv ^ cinit
-			change |= diff
-			// Branch-free change tally: diff != 0 contributes 1.
-			changed += core.Bit(^core.MaskEqual32(diff, 0))
-		}
-		st.IterDurations = append(st.IterDurations, time.Since(start))
-		st.IterChanges = append(st.IterChanges, changed)
-		st.Iterations++
-	}
-	return labels, st, nil
-}
-
-// HybridOptions configures SVHybrid.
-type HybridOptions struct {
-	// SwitchIteration forces the switch from branch-avoiding to
-	// branch-based at the given pass (0-based). Negative means adaptive.
-	SwitchIteration int
-	// ChangeFraction is the adaptive threshold: once the fraction of
-	// vertices that changed label in a pass drops below it, the labels
-	// have mostly stabilized, the comparison branch has become
-	// predictable, and the kernel switches to the branch-based loop. The
-	// paper's §6.2 observes a single crossover point, which makes this
-	// one-way switch sound. Zero means the default of 2%.
-	ChangeFraction float64
-}
-
-// SVHybrid is the algorithm the paper's §6.2 proposes: run the
-// branch-avoiding kernel in the early, misprediction-heavy passes and the
-// branch-based kernel once labels stabilize.
-func SVHybrid(g *graph.Graph, opt HybridOptions) ([]uint32, Stats) {
-	labels, st, _ := SVHybridCtx(context.Background(), g, opt)
-	return labels, st
-}
-
-// SVHybridCtx is SVHybrid with cooperative cancellation at pass
-// boundaries (see SVBranchBasedCtx).
-func SVHybridCtx(ctx context.Context, g *graph.Graph, opt HybridOptions) ([]uint32, Stats, error) {
-	n := g.NumVertices()
-	labels := initLabels(n)
-	var st Stats
-	adj := g.Adjacency()
-	offs := g.Offsets()
-	threshold := opt.ChangeFraction
-	if threshold == 0 {
-		threshold = 0.02
-	}
-
-	avoiding := true
-	for change := true; change; {
-		if err := ctx.Err(); err != nil {
-			return labels, st, err
-		}
-		if opt.SwitchIteration >= 0 && st.Iterations >= opt.SwitchIteration {
-			avoiding = false
 		}
 		change = false
 		changed := 0
@@ -219,6 +123,7 @@ func SVHybridCtx(ctx context.Context, g *graph.Graph, opt HybridOptions) ([]uint
 				cv := cinit
 				for _, u := range adj[offs[v]:offs[v+1]] {
 					cu := labels[u]
+					// cv ← min(cv, cu) via mask select: no data branch.
 					m := core.MaskLess32(cu, cv)
 					cv = core.Select32(m, cu, cv)
 				}
@@ -226,6 +131,7 @@ func SVHybridCtx(ctx context.Context, g *graph.Graph, opt HybridOptions) ([]uint
 				st.LabelStores++
 				diff := cv ^ cinit
 				diffAccum |= diff
+				// Branch-free change tally: diff != 0 contributes 1.
 				changed += core.Bit(^core.MaskEqual32(diff, 0))
 			}
 			change = diffAccum != 0
@@ -247,10 +153,10 @@ func SVHybridCtx(ctx context.Context, g *graph.Graph, opt HybridOptions) ([]uint
 				}
 			}
 		}
-		st.IterDurations = append(st.IterDurations, time.Since(start))
-		st.IterChanges = append(st.IterChanges, changed)
-		st.Iterations++
-		if opt.SwitchIteration < 0 && avoiding && float64(changed) < threshold*float64(n) {
+		st.PassDurations = append(st.PassDurations, time.Since(start))
+		st.PassChanges = append(st.PassChanges, changed)
+		st.Passes++
+		if variant == Hybrid && avoiding && float64(changed) < threshold*float64(n) {
 			avoiding = false
 		}
 	}

@@ -1,21 +1,38 @@
 package cc
 
 import (
+	"context"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
+	"bagraph/internal/perfcount"
+	"bagraph/internal/testutil"
 )
+
+// run is SV to completion.
+func run(g *graph.Graph, variant Variant) ([]uint32, perfcount.Stats) {
+	labels, st, _ := SV(context.Background(), g, variant)
+	return labels, st
+}
+
+// hybridAt is the Hybrid kernel with its switch threshold overridden:
+// math.Inf(1) forces the crossover at the first pass barrier.
+func hybridAt(g *graph.Graph, threshold float64) ([]uint32, perfcount.Stats) {
+	labels, st, _ := sv(context.Background(), g, Hybrid, threshold)
+	return labels, st
+}
 
 // allVariants runs every CC implementation on g and checks they agree on
 // the canonical min-id labeling.
 func allVariants(t *testing.T, g *graph.Graph) []uint32 {
 	t.Helper()
 	bb, stBB := SVBranchBased(g)
-	ba, stBA := SVBranchAvoiding(g)
-	hyAuto, _ := SVHybrid(g, HybridOptions{SwitchIteration: -1})
-	hyForced, _ := SVHybrid(g, HybridOptions{SwitchIteration: 1})
+	ba, stBA := run(g, BranchAvoiding)
+	hyAuto, _ := run(g, Hybrid)
+	hyForced, _ := hybridAt(g, math.Inf(1))
 	uf := UnionFind(g)
 	ref := ViaBFS(g)
 
@@ -33,13 +50,13 @@ func allVariants(t *testing.T, g *graph.Graph) []uint32 {
 			}
 		}
 	}
-	if stBB.Iterations < 1 || stBA.Iterations < 1 {
+	if stBB.Passes < 1 || stBA.Passes < 1 {
 		t.Fatal("SV reported zero iterations")
 	}
 	// Both SV variants make identical label-propagation passes, so the
 	// pass counts must agree.
-	if stBB.Iterations != stBA.Iterations {
-		t.Fatalf("iteration counts differ: BB=%d BA=%d", stBB.Iterations, stBA.Iterations)
+	if stBB.Passes != stBA.Passes {
+		t.Fatalf("iteration counts differ: BB=%d BA=%d", stBB.Passes, stBA.Passes)
 	}
 	return ref
 }
@@ -83,7 +100,7 @@ func TestComponentCountsKnown(t *testing.T) {
 		{gen.Complete(8), 1},
 	}
 	for _, c := range cases {
-		labels, _ := SVBranchAvoiding(c.g)
+		labels, _ := run(c.g, BranchAvoiding)
 		if got := CountComponents(labels); got != c.want {
 			t.Errorf("%s: components = %d, want %d", c.g, got, c.want)
 		}
@@ -107,7 +124,7 @@ func TestComponentSizes(t *testing.T) {
 func TestLabelsAreMinIDs(t *testing.T) {
 	// Component {0,1,2} and {3,4}: labels must be 0 and 3.
 	g := graph.MustBuild(5, []graph.Edge{{U: 2, V: 1}, {U: 1, V: 0}, {U: 4, V: 3}}, graph.Options{})
-	labels, _ := SVBranchAvoiding(g)
+	labels, _ := run(g, BranchAvoiding)
 	want := []uint32{0, 0, 0, 3, 3}
 	for v, w := range want {
 		if labels[v] != w {
@@ -122,39 +139,39 @@ func TestIterationsBoundedByDiameter(t *testing.T) {
 	g := gen.Path(100)
 	_, st := SVBranchBased(g)
 	d := g.PseudoDiameter()
-	if st.Iterations > d+2 {
-		t.Fatalf("iterations = %d for diameter %d", st.Iterations, d)
+	if st.Passes > d+2 {
+		t.Fatalf("iterations = %d for diameter %d", st.Passes, d)
 	}
 	// The in-place sweep propagates labels in ascending order, so the
 	// descending-id path still needs many passes — ensure it is not
 	// trivially 1 (guards against accidentally computing min globally).
 	rev := gen.Cycle(101)
 	_, st2 := SVBranchBased(rev)
-	if st2.Iterations < 2 {
-		t.Fatalf("cycle converged suspiciously fast: %d passes", st2.Iterations)
+	if st2.Passes < 2 {
+		t.Fatalf("cycle converged suspiciously fast: %d passes", st2.Passes)
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	g := gen.Grid2D(10, 10, false)
 	_, bb := SVBranchBased(g)
-	_, ba := SVBranchAvoiding(g)
+	_, ba := run(g, BranchAvoiding)
 	n := uint64(g.NumVertices())
 
 	// BA stores once per vertex per pass, exactly.
-	if want := n * uint64(ba.Iterations); ba.LabelStores != want {
+	if want := n * uint64(ba.Passes); ba.LabelStores != want {
 		t.Fatalf("BA stores = %d, want %d", ba.LabelStores, want)
 	}
 	// BB stores only on improvements; final pass stores nothing.
-	if bb.LabelStores == 0 || bb.LabelStores >= n*uint64(bb.Iterations)*4 {
+	if bb.LabelStores == 0 || bb.LabelStores >= n*uint64(bb.Passes)*4 {
 		t.Fatalf("BB stores = %d out of plausible range", bb.LabelStores)
 	}
-	if len(bb.IterDurations) != bb.Iterations || len(bb.IterChanges) != bb.Iterations {
+	if len(bb.PassDurations) != bb.Passes || len(bb.PassChanges) != bb.Passes {
 		t.Fatal("stats slices inconsistent with iteration count")
 	}
 	// Last pass observes convergence: zero changes.
-	if bb.IterChanges[bb.Iterations-1] != 0 {
-		t.Fatalf("final pass changed %d labels", bb.IterChanges[bb.Iterations-1])
+	if bb.PassChanges[bb.Passes-1] != 0 {
+		t.Fatalf("final pass changed %d labels", bb.PassChanges[bb.Passes-1])
 	}
 	if bb.Total() <= 0 {
 		t.Fatal("total duration not positive")
@@ -164,20 +181,20 @@ func TestStatsAccounting(t *testing.T) {
 func TestIterChangesAgreeBetweenVariants(t *testing.T) {
 	g := gen.Community(6, 20, 0.4, 30, 11)
 	_, bb := SVBranchBased(g)
-	_, ba := SVBranchAvoiding(g)
-	if len(bb.IterChanges) != len(ba.IterChanges) {
-		t.Fatalf("pass counts differ: %d vs %d", len(bb.IterChanges), len(ba.IterChanges))
+	_, ba := run(g, BranchAvoiding)
+	if len(bb.PassChanges) != len(ba.PassChanges) {
+		t.Fatalf("pass counts differ: %d vs %d", len(bb.PassChanges), len(ba.PassChanges))
 	}
-	for i := range bb.IterChanges {
-		if bb.IterChanges[i] != ba.IterChanges[i] {
-			t.Fatalf("pass %d: BB changed %d, BA changed %d", i, bb.IterChanges[i], ba.IterChanges[i])
+	for i := range bb.PassChanges {
+		if bb.PassChanges[i] != ba.PassChanges[i] {
+			t.Fatalf("pass %d: BB changed %d, BA changed %d", i, bb.PassChanges[i], ba.PassChanges[i])
 		}
 	}
 }
 
 func TestHybridSwitchesAndMatches(t *testing.T) {
 	g := gen.Grid2D(20, 20, false)
-	labels, st := SVHybrid(g, HybridOptions{SwitchIteration: -1, ChangeFraction: 0.5})
+	labels, st := hybridAt(g, 0.5)
 	if err := Verify(g, labels); err != nil {
 		t.Fatal(err)
 	}
@@ -187,20 +204,33 @@ func TestHybridSwitchesAndMatches(t *testing.T) {
 			t.Fatal("hybrid labels differ from reference")
 		}
 	}
-	if st.Iterations != refSt.Iterations {
-		t.Fatalf("hybrid iterations %d != %d", st.Iterations, refSt.Iterations)
+	if st.Passes != refSt.Passes {
+		t.Fatalf("hybrid iterations %d != %d", st.Passes, refSt.Passes)
 	}
 }
 
 func TestHybridForcedAtZeroIsBranchBased(t *testing.T) {
+	// A hybrid forced to switch at the first barrier runs exactly one
+	// branch-avoiding pass (|V| stores) and is the branch-based kernel
+	// from pass 1 on. Both loops produce the same labels each pass, so
+	// the store count is |V| plus branch-based's stores after its own
+	// first pass — which a run cancelled at the second barrier isolates.
 	g := gen.Community(4, 15, 0.5, 10, 3)
-	labels, st := SVHybrid(g, HybridOptions{SwitchIteration: 0})
+	labels, st := hybridAt(g, math.Inf(1))
 	if err := Verify(g, labels); err != nil {
 		t.Fatal(err)
 	}
 	_, bb := SVBranchBased(g)
-	if st.LabelStores != bb.LabelStores {
-		t.Fatalf("forced-BB hybrid stores %d != branch-based %d", st.LabelStores, bb.LabelStores)
+	_, bbFirst, err := SV(testutil.CancelAfter(1), g, BranchBased)
+	if err == nil || bbFirst.Passes != 1 {
+		t.Fatalf("first-pass probe: passes=%d err=%v", bbFirst.Passes, err)
+	}
+	want := uint64(g.NumVertices()) + bb.LabelStores - bbFirst.LabelStores
+	if st.LabelStores != want {
+		t.Fatalf("forced hybrid stores %d, want %d (|V| + branch-based after pass 0)", st.LabelStores, want)
+	}
+	if st.Passes != bb.Passes {
+		t.Fatalf("forced hybrid passes %d != branch-based %d", st.Passes, bb.Passes)
 	}
 }
 
@@ -229,10 +259,10 @@ func TestVerifyCatchesBadLabelings(t *testing.T) {
 func TestEmptyGraph(t *testing.T) {
 	g := graph.MustBuild(0, nil, graph.Options{})
 	labels, st := SVBranchBased(g)
-	if len(labels) != 0 || st.Iterations != 1 {
-		t.Fatalf("empty graph: labels=%v iterations=%d", labels, st.Iterations)
+	if len(labels) != 0 || st.Passes != 1 {
+		t.Fatalf("empty graph: labels=%v iterations=%d", labels, st.Passes)
 	}
-	labels2, _ := SVBranchAvoiding(g)
+	labels2, _ := run(g, BranchAvoiding)
 	if len(labels2) != 0 {
 		t.Fatal("empty graph BA labels non-empty")
 	}
@@ -240,8 +270,8 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestSingleVertex(t *testing.T) {
 	g := graph.MustBuild(1, nil, graph.Options{})
-	for _, fn := range []func(*graph.Graph) ([]uint32, Stats){SVBranchBased, SVBranchAvoiding} {
-		labels, _ := fn(g)
+	for _, variant := range []Variant{BranchBased, BranchAvoiding, Hybrid} {
+		labels, _ := run(g, variant)
 		if len(labels) != 1 || labels[0] != 0 {
 			t.Fatalf("single vertex labels = %v", labels)
 		}

@@ -19,7 +19,7 @@ package cc
 //
 // One consequence is shared by all three inner-loop variants: because the
 // write array is two passes stale, every vertex's label is stored
-// unconditionally each pass, so LabelStores is Iterations × |V| even for
+// unconditionally each pass, so LabelStores is Passes × |V| even for
 // the branch-based loop (whose *comparisons* still branch — the property
 // the paper measures).
 
@@ -30,37 +30,8 @@ import (
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 )
-
-// Variant selects the inner loop of SVParallel.
-type Variant int
-
-const (
-	// BranchBased compares labels with a conditional branch per edge
-	// (the paper's Algorithm 2 comparison).
-	BranchBased Variant = iota
-	// BranchAvoiding computes the label minimum with arithmetic masks
-	// (Algorithm 3): no data-dependent branch in the pass.
-	BranchAvoiding
-	// Hybrid runs branch-avoiding passes while labels churn and switches
-	// to the branch-based loop once the per-pass change fraction drops
-	// below ParallelOptions.ChangeFraction (the paper's §6.2 crossover).
-	Hybrid
-)
-
-// String implements fmt.Stringer.
-func (v Variant) String() string {
-	switch v {
-	case BranchBased:
-		return "branch-based"
-	case BranchAvoiding:
-		return "branch-avoiding"
-	case Hybrid:
-		return "hybrid"
-	default:
-		return "unknown"
-	}
-}
 
 // ParallelOptions configures SVParallel.
 type ParallelOptions struct {
@@ -73,18 +44,12 @@ type ParallelOptions struct {
 	Workers int
 	// Variant selects the inner loop (default BranchBased).
 	Variant Variant
-	// ChangeFraction is the Hybrid switch threshold (see HybridOptions);
-	// zero means the default of 2%.
-	ChangeFraction float64
 	// Schedule selects how each pass's chunks reach the workers:
 	// par.Static (the default) fixes one arc-balanced block per worker
 	// at launch; par.Stealing over-decomposes the vertex set and lets
 	// idle workers steal whole chunks from stragglers. Both schedules
 	// produce byte-identical labelings.
 	Schedule par.Schedule
-	// ChunkFactor scales the Stealing schedule's chunks per worker;
-	// 0 means par.DefaultChunkFactor. Ignored under par.Static.
-	ChunkFactor int
 	// Pool, when non-nil, supplies the worker pool (its size overrides
 	// Workers). The caller keeps ownership; SVParallel will not close it.
 	Pool *par.Pool
@@ -102,13 +67,13 @@ type ParallelOptions struct {
 // each pass ends at a barrier where per-worker change counts merge and
 // the label buffers swap. A cancelled ParallelOptions.Ctx is observed
 // at the next pass barrier and returned as the error.
-func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, Stats, error) {
+func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n := g.NumVertices()
-	var st Stats
+	var st perfcount.Stats
 	if n == 0 {
 		return []uint32{}, st, ctx.Err()
 	}
@@ -121,7 +86,7 @@ func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, Stats, error) {
 	offs := g.Offsets()
 	// The chunk list is fixed across passes (the graph does not change);
 	// what varies under par.Stealing is which worker runs each chunk.
-	chunks := par.Partition(offs, par.ChunkCount(pool.Workers(), opt.Schedule, opt.ChunkFactor), 1)
+	chunks := par.Partition(offs, par.ChunkCount(pool.Workers(), opt.Schedule), 1)
 
 	prev := opt.Labels
 	if len(prev) != n {
@@ -142,10 +107,6 @@ func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, Stats, error) {
 	// per chunk, never read.
 	sink := make([]uint32, pool.Workers())
 
-	threshold := opt.ChangeFraction
-	if threshold == 0 {
-		threshold = 0.02
-	}
 	avoiding := opt.Variant == BranchAvoiding || opt.Variant == Hybrid
 
 	for {
@@ -220,15 +181,15 @@ func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, Stats, error) {
 		for _, c := range perWorker {
 			changed += c
 		}
-		st.IterDurations = append(st.IterDurations, time.Since(start))
-		st.IterChanges = append(st.IterChanges, changed)
-		st.Iterations++
+		st.PassDurations = append(st.PassDurations, time.Since(start))
+		st.PassChanges = append(st.PassChanges, changed)
+		st.Passes++
 		st.LabelStores += uint64(n)
 		prev, cur = cur, prev
 		if changed == 0 {
 			break
 		}
-		if opt.Variant == Hybrid && avoiding && float64(changed) < threshold*float64(n) {
+		if opt.Variant == Hybrid && avoiding && float64(changed) < hybridChangeFraction*float64(n) {
 			avoiding = false
 		}
 	}

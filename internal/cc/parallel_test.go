@@ -22,10 +22,10 @@ func TestSVParallelMatchesSequential(t *testing.T) {
 					if err := Verify(g, labels); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if st.Iterations == 0 {
+					if st.Passes == 0 {
 						t.Fatalf("%s: no passes recorded", name)
 					}
-					if st.IterChanges[len(st.IterChanges)-1] != 0 {
+					if st.PassChanges[len(st.PassChanges)-1] != 0 {
 						t.Fatalf("%s: final pass still changed labels", name)
 					}
 				}

@@ -231,23 +231,19 @@ func (s Schedule) String() string {
 }
 
 // DefaultChunkFactor is the chunks-per-worker over-decomposition the
-// Stealing schedule uses when the caller does not pick one. More chunks
-// mean finer rebalancing but more cursor traffic; 8 keeps the per-chunk
-// amortization deep while letting a straggler shed 7/8 of its backlog.
+// Stealing schedule uses. More chunks mean finer rebalancing but more
+// cursor traffic; 8 keeps the per-chunk amortization deep while letting
+// a straggler shed 7/8 of its backlog.
 const DefaultChunkFactor = 8
 
 // ChunkCount returns the chunk-list length a pass should partition
 // into: one chunk per worker under Static (the original launch-time
-// split), factor chunks per worker under Stealing (factor < 1 means
-// DefaultChunkFactor).
-func ChunkCount(workers int, sched Schedule, factor int) int {
+// split), DefaultChunkFactor chunks per worker under Stealing.
+func ChunkCount(workers int, sched Schedule) int {
 	if sched == Static {
 		return workers
 	}
-	if factor < 1 {
-		factor = DefaultChunkFactor
-	}
-	return workers * factor
+	return workers * DefaultChunkFactor
 }
 
 // ChunkStats describes the scheduling work of one RunChunks pass.

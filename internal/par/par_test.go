@@ -264,14 +264,11 @@ func TestRunChunksCtx(t *testing.T) {
 }
 
 func TestChunkCount(t *testing.T) {
-	if got := ChunkCount(4, Static, 16); got != 4 {
+	if got := ChunkCount(4, Static); got != 4 {
 		t.Errorf("Static: %d chunks, want workers", got)
 	}
-	if got := ChunkCount(4, Stealing, 0); got != 4*DefaultChunkFactor {
-		t.Errorf("Stealing default: %d", got)
-	}
-	if got := ChunkCount(4, Stealing, 3); got != 12 {
-		t.Errorf("Stealing factor 3: %d", got)
+	if got := ChunkCount(4, Stealing); got != 4*DefaultChunkFactor {
+		t.Errorf("Stealing: %d", got)
 	}
 }
 

@@ -1,10 +1,13 @@
-// Package perfcount defines the hardware-event counter set used by the
-// simulated machine.
+// Package perfcount defines the two counter records of the repo: the
+// hardware-event set of the simulated machine (Counters) and the
+// software-visible record of a native kernel run (Stats).
 //
 // The paper's Fig. 10 correlates six per-edge quantities — time (T),
 // instructions (I), branches (B), mispredictions (M), loads (L) and
 // stores (S). Counters carries exactly those events plus the cache-level
-// breakdown the timing model needs to turn loads into cycles.
+// breakdown the timing model needs to turn loads into cycles. Stats is
+// what the native kernels can count without a machine model: passes,
+// per-pass changes and the store counts behind the §5.2 blow-up.
 package perfcount
 
 import "fmt"

@@ -55,7 +55,7 @@ func TestBatcherCoalescesBFS(t *testing.T) {
 		if res.Batch != k {
 			t.Fatalf("root %d dispatched in batch of %d, want %d", i, res.Batch, k)
 		}
-		want, _ := bfs.TopDownBranchAvoiding(e.Graph(), uint32(i))
+		want, _ := bfs.TopDownBranchBased(e.Graph(), uint32(i))
 		for v := range want {
 			if res.Hops[v] != want[v] {
 				t.Fatalf("root %d: dist[%d] = %d, want %d", i, v, res.Hops[v], want[v])

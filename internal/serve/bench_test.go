@@ -84,7 +84,7 @@ func BenchmarkServeBatch(b *testing.B) {
 					wg.Add(1)
 					go func(root uint32) {
 						defer wg.Done()
-						dist, _ := bfs.TopDownBranchAvoiding(g, root)
+						dist, _, _ := bfs.TopDown(context.Background(), g, root, bfs.BranchAvoiding)
 						if len(dist) == 0 {
 							b.Error("bad result")
 						}

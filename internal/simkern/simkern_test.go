@@ -42,8 +42,8 @@ func TestSVMatchesNative(t *testing.T) {
 		rBB := SVBranchBased(machine(), g)
 		rBA := SVBranchAvoiding(machine(), g)
 
-		if rBB.Iterations != nativeStats.Iterations || rBA.Iterations != nativeStats.Iterations {
-			t.Fatalf("%s: iterations BB=%d BA=%d native=%d", g, rBB.Iterations, rBA.Iterations, nativeStats.Iterations)
+		if rBB.Iterations != nativeStats.Passes || rBA.Iterations != nativeStats.Passes {
+			t.Fatalf("%s: iterations BB=%d BA=%d native=%d", g, rBB.Iterations, rBA.Iterations, nativeStats.Passes)
 		}
 		for v := range nativeLabels {
 			if rBB.Labels[v] != nativeLabels[v] || rBA.Labels[v] != nativeLabels[v] {
@@ -69,8 +69,8 @@ func TestBFSMatchesNative(t *testing.T) {
 				t.Fatalf("%s: distance mismatch at %d", g, v)
 			}
 		}
-		if rBB.Levels != nativeStats.Levels || rBA.Levels != nativeStats.Levels {
-			t.Fatalf("%s: levels BB=%d BA=%d native=%d", g, rBB.Levels, rBA.Levels, nativeStats.Levels)
+		if rBB.Levels != nativeStats.Passes || rBA.Levels != nativeStats.Passes {
+			t.Fatalf("%s: levels BB=%d BA=%d native=%d", g, rBB.Levels, rBA.Levels, nativeStats.Passes)
 		}
 		if rBB.Reached != nativeStats.Reached || rBA.Reached != nativeStats.Reached {
 			t.Fatalf("%s: reached mismatch", g)

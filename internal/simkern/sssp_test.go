@@ -1,6 +1,7 @@
 package simkern
 
 import (
+	"context"
 	"testing"
 
 	"bagraph/internal/gen"
@@ -36,7 +37,7 @@ func TestBellmanFordMatchesNativeAndDijkstra(t *testing.T) {
 		if rBB.Passes != rBA.Passes {
 			t.Fatalf("%s: passes differ: %d vs %d", g, rBB.Passes, rBA.Passes)
 		}
-		native, nst := sssp.BellmanFordBranchBased(g, 0)
+		native, nst, _ := sssp.BellmanFord(context.Background(), g, 0, sssp.BranchBased, nil)
 		if nst.Passes != rBB.Passes {
 			t.Fatalf("%s: instrumented passes %d != native %d", g, rBB.Passes, nst.Passes)
 		}

@@ -58,9 +58,10 @@ import (
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 )
 
-// Variant selects the relaxation inner loop of Parallel.
+// Variant selects the relaxation inner loop of BellmanFord and Parallel.
 type Variant int
 
 const (
@@ -75,10 +76,16 @@ const (
 	// Hybrid relaxes branch-avoidingly while improvements are frequent
 	// (the branch is unpredictable) and switches to the branch-based
 	// loop once the per-pass improvement rate drops below
-	// ParallelOptions.ChangeFraction — the paper's §6.2 crossover,
-	// applied to the relaxation success rate.
+	// hybridChangeFraction — the paper's §6.2 crossover, applied to the
+	// relaxation success rate.
 	Hybrid
 )
+
+// hybridChangeFraction is the Hybrid switch threshold: once a pass's
+// improved-vertex count falls below this fraction of the arcs it
+// scanned, the relaxation branch has become predictable and later
+// passes run branch-based.
+const hybridChangeFraction = 0.02
 
 // String implements fmt.Stringer.
 func (v Variant) String() string {
@@ -111,11 +118,6 @@ type ParallelOptions struct {
 	// level (BFS-like) and keeps re-relaxation bounded on weighted
 	// inputs.
 	Delta uint64
-	// ChangeFraction is the Hybrid switch threshold: once a pass's
-	// improved-vertex count falls below this fraction of the arcs it
-	// scanned, the relaxation branch has become predictable and later
-	// passes run branch-based. 0 means the default of 2%.
-	ChangeFraction float64
 	// LightHeavy enables the Meyer & Sanders light/heavy edge split:
 	// in-bucket passes relax only light arcs (weight <= delta, the only
 	// ones that can re-fill the current bucket), and each vertex's
@@ -131,9 +133,6 @@ type ParallelOptions struct {
 	// lets idle workers steal whole chunks from stragglers. Both
 	// schedules produce byte-identical distances.
 	Schedule par.Schedule
-	// ChunkFactor scales the Stealing schedule's chunks per worker;
-	// 0 means par.DefaultChunkFactor. Ignored under par.Static.
-	ChunkFactor int
 	// Pool, when non-nil, supplies the worker pool (its size overrides
 	// Workers). The caller keeps ownership; Parallel will not close it.
 	Pool *par.Pool
@@ -190,14 +189,14 @@ func deltaShift(delta uint64, g *graph.Weighted) uint {
 // identical to Dijkstra's for every variant. A cancelled
 // ParallelOptions.Ctx is observed at the next pass barrier and
 // returned as the error.
-func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, Stats, error) {
+func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, perfcount.Stats, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n := g.NumVertices()
 	dist := initDist(opt.Dist, n, src)
-	var st Stats
+	var st perfcount.Stats
 	if n == 0 || int(src) >= n {
 		return dist, st, ctx.Err()
 	}
@@ -211,10 +210,6 @@ func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, Sta
 	offs := g.Offsets()
 	shift := deltaShift(opt.Delta, g)
 
-	threshold := opt.ChangeFraction
-	if threshold == 0 {
-		threshold = 0.02
-	}
 	avoiding := opt.Variant == BranchAvoiding || opt.Variant == Hybrid
 
 	// The light/heavy split: arcs with weight < lightCut relax in the
@@ -242,7 +237,7 @@ func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, Sta
 	order := bucketHeap{0}
 
 	nw := pool.Workers()
-	chunkTarget := par.ChunkCount(nw, opt.Schedule, opt.ChunkFactor)
+	chunkTarget := par.ChunkCount(nw, opt.Schedule)
 	cands := make([][]candidate, nw)
 	candStores := make([]uint64, nw) // per-worker, merged at the barrier
 	// sink publishes each worker's prefetch-lookahead accumulator (see
@@ -474,7 +469,7 @@ func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, Sta
 		st.PassChanges = append(st.PassChanges, len(changed))
 		st.Passes++
 		if opt.Variant == Hybrid && avoiding && scanned > 0 &&
-			float64(len(changed)) < threshold*float64(scanned) {
+			float64(len(changed)) < hybridChangeFraction*float64(scanned) {
 			avoiding = false
 		}
 		return len(changed), nil

@@ -23,57 +23,12 @@ import (
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/heap"
+	"bagraph/internal/perfcount"
 )
 
 // Inf marks unreachable vertices. It is 2^62, within the safe range of
 // the 64-bit branchless comparisons.
 const Inf = uint64(1) << 62
-
-// Stats describes one SSSP kernel run (a Bellman-Ford sweep sequence,
-// or the parallel delta-stepping kernel's pass sequence).
-type Stats struct {
-	// Passes counts outer-loop sweeps — for Bellman-Ford including the
-	// final no-change sweep, for Parallel one per scatter/merge pass.
-	Passes int
-	// PassDurations holds wall-clock time per sweep.
-	PassDurations []time.Duration
-	// PassChanges holds the number of vertices whose distance improved
-	// in each sweep.
-	PassChanges []int
-	// DistStores counts writes to the distance array.
-	DistStores uint64
-	// CandStores counts candidate-buffer writes in the parallel
-	// kernel's scatter phase. The branch-avoiding loop stores one
-	// candidate per scanned arc (the paper's §5.2 store blow-up, with
-	// the candidate buffer in the queue's role); the branch-based loop
-	// stores only improvements. Zero for the sequential kernels.
-	CandStores uint64
-	// Buckets counts delta-stepping bucket activations (zero for the
-	// sequential kernels).
-	Buckets int
-	// Chunks, Steals and StealPasses describe the parallel kernel's
-	// chunk scheduling across all passes (see par.ChunkStats). Chunks
-	// is zero only for the sequential kernels; Steals and StealPasses
-	// are also zero under par.Static.
-	Chunks      int
-	Steals      uint64
-	StealPasses uint64
-	// LightRelaxed and HeavyRelaxed count the relaxations the parallel
-	// kernel applied (distance improvements folded into the array)
-	// through light (weight <= delta) and heavy arcs. Without the
-	// light/heavy split every relaxation counts as light.
-	LightRelaxed uint64
-	HeavyRelaxed uint64
-}
-
-// Total returns the summed wall-clock time of all sweeps.
-func (s Stats) Total() time.Duration {
-	var t time.Duration
-	for _, d := range s.PassDurations {
-		t += d
-	}
-	return t
-}
 
 // initDist initializes the distance array for a run from src, reusing
 // buf when it has length n (its prior contents are overwritten).
@@ -91,30 +46,25 @@ func initDist(buf []uint64, n int, src uint32) []uint64 {
 	return dist
 }
 
-// BellmanFordBranchBased computes shortest-path distances from src with
-// the pull-style Bellman-Ford: the relaxation test is a conditional
-// branch, taken whenever a neighbor offers a shorter path.
-func BellmanFordBranchBased(g *graph.Weighted, src uint32) ([]uint64, Stats) {
-	return BellmanFordBranchBasedInto(g, src, nil)
-}
-
-// BellmanFordBranchBasedInto is BellmanFordBranchBased writing into dist
-// when it has length |V| (the returned slice aliases it); any other
-// length allocates.
-func BellmanFordBranchBasedInto(g *graph.Weighted, src uint32, dist []uint64) ([]uint64, Stats) {
-	out, st, _ := BellmanFordBranchBasedCtx(context.Background(), g, src, dist)
-	return out, st
-}
-
-// BellmanFordBranchBasedCtx is BellmanFordBranchBasedInto with
-// cooperative cancellation: the context is observed between sweeps
-// (never in the relaxation loop, which stays exactly the paper's
-// operation mix), and a cancelled run returns the tentative distances
-// computed so far alongside ctx's error.
-func BellmanFordBranchBasedCtx(ctx context.Context, g *graph.Weighted, src uint32, dist []uint64) ([]uint64, Stats, error) {
+// BellmanFord computes shortest-path distances from src with the
+// pull-style Bellman-Ford sweep and the relaxation loop variant selects
+// (BranchBased or BranchAvoiding; Hybrid exists only in Parallel and
+// runs branch-based here). The branch-based relaxation test is a
+// conditional branch, taken whenever a neighbor offers a shorter path;
+// the branch-avoiding form feeds the relaxation into a 64-bit mask
+// select, writes the register-accumulated distance back exactly once per
+// vertex per pass, and maintains the change flag with XOR/OR arithmetic
+// — the weighted twins of the paper's Algorithms 2 and 3.
+//
+// The result is written into dist when it has length |V| (the returned
+// slice aliases it); any other length allocates. The context is observed
+// between sweeps (never in the relaxation loop, which stays exactly the
+// paper's operation mix), and a cancelled run returns the tentative
+// distances computed so far alongside ctx's error.
+func BellmanFord(ctx context.Context, g *graph.Weighted, src uint32, variant Variant, dist []uint64) ([]uint64, perfcount.Stats, error) {
 	n := g.NumVertices()
 	dist = initDist(dist, n, src)
-	var st Stats
+	var st perfcount.Stats
 	adj := g.Adjacency()
 	ws := g.ArcWeights()
 	offs := g.Offsets()
@@ -126,80 +76,43 @@ func BellmanFordBranchBasedCtx(ctx context.Context, g *graph.Weighted, src uint3
 		change = false
 		changed := 0
 		start := time.Now()
-		for v := 0; v < n; v++ {
-			dv := dist[v]
-			dv0 := dv
-			for j := offs[v]; j < offs[v+1]; j++ {
-				u := adj[j]
-				cand := dist[u] + uint64(ws[j])
-				if cand < dv {
-					dv = cand
-					dist[v] = cand
-					st.DistStores++
-					change = true
+		if variant == BranchAvoiding {
+			var diffAccum uint64
+			//ba:branch-free
+			for v := 0; v < n; v++ {
+				dinit := dist[v]
+				dv := dinit
+				for j := offs[v]; j < offs[v+1]; j++ {
+					u := adj[j]
+					cand := dist[u] + uint64(ws[j])
+					m := core.MaskLess64(cand, dv)
+					dv = core.Select64(m, cand, dv)
+				}
+				dist[v] = dv
+				st.DistStores++
+				diff := dv ^ dinit
+				diffAccum |= diff
+				changed += int(core.Bit64(^core.MaskEqual64(diff, 0)))
+			}
+			change = diffAccum != 0
+		} else {
+			for v := 0; v < n; v++ {
+				dv := dist[v]
+				dv0 := dv
+				for j := offs[v]; j < offs[v+1]; j++ {
+					u := adj[j]
+					cand := dist[u] + uint64(ws[j])
+					if cand < dv {
+						dv = cand
+						dist[v] = cand
+						st.DistStores++
+						change = true
+					}
+				}
+				if dv != dv0 {
+					changed++
 				}
 			}
-			if dv != dv0 {
-				changed++
-			}
-		}
-		st.PassDurations = append(st.PassDurations, time.Since(start))
-		st.PassChanges = append(st.PassChanges, changed)
-		st.Passes++
-	}
-	return dist, st, nil
-}
-
-// BellmanFordBranchAvoiding is the conditional-move formulation: the
-// relaxation feeds a 64-bit mask select, the register-accumulated
-// distance is written back exactly once per vertex per pass, and the
-// change flag is maintained with XOR/OR arithmetic — the weighted twin
-// of the paper's Algorithm 3.
-func BellmanFordBranchAvoiding(g *graph.Weighted, src uint32) ([]uint64, Stats) {
-	return BellmanFordBranchAvoidingInto(g, src, nil)
-}
-
-// BellmanFordBranchAvoidingInto is BellmanFordBranchAvoiding writing into
-// dist when it has length |V| (the returned slice aliases it); any other
-// length allocates.
-func BellmanFordBranchAvoidingInto(g *graph.Weighted, src uint32, dist []uint64) ([]uint64, Stats) {
-	out, st, _ := BellmanFordBranchAvoidingCtx(context.Background(), g, src, dist)
-	return out, st
-}
-
-// BellmanFordBranchAvoidingCtx is BellmanFordBranchAvoidingInto with
-// cooperative cancellation at sweep boundaries (see
-// BellmanFordBranchBasedCtx).
-func BellmanFordBranchAvoidingCtx(ctx context.Context, g *graph.Weighted, src uint32, dist []uint64) ([]uint64, Stats, error) {
-	n := g.NumVertices()
-	dist = initDist(dist, n, src)
-	var st Stats
-	adj := g.Adjacency()
-	ws := g.ArcWeights()
-	offs := g.Offsets()
-
-	for change := uint64(1); change != 0; {
-		if err := ctx.Err(); err != nil {
-			return dist, st, err
-		}
-		change = 0
-		changed := 0
-		start := time.Now()
-		//ba:branch-free
-		for v := 0; v < n; v++ {
-			dinit := dist[v]
-			dv := dinit
-			for j := offs[v]; j < offs[v+1]; j++ {
-				u := adj[j]
-				cand := dist[u] + uint64(ws[j])
-				m := core.MaskLess64(cand, dv)
-				dv = core.Select64(m, cand, dv)
-			}
-			dist[v] = dv
-			st.DistStores++
-			diff := dv ^ dinit
-			change |= diff
-			changed += int(core.Bit64(^core.MaskEqual64(diff, 0)))
 		}
 		st.PassDurations = append(st.PassDurations, time.Since(start))
 		st.PassChanges = append(st.PassChanges, changed)
@@ -211,14 +124,8 @@ func BellmanFordBranchAvoidingCtx(ctx context.Context, g *graph.Weighted, src ui
 // Dijkstra computes shortest-path distances with a binary-heap priority
 // queue — the oracle the Bellman-Ford kernels are validated against.
 func Dijkstra(g *graph.Weighted, src uint32) []uint64 {
-	return DijkstraInto(g, src, nil)
-}
-
-// DijkstraInto is Dijkstra writing into dist when it has length |V| (the
-// returned slice aliases it); any other length allocates.
-func DijkstraInto(g *graph.Weighted, src uint32, dist []uint64) []uint64 {
-	out, _ := DijkstraCtx(context.Background(), g, src, dist)
-	return out
+	dist, _ := DijkstraCtx(context.Background(), g, src, nil)
+	return dist
 }
 
 // dijkstraCancelStride is how many settled vertices pass between
@@ -227,8 +134,10 @@ func DijkstraInto(g *graph.Weighted, src uint32, dist []uint64) []uint64 {
 // rare enough to stay invisible in the settle loop's profile.
 const dijkstraCancelStride = 4096
 
-// DijkstraCtx is DijkstraInto with cooperative cancellation, observed
-// every dijkstraCancelStride settled vertices.
+// DijkstraCtx is Dijkstra writing into dist when it has length |V| (the
+// returned slice aliases it; any other length allocates), with
+// cooperative cancellation observed every dijkstraCancelStride settled
+// vertices.
 func DijkstraCtx(ctx context.Context, g *graph.Weighted, src uint32, dist []uint64) ([]uint64, error) {
 	n := g.NumVertices()
 	dist = initDist(dist, n, src)

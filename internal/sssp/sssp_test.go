@@ -1,20 +1,28 @@
 package sssp
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
+	"bagraph/internal/perfcount"
 	"bagraph/internal/testutil"
 )
+
+// bellmanFord is BellmanFord to completion into a fresh array.
+func bellmanFord(g *graph.Weighted, src uint32, variant Variant) ([]uint64, perfcount.Stats) {
+	dist, st, _ := BellmanFord(context.Background(), g, src, variant, nil)
+	return dist, st
+}
 
 func TestKernelsAgreeWithDijkstra(t *testing.T) {
 	testutil.ForEachWeighted(t, nil, func(t *testing.T, g *graph.Weighted) {
 		want := Dijkstra(g, 0)
-		bb, stBB := BellmanFordBranchBased(g, 0)
-		ba, stBA := BellmanFordBranchAvoiding(g, 0)
+		bb, stBB := bellmanFord(g, 0, BranchBased)
+		ba, stBA := bellmanFord(g, 0, BranchAvoiding)
 		if g.NumVertices() > 0 {
 			if err := Verify(g, 0, want); err != nil {
 				t.Fatalf("dijkstra oracle invalid: %v", err)
@@ -35,8 +43,8 @@ func TestAgreementProperty(t *testing.T) {
 		g := testutil.RandomWeighted(n, 2*n, 20, seed)
 		src := uint32(seed % uint64(n))
 		want := Dijkstra(g, src)
-		bb, _ := BellmanFordBranchBased(g, src)
-		ba, _ := BellmanFordBranchAvoiding(g, src)
+		bb, _ := bellmanFord(g, src, BranchBased)
+		ba, _ := bellmanFord(g, src, BranchAvoiding)
 		par, _, _ := Parallel(g, src, ParallelOptions{Workers: 2, Variant: Hybrid})
 		for v := range want {
 			if bb[v] != want[v] || ba[v] != want[v] || par[v] != want[v] {
@@ -54,8 +62,8 @@ func TestStoreAsymmetry(t *testing.T) {
 	// Branch-avoiding stores exactly |V| per pass; branch-based stores
 	// per improvement.
 	g := testutil.AttachHashWeights(t, gen.Grid3D(6, 6, 6, 1), 50, 7)
-	_, bb := BellmanFordBranchBased(g, 0)
-	_, ba := BellmanFordBranchAvoiding(g, 0)
+	_, bb := bellmanFord(g, 0, BranchBased)
+	_, ba := bellmanFord(g, 0, BranchAvoiding)
 	v := uint64(g.NumVertices())
 	if ba.DistStores != v*uint64(ba.Passes) {
 		t.Fatalf("BA stores = %d, want %d", ba.DistStores, v*uint64(ba.Passes))
@@ -74,8 +82,8 @@ func TestStoreAsymmetry(t *testing.T) {
 
 func TestPassChangesAgree(t *testing.T) {
 	g := testutil.RandomWeighted(120, 400, 9, 11)
-	_, bb := BellmanFordBranchBased(g, 5)
-	_, ba := BellmanFordBranchAvoiding(g, 5)
+	_, bb := bellmanFord(g, 5, BranchBased)
+	_, ba := bellmanFord(g, 5, BranchAvoiding)
 	for i := range bb.PassChanges {
 		if bb.PassChanges[i] != ba.PassChanges[i] {
 			t.Fatalf("pass %d: changes %d vs %d", i, bb.PassChanges[i], ba.PassChanges[i])
@@ -85,8 +93,8 @@ func TestPassChangesAgree(t *testing.T) {
 
 func TestDisconnected(t *testing.T) {
 	g := graph.MustBuildWeighted(4, []graph.WeightedEdge{{U: 0, V: 1, W: 3}, {U: 2, V: 3, W: 4}}, false, "2comp")
-	for _, f := range []func(*graph.Weighted, uint32) ([]uint64, Stats){BellmanFordBranchBased, BellmanFordBranchAvoiding} {
-		dist, _ := f(g, 0)
+	for _, variant := range []Variant{BranchBased, BranchAvoiding} {
+		dist, _ := bellmanFord(g, 0, variant)
 		if dist[2] != Inf || dist[3] != Inf {
 			t.Fatal("unreachable vertices not Inf")
 		}
@@ -102,8 +110,8 @@ func TestDisconnected(t *testing.T) {
 
 func TestZeroWeightEdges(t *testing.T) {
 	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0}}, false, "zeros")
-	for _, f := range []func(*graph.Weighted, uint32) ([]uint64, Stats){BellmanFordBranchBased, BellmanFordBranchAvoiding} {
-		dist, _ := f(g, 0)
+	for _, variant := range []Variant{BranchBased, BranchAvoiding} {
+		dist, _ := bellmanFord(g, 0, variant)
 		if dist[1] != 0 || dist[2] != 0 {
 			t.Fatalf("zero-weight distances: %v", dist)
 		}
@@ -119,7 +127,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 		t.Fatal("empty dijkstra")
 	}
 	single := graph.MustBuildWeighted(1, nil, false, "")
-	dist, st := BellmanFordBranchAvoiding(single, 0)
+	dist, st := bellmanFord(single, 0, BranchAvoiding)
 	if dist[0] != 0 || st.Passes != 1 {
 		t.Fatal("singleton BF wrong")
 	}
@@ -141,8 +149,8 @@ func TestMaxWeightNoOverflow(t *testing.T) {
 	if want[n-1] != uint64(n-1)*uint64(maxW) {
 		t.Fatalf("end distance = %d, want %d", want[n-1], uint64(n-1)*uint64(maxW))
 	}
-	bb, _ := BellmanFordBranchBased(g, 0)
-	ba, _ := BellmanFordBranchAvoiding(g, 0)
+	bb, _ := bellmanFord(g, 0, BranchBased)
+	ba, _ := bellmanFord(g, 0, BranchAvoiding)
 	par, _, _ := Parallel(g, 0, ParallelOptions{Workers: 3})
 	testutil.MustEqualDists(t, "branch-based", bb, want)
 	testutil.MustEqualDists(t, "branch-avoiding", ba, want)

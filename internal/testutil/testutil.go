@@ -17,7 +17,9 @@
 package testutil
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"bagraph/internal/gen"
@@ -194,4 +196,31 @@ func MustEqualLabels(tb testing.TB, ctx string, got, want []uint32) {
 			tb.Fatalf("%s: vertex %d labeled %d, oracle says %d", ctx, v, got[v], want[v])
 		}
 	}
+}
+
+// cancelAfter is a context whose Err starts reporting Canceled after a
+// fixed number of nil answers.
+type cancelAfter struct {
+	context.Context
+	mu   sync.Mutex
+	left int
+}
+
+func (c *cancelAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// CancelAfter returns a context that allows n Err checks before
+// cancelling. The kernels observe cancellation only through Err at
+// pass/level barriers (never Done), so the budget makes mid-kernel
+// cancellation barrier-exact and timing-free: a sequential kernel runs
+// exactly n passes and stops at the next barrier.
+func CancelAfter(n int) context.Context {
+	return &cancelAfter{Context: context.Background(), left: n}
 }

@@ -10,10 +10,8 @@ package bagraph
 //
 //	res, err := pool.Run(ctx, g, bagraph.Request{...})
 //
-// Run is what the older per-kernel free functions (ConnectedComponents,
-// ShortestHops, ShortestPaths, ...) now wrap: they remain as deprecated
-// shims, but only Run exposes the three things the serving layer needs
-// and the old surface dropped:
+// Run is the only way in: there are no per-kernel free functions. It
+// carries the three things the serving layer needs:
 //
 //   - cooperative cancellation: ctx is observed at kernel pass/level
 //     barriers (workers never see it, staying atomic-free), so an
@@ -21,21 +19,20 @@ package bagraph
 //   - the kernel's Stats: passes, per-pass changes, store counts,
 //     candidate stores, bucket activations, top-down/bottom-up level
 //     split — the branch-behaviour counters that are the point of the
-//     paper, previously discarded by every free function;
+//     paper;
 //   - reusable Workspaces: one struct holding every result/scratch
-//     buffer a request kind needs, re-primed across calls, replacing
-//     the positional nil-able buffer arguments of the WorkerPool
-//     methods.
+//     buffer a request kind needs, re-primed across calls.
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"bagraph/internal/bfs"
 	"bagraph/internal/cc"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 	"bagraph/internal/sssp"
 )
 
@@ -95,10 +92,10 @@ const (
 	// work (an RMAT hub, a sparse late-level frontier).
 	ScheduleStatic Schedule = iota
 	// ScheduleStealing over-decomposes each pass into arc-balanced
-	// chunks (Request.ChunkFactor per worker); an idle worker steals
-	// whole chunks from the most-loaded straggler through one atomic
-	// fetch per chunk. The per-edge inner loops are untouched — results
-	// are byte-identical to ScheduleStatic.
+	// chunks (several per worker); an idle worker steals whole chunks
+	// from the most-loaded straggler through one atomic fetch per chunk.
+	// The per-edge inner loops are untouched — results are
+	// byte-identical to ScheduleStatic.
 	ScheduleStealing
 )
 
@@ -184,9 +181,6 @@ type Request struct {
 	// parallel kernels (results are byte-identical; see the Schedule
 	// constants). Ignored by sequential kernels.
 	Schedule Schedule
-	// ChunkFactor scales ScheduleStealing's chunks per worker; 0 means
-	// the engine default. Ignored under ScheduleStatic.
-	ChunkFactor int
 	// Workspace, when non-nil, supplies (and collects) the reusable
 	// buffers of the request kind. Results alias workspace buffers, so
 	// a later Run with the same workspace overwrites them; a workspace
@@ -222,76 +216,9 @@ type Workspace struct {
 
 // Stats is the kernel-side observability record of one Run: the
 // branch-behaviour counters the paper measures, normalized across the
-// kernel families. Fields not meaningful for a family stay zero.
-type Stats struct {
-	// Passes counts outer iterations: SV passes, BFS levels (shared
-	// sweeps for KindBFSBatch), SSSP relaxation passes.
-	Passes int
-	// PassDurations holds per-pass wall-clock times.
-	PassDurations []time.Duration
-	// PassChanges holds per-pass changed-vertex counts (CC and SSSP).
-	PassChanges []int
-	// LevelSizes holds per-level frontier sizes (KindBFS).
-	LevelSizes []int
-	// TopDownLevels and BottomUpLevels split BFS levels by traversal
-	// direction (the direction-optimizing kernels' heuristic record).
-	TopDownLevels, BottomUpLevels int
-	// Waves counts 64-source sweeps (KindBFSBatch).
-	Waves int
-	// Reached counts discovered vertices (BFS; source-vertex pairs for
-	// KindBFSBatch).
-	Reached int
-	// LabelStores counts label-array writes (CC).
-	LabelStores uint64
-	// DistStores counts distance-array writes (BFS and SSSP).
-	DistStores uint64
-	// QueueStores counts frontier-queue writes (BFS); the
-	// branch-avoiding store blow-up of the paper's §5.2 shows up here.
-	QueueStores uint64
-	// CandStores counts candidate-buffer writes in the parallel SSSP
-	// scatter (the §5.2 blow-up with the candidate buffer in the
-	// queue's role).
-	CandStores uint64
-	// Buckets counts delta-stepping bucket activations (parallel SSSP).
-	Buckets int
-	// Chunks counts scheduler chunks executed across all passes of a
-	// parallel kernel, under either schedule (zero only for sequential
-	// kernels); Steals counts the chunks run by a worker that did not
-	// own them, and StealPasses the victim-selection scans behind
-	// those steals — both necessarily zero under ScheduleStatic.
-	Chunks      int
-	Steals      uint64
-	StealPasses uint64
-	// LightRelaxed and HeavyRelaxed split the parallel SSSP kernel's
-	// applied relaxations by arc class (weight <= delta vs above);
-	// without Request.LightHeavy everything counts as light.
-	LightRelaxed, HeavyRelaxed uint64
-	// WordsScanned counts the succinct-bitset words the parallel BFS
-	// kernels loaded while sweeping for candidates (bottom-up levels of
-	// KindBFS, shared sweeps of KindBFSBatch) — the frontier-locality
-	// proxy that drops under Request.Relabel's hub-clustered layout.
-	// Zero for CC, SSSP, and the sequential kernels.
-	WordsScanned uint64
-}
-
-// StealsPerPass returns the average number of stolen chunks per pass —
-// the load-imbalance signal the autotuner and /metrics watch. Zero when
-// no passes ran or the schedule was static.
-func (s Stats) StealsPerPass() float64 {
-	if s.Passes == 0 {
-		return 0
-	}
-	return float64(s.Steals) / float64(s.Passes)
-}
-
-// Total returns the summed wall-clock time of all passes.
-func (s Stats) Total() time.Duration {
-	var t time.Duration
-	for _, d := range s.PassDurations {
-		t += d
-	}
-	return t
-}
+// kernel families. The kernels fill it directly; fields not meaningful
+// for a family stay zero.
+type Stats = perfcount.Stats
 
 // Result is the outcome of one Run. Exactly the field matching the
 // request kind is set, plus Stats.
@@ -309,6 +236,14 @@ type Result struct {
 	// Stats describes the kernel execution.
 	Stats Stats
 }
+
+// ErrDirected is returned by Run for a directed target (NewDigraph).
+// Every kernel reads a vertex's adjacency as both its out- and its
+// in-neighbors — the bottom-up BFS sweeps and the pull-style SV and
+// Bellman-Ford passes scan out-arcs as in-arcs — which holds only for
+// the symmetric CSR of an undirected graph; on a digraph they would
+// return wrong labels or distances with a nil error.
+var ErrDirected = errors.New("bagraph: directed graphs are not supported by the kernels")
 
 // Run executes one kernel request against g — a *Graph, or a
 // *WeightedGraph for KindSSSP — and returns its result together with
@@ -388,6 +323,9 @@ func runRequest(ctx context.Context, g Target, req Request, pool *par.Pool) (*Re
 	default:
 		return nil, fmt.Errorf("bagraph: unsupported graph type %T (want *Graph or *WeightedGraph)", g)
 	}
+	if base.Directed() {
+		return nil, ErrDirected
+	}
 	switch req.Kind {
 	case KindCC:
 		return runCCRequest(ctx, base, req, pool)
@@ -429,29 +367,28 @@ func runCCRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (*
 			labelsBuf, scratchBuf = ws.Labels, ws.Scratch
 		}
 		labels, st, err := cc.SVParallel(g, cc.ParallelOptions{
-			Ctx:         ctx,
-			Workers:     req.Workers,
-			Pool:        pool,
-			Variant:     variant,
-			Schedule:    req.Schedule.par(),
-			ChunkFactor: req.ChunkFactor,
-			Labels:      labelsBuf,
-			Scratch:     scratchBuf,
+			Ctx:      ctx,
+			Workers:  req.Workers,
+			Pool:     pool,
+			Variant:  variant,
+			Schedule: req.Schedule.par(),
+			Labels:   labelsBuf,
+			Scratch:  scratchBuf,
 		})
-		return &Result{Labels: labels, Stats: statsFromCC(st)}, err
+		return &Result{Labels: labels, Stats: st}, err
 	}
 	var (
 		labels []uint32
-		st     cc.Stats
+		st     Stats
 		err    error
 	)
 	switch req.CC {
 	case CCBranchBased:
-		labels, st, err = cc.SVBranchBasedCtx(ctx, g)
+		labels, st, err = cc.SV(ctx, g, cc.BranchBased)
 	case CCBranchAvoiding:
-		labels, st, err = cc.SVBranchAvoidingCtx(ctx, g)
+		labels, st, err = cc.SV(ctx, g, cc.BranchAvoiding)
 	case CCHybrid:
-		labels, st, err = cc.SVHybridCtx(ctx, g, cc.HybridOptions{SwitchIteration: -1})
+		labels, st, err = cc.SV(ctx, g, cc.Hybrid)
 	case CCUnionFind:
 		// The union-find baseline has no pass structure to cancel at;
 		// the pre-call context check above is its only gate.
@@ -467,7 +404,7 @@ func runCCRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (*
 		// double-buffer.
 		req.Workspace.Labels = labels
 	}
-	return &Result{Labels: labels, Stats: statsFromCC(st)}, err
+	return &Result{Labels: labels, Stats: st}, err
 }
 
 // runBFSRequest dispatches KindBFS.
@@ -485,27 +422,26 @@ func runBFSRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (
 			distBuf = ws.Hops
 		}
 		dist, st, err := bfs.ParallelDO(g, req.Root, bfs.ParallelOptions{
-			Ctx:         ctx,
-			Workers:     req.Workers,
-			Pool:        pool,
-			Schedule:    req.Schedule.par(),
-			ChunkFactor: req.ChunkFactor,
-			Dist:        distBuf,
+			Ctx:      ctx,
+			Workers:  req.Workers,
+			Pool:     pool,
+			Schedule: req.Schedule.par(),
+			Dist:     distBuf,
 		})
-		return &Result{Hops: dist, Stats: statsFromBFS(st)}, err
+		return &Result{Hops: dist, Stats: st}, err
 	}
 	var (
 		dist []uint32
-		st   bfs.Stats
+		st   Stats
 		err  error
 	)
 	switch req.BFS {
 	case BFSBranchBased:
-		dist, st, err = bfs.TopDownBranchBasedCtx(ctx, g, req.Root)
+		dist, st, err = bfs.TopDown(ctx, g, req.Root, bfs.BranchBased)
 	case BFSBranchAvoiding:
-		dist, st, err = bfs.TopDownBranchAvoidingCtx(ctx, g, req.Root)
+		dist, st, err = bfs.TopDown(ctx, g, req.Root, bfs.BranchAvoiding)
 	case BFSDirectionOptimizing:
-		dist, st, err = bfs.DirectionOptimizingCtx(ctx, g, req.Root, 0, 0)
+		dist, st, err = bfs.DirectionOptimizing(ctx, g, req.Root, 0, 0)
 	default:
 		return nil, fmt.Errorf("bagraph: unknown BFS variant %v", req.BFS)
 	}
@@ -515,7 +451,7 @@ func runBFSRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (
 		// (partial on cancellation, like the in-place kinds).
 		req.Workspace.Hops = dist
 	}
-	return &Result{Hops: dist, Stats: statsFromBFS(st)}, err
+	return &Result{Hops: dist, Stats: st}, err
 }
 
 // runBFSBatchRequest dispatches KindBFSBatch.
@@ -534,17 +470,16 @@ func runBFSBatchRequest(ctx context.Context, g *Graph, req Request, pool *par.Po
 		distsBuf = ws.HopsBatch
 	}
 	dists, st, err := bfs.MultiSource(g, req.Roots, bfs.MultiSourceOptions{
-		Ctx:         ctx,
-		Workers:     req.Workers,
-		Pool:        pool,
-		Schedule:    req.Schedule.par(),
-		ChunkFactor: req.ChunkFactor,
-		Dists:       distsBuf,
+		Ctx:      ctx,
+		Workers:  req.Workers,
+		Pool:     pool,
+		Schedule: req.Schedule.par(),
+		Dists:    distsBuf,
 	})
 	if ws != nil {
 		ws.HopsBatch = dists
 	}
-	return &Result{HopsBatch: dists, Stats: statsFromMulti(st)}, err
+	return &Result{HopsBatch: dists, Stats: st}, err
 }
 
 // runSSSPRequest dispatches KindSSSP.
@@ -559,7 +494,7 @@ func runSSSPRequest(ctx context.Context, g *WeightedGraph, req Request, pool *pa
 	}
 	var (
 		dist []uint64
-		st   sssp.Stats
+		st   Stats
 		err  error
 	)
 	if req.Parallel {
@@ -568,22 +503,21 @@ func runSSSPRequest(ctx context.Context, g *WeightedGraph, req Request, pool *pa
 			return nil, verr
 		}
 		dist, st, err = sssp.Parallel(g, req.Root, sssp.ParallelOptions{
-			Ctx:         ctx,
-			Workers:     req.Workers,
-			Pool:        pool,
-			Variant:     variant,
-			Delta:       req.Delta,
-			LightHeavy:  req.LightHeavy,
-			Schedule:    req.Schedule.par(),
-			ChunkFactor: req.ChunkFactor,
-			Dist:        distBuf,
+			Ctx:        ctx,
+			Workers:    req.Workers,
+			Pool:       pool,
+			Variant:    variant,
+			Delta:      req.Delta,
+			LightHeavy: req.LightHeavy,
+			Schedule:   req.Schedule.par(),
+			Dist:       distBuf,
 		})
 	} else {
 		switch req.SSSP {
 		case SSSPBellmanFord:
-			dist, st, err = sssp.BellmanFordBranchBasedCtx(ctx, g, req.Root, distBuf)
+			dist, st, err = sssp.BellmanFord(ctx, g, req.Root, sssp.BranchBased, distBuf)
 		case SSSPBellmanFordBranchAvoiding:
-			dist, st, err = sssp.BellmanFordBranchAvoidingCtx(ctx, g, req.Root, distBuf)
+			dist, st, err = sssp.BellmanFord(ctx, g, req.Root, sssp.BranchAvoiding, distBuf)
 		case SSSPDijkstra:
 			dist, err = sssp.DijkstraCtx(ctx, g, req.Root, distBuf)
 		case SSSPHybrid:
@@ -595,70 +529,7 @@ func runSSSPRequest(ctx context.Context, g *WeightedGraph, req Request, pool *pa
 	if ws != nil {
 		ws.Dists = dist
 	}
-	return &Result{Dists: dist, Stats: statsFromSSSP(st)}, err
-}
-
-// statsFromCC normalizes a connected-components Stats record.
-func statsFromCC(st cc.Stats) Stats {
-	return Stats{
-		Passes:        st.Iterations,
-		PassDurations: st.IterDurations,
-		PassChanges:   st.IterChanges,
-		LabelStores:   st.LabelStores,
-		Chunks:        st.Chunks,
-		Steals:        st.Steals,
-		StealPasses:   st.StealPasses,
-	}
-}
-
-// statsFromBFS normalizes a BFS Stats record.
-func statsFromBFS(st bfs.Stats) Stats {
-	return Stats{
-		Passes:         st.Levels,
-		PassDurations:  st.LevelDurations,
-		LevelSizes:     st.LevelSizes,
-		TopDownLevels:  st.TopDownLevels,
-		BottomUpLevels: st.BottomUpLevels,
-		Reached:        st.Reached,
-		DistStores:     st.DistStores,
-		QueueStores:    st.QueueStores,
-		Chunks:         st.Chunks,
-		Steals:         st.Steals,
-		StealPasses:    st.StealPasses,
-		WordsScanned:   st.BUWordsScanned,
-	}
-}
-
-// statsFromMulti normalizes a multi-source BFS MultiStats record.
-func statsFromMulti(st bfs.MultiStats) Stats {
-	return Stats{
-		Passes:        st.Levels,
-		PassDurations: st.LevelDurations,
-		Waves:         st.Waves,
-		Reached:       st.Reached,
-		DistStores:    st.DistStores,
-		Chunks:        st.Chunks,
-		Steals:        st.Steals,
-		StealPasses:   st.StealPasses,
-		WordsScanned:  st.WordsScanned,
-	}
-}
-
-// statsFromSSSP normalizes an SSSP Stats record.
-func statsFromSSSP(st sssp.Stats) Stats {
-	return Stats{
-		Passes:        st.Passes,
-		PassDurations: st.PassDurations,
-		PassChanges:   st.PassChanges,
-		DistStores:    st.DistStores,
-		CandStores:    st.CandStores,
-		Buckets:       st.Buckets,
-		Chunks:        st.Chunks,
-		Steals:        st.Steals,
-		StealPasses:   st.StealPasses,
-		LightRelaxed:  st.LightRelaxed,
-		HeavyRelaxed:  st.HeavyRelaxed,
-	}
+	return &Result{Dists: dist, Stats: st}, err
 }
 
 // Interface conformance: both graph forms satisfy Target.

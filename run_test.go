@@ -9,7 +9,6 @@ package bagraph
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"bagraph/internal/bfs"
@@ -25,6 +24,16 @@ func runOK(t *testing.T, g Target, req Request) *Result {
 	res, err := Run(context.Background(), g, req)
 	if err != nil {
 		t.Fatalf("Run(%v): %v", req.Kind, err)
+	}
+	return res
+}
+
+// poolRunOK is runOK on a resident pool.
+func poolRunOK(t *testing.T, pool *WorkerPool, g Target, req Request) *Result {
+	t.Helper()
+	res, err := pool.Run(context.Background(), g, req)
+	if err != nil {
+		t.Fatalf("pool.Run(%v): %v", req.Kind, err)
 	}
 	return res
 }
@@ -68,7 +77,7 @@ func TestRunBFSEquivalence(t *testing.T) {
 }
 
 // TestRunSSSPEquivalence: every SSSP request form matches the Dijkstra
-// oracle, and the weighted-graph requirement is enforced.
+// oracle, and a weighted target serves the unweighted kinds.
 func TestRunSSSPEquivalence(t *testing.T) {
 	w := testutil.RandomWeighted(300, 900, 25, 11)
 	want := sssp.Dijkstra(w, 5)
@@ -83,11 +92,6 @@ func TestRunSSSPEquivalence(t *testing.T) {
 		testutil.MustEqualDists(t, "par/"+alg.String(), res.Dists, want)
 	}
 
-	// An unweighted graph cannot serve KindSSSP.
-	g := gen.Path(10)
-	if _, err := Run(context.Background(), g, Request{Kind: KindSSSP, Root: 0}); err == nil {
-		t.Fatal("KindSSSP accepted an unweighted *Graph")
-	}
 	// A *WeightedGraph serves the unweighted kinds through its
 	// structure.
 	res := runOK(t, w, Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 5})
@@ -96,53 +100,81 @@ func TestRunSSSPEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunRejections pins Run's error paths: unknown kinds and enums,
-// baselines without parallel forms, and the parallel-only hybrid.
+// TestRunRejections pins Run's error paths: unknown kinds and enums per
+// family, out-of-range roots, baselines without parallel forms, the
+// parallel-only hybrid, and nil targets.
 func TestRunRejections(t *testing.T) {
 	g := gen.Path(8)
 	w := testutil.AttachHashWeights(t, g, 9, 1)
-	cases := []Request{
-		{Kind: Kind(99)},
-		{Kind: KindCC, CC: CCAlgorithm(99)},
-		{Kind: KindCC, CC: CCAlgorithm(99), Parallel: true},
-		{Kind: KindCC, CC: CCUnionFind, Parallel: true},
-		{Kind: KindBFS, BFS: BFSVariant(99)},
-		{Kind: KindBFS, Root: 8},
-		{Kind: KindBFSBatch, Roots: []uint32{0, 8}},
-	}
-	for _, req := range cases {
-		if _, err := Run(context.Background(), g, req); err == nil {
-			t.Errorf("Run(%+v) accepted", req)
-		}
-	}
-	wcases := []Request{
-		{Kind: KindSSSP, SSSP: SSSPAlgorithm(99)},
-		{Kind: KindSSSP, SSSP: SSSPDijkstra, Parallel: true},
-		{Kind: KindSSSP, SSSP: SSSPHybrid}, // parallel-only
-		{Kind: KindSSSP, Root: 8},
-	}
-	for _, req := range wcases {
-		if _, err := Run(context.Background(), w, req); err == nil {
-			t.Errorf("Run(%+v) accepted", req)
-		}
-	}
-	if _, err := Run(context.Background(), nil, Request{Kind: KindCC}); err == nil {
-		t.Error("Run on a nil graph accepted")
-	}
-	// Typed nils must error, not dereference.
 	var nilG *Graph
-	if _, err := Run(context.Background(), nilG, Request{Kind: KindCC}); err == nil {
-		t.Error("Run on a typed-nil *Graph accepted")
-	}
 	var nilW *WeightedGraph
-	if _, err := Run(context.Background(), nilW, Request{Kind: KindSSSP}); err == nil {
-		t.Error("Run on a typed-nil *WeightedGraph accepted")
+	cases := []struct {
+		name   string
+		target Target
+		req    Request
+	}{
+		{"unknown kind", g, Request{Kind: Kind(99)}},
+		{"cc/unknown algorithm", g, Request{Kind: KindCC, CC: CCAlgorithm(99)}},
+		{"cc/unknown algorithm, parallel", g, Request{Kind: KindCC, CC: CCAlgorithm(99), Parallel: true}},
+		{"cc/union-find has no parallel form", g, Request{Kind: KindCC, CC: CCUnionFind, Parallel: true}},
+		{"bfs/unknown variant", g, Request{Kind: KindBFS, BFS: BFSVariant(99)}},
+		{"bfs/root out of range", g, Request{Kind: KindBFS, Root: 8}},
+		{"bfs/root out of range, parallel", g, Request{Kind: KindBFS, Parallel: true, Root: 8}},
+		{"bfs-batch/member out of range", g, Request{Kind: KindBFSBatch, Roots: []uint32{0, 8}}},
+		{"sssp/unweighted target", g, Request{Kind: KindSSSP, Root: 0}},
+		{"sssp/unknown algorithm", w, Request{Kind: KindSSSP, SSSP: SSSPAlgorithm(99)}},
+		{"sssp/unknown algorithm, parallel", w, Request{Kind: KindSSSP, SSSP: SSSPAlgorithm(99), Parallel: true}},
+		{"sssp/dijkstra has no parallel form", w, Request{Kind: KindSSSP, SSSP: SSSPDijkstra, Parallel: true}},
+		{"sssp/hybrid is parallel-only", w, Request{Kind: KindSSSP, SSSP: SSSPHybrid}},
+		{"sssp/source out of range", w, Request{Kind: KindSSSP, Root: 8}},
+		{"sssp/source out of range, parallel", w, Request{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true, Root: 8}},
+		{"nil target", nil, Request{Kind: KindCC}},
+		// Typed nils must error, not dereference.
+		{"typed-nil *Graph", nilG, Request{Kind: KindCC}},
+		{"typed-nil *WeightedGraph", nilW, Request{Kind: KindSSSP}},
+	}
+	for _, c := range cases {
+		if _, err := Run(context.Background(), c.target, c.req); err == nil {
+			t.Errorf("%s: Run(%+v) accepted", c.name, c.req)
+		}
+	}
+}
+
+// TestRunRejectsDirected: every kernel reads adjacency as symmetric, so
+// a digraph gets ErrDirected for every kind instead of err == nil with
+// wrong output. The graph is the ROADMAP case: 1→0, 1→2 used to label
+// as two components and to disagree between sequential and parallel BFS.
+func TestRunRejectsDirected(t *testing.T) {
+	d, err := NewDigraph(3, []Edge{{U: 1, V: 0}, {U: 1, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dw, err := AttachWeights(d, func(u, v uint32) uint32 { return 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{
+		{Kind: KindCC, CC: CCBranchBased},
+		{Kind: KindCC, CC: CCUnionFind},
+		{Kind: KindCC, CC: CCHybrid, Parallel: true},
+		{Kind: KindBFS, BFS: BFSBranchBased, Root: 1},
+		{Kind: KindBFS, Parallel: true, Root: 1},
+		{Kind: KindBFS, Root: 1, Relabel: true},
+		{Kind: KindBFSBatch, Roots: []uint32{1}},
+		{Kind: KindSSSP, SSSP: SSSPDijkstra, Root: 1},
+	} {
+		res, err := Run(context.Background(), dw, req)
+		if !errors.Is(err, ErrDirected) || res != nil {
+			t.Errorf("Run(%+v) on a digraph: res=%v err=%v, want ErrDirected", req, res, err)
+		}
+	}
+	if _, err := Run(context.Background(), d, Request{Kind: KindCC}); !errors.Is(err, ErrDirected) {
+		t.Errorf("unweighted digraph: err = %v, want ErrDirected", err)
 	}
 }
 
 // TestRunStatsPopulated: Result.Stats is non-zero for every kernel
-// family, sequential and parallel — the counters the free functions
-// used to discard.
+// family, sequential and parallel.
 func TestRunStatsPopulated(t *testing.T) {
 	g := gen.RMAT(9, 6, gen.DefaultRMAT, 3)
 	w := testutil.AttachHashWeights(t, g, 16, 3)
@@ -257,32 +289,6 @@ func TestRunPreCancelled(t *testing.T) {
 	}
 }
 
-// errBudgetCtx is a context whose Err starts reporting Canceled after
-// a fixed number of calls. The kernels observe cancellation only
-// through Err at pass/level barriers (never Done), so the budget makes
-// mid-kernel cancellation barrier-exact and timing-free: the run is
-// guaranteed to start, complete at least one pass, and stop early.
-type errBudgetCtx struct {
-	context.Context
-	mu   sync.Mutex
-	left int
-}
-
-func (f *errBudgetCtx) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.left <= 0 {
-		return context.Canceled
-	}
-	f.left--
-	return nil
-}
-
-// budget returns a context that allows n Err checks before cancelling.
-func budget(n int) *errBudgetCtx {
-	return &errBudgetCtx{Context: context.Background(), left: n}
-}
-
 // TestRunCancelMidKernel: a context cancelled mid-run stops every
 // kernel family at a pass barrier, returning ctx's error plus the
 // partial result of the completed passes. High-diameter graphs (ring,
@@ -323,7 +329,7 @@ func TestRunCancelMidKernel(t *testing.T) {
 				target = w
 			}
 			full := runOK(t, target, c.req)
-			res, err := Run(budget(c.budget), target, c.req)
+			res, err := Run(testutil.CancelAfter(c.budget), target, c.req)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -348,7 +354,7 @@ func TestWorkerPoolSurvivesCancelledRun(t *testing.T) {
 
 	want := runOK(t, g, Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 0})
 	for i := 0; i < 3; i++ {
-		res, err := pool.Run(budget(5), g, Request{Kind: KindBFS, Parallel: true, Root: 0})
+		res, err := pool.Run(testutil.CancelAfter(5), g, Request{Kind: KindBFS, Parallel: true, Root: 0})
 		if !errors.Is(err, context.Canceled) || res == nil {
 			t.Fatalf("cancelled pool Run: res=%v err=%v", res, err)
 		}
@@ -362,9 +368,8 @@ func TestWorkerPoolSurvivesCancelledRun(t *testing.T) {
 
 // TestRunEmptyGraphRootValidation is the checkRoot/checkSource
 // regression test: on a 0-vertex graph every root/source — including
-// 0 — must be rejected, for every kind and for the deprecated
-// wrappers. (The guard used to be skipped entirely when
-// NumVertices() == 0.)
+// 0 — must be rejected, for every kind. (The guard used to be skipped
+// entirely when NumVertices() == 0.)
 func TestRunEmptyGraphRootValidation(t *testing.T) {
 	empty, err := NewGraph(0, nil)
 	if err != nil {
@@ -384,11 +389,8 @@ func TestRunEmptyGraphRootValidation(t *testing.T) {
 		if _, err := Run(context.Background(), wempty, Request{Kind: KindSSSP, Root: root}); err == nil {
 			t.Errorf("KindSSSP source %d accepted on the empty graph", root)
 		}
-		if _, err := ShortestHops(empty, root, BFSBranchBased); err == nil {
-			t.Errorf("ShortestHops root %d accepted on the empty graph", root)
-		}
-		if _, err := ShortestPaths(wempty, root, SSSPDijkstra); err == nil {
-			t.Errorf("ShortestPaths source %d accepted on the empty graph", root)
+		if _, err := Run(context.Background(), empty, Request{Kind: KindBFS, Parallel: true, Root: root}); err == nil {
+			t.Errorf("parallel KindBFS root %d accepted on the empty graph", root)
 		}
 	}
 	// CC has no root: the empty graph is a valid (empty) instance.
