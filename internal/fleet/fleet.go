@@ -520,8 +520,8 @@ func (r *Router) retryAfter() int {
 }
 
 // admit applies router-side admission control; a non-nil return is the
-// shed answer (503 + Retry-After), recorded before any shard is
-// touched.
+// shed answer (503 + Retry-After), recorded before any shard — or the
+// stale cache — is touched.
 func (r *Router) admit(kind string) *serve.Error {
 	if max := r.cfg.MaxInflight; max > 0 && r.inflight.Load() >= int64(max) {
 		r.metrics.observeShed(kind)
@@ -592,9 +592,41 @@ func merged(tried map[string]bool, addr string) map[string]bool {
 	return m
 }
 
+// query is one routed request. The three kinds differ only in the
+// shard call they make; placement, the retry budget, hedging and the
+// breakers treat them alike.
+type query struct {
+	kind   string // "cc", "bfs" or "sssp"
+	graph  string
+	algo   string
+	root   uint32 // bfs, sssp
+	labels bool   // cc
+}
+
+// answer is a shard's verified response: the field of the query's
+// kind is set.
+type answer struct {
+	cc   *serve.CCResponse
+	bfs  *serve.BFSResponse
+	sssp *serve.SSSPResponse
+}
+
+// ask makes the query's shard call.
+func (q query) ask(ctx context.Context, c *serve.ShardClient) (a answer, err error) {
+	switch q.kind {
+	case "cc":
+		a.cc, err = c.CC(ctx, q.graph, q.algo, q.labels)
+	case "bfs":
+		a.bfs, err = c.BFS(ctx, q.graph, q.root, q.algo)
+	default:
+		a.sssp, err = c.SSSP(ctx, q.graph, q.root, q.algo)
+	}
+	return a, err
+}
+
 // leg is one attempt leg's outcome (primary or hedge).
-type leg[T any] struct {
-	out   T
+type leg struct {
+	out   answer
 	err   error
 	s     *shard
 	trial bool
@@ -610,19 +642,17 @@ type leg[T any] struct {
 // is awaited. The caller's own context error returns unwrapped and is
 // never blamed on a shard: a cancelled client is the 499 path, not a
 // dead replica.
-func attempt[T any](r *Router, ctx context.Context, kind, graph string, s *shard, trial bool,
-	tried map[string]bool, call func(context.Context, *serve.ShardClient) (T, error)) (T, error) {
-	var zero T
-	ch := make(chan leg[T], 2)
+func (r *Router) attempt(ctx context.Context, q query, s *shard, trial bool, tried map[string]bool) (answer, error) {
+	ch := make(chan leg, 2)
 	launch := func(cctx context.Context, sh *shard, tr, hedge bool) {
 		r.legs.Add(1)
 		go func() {
 			defer r.legs.Done()
 			sh.inflight.Add(1)
 			start := time.Now()
-			out, err := call(cctx, sh.client)
+			out, err := q.ask(cctx, sh.client)
 			sh.inflight.Add(-1)
-			ch <- leg[T]{out: out, err: err, s: sh, trial: tr, hedge: hedge, took: time.Since(start)}
+			ch <- leg{out: out, err: err, s: sh, trial: tr, hedge: hedge, took: time.Since(start)}
 		}()
 	}
 	pctx, pcancel := context.WithCancel(ctx)
@@ -630,12 +660,12 @@ func attempt[T any](r *Router, ctx context.Context, kind, graph string, s *shard
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 
-	r.metrics.observeRequest(s.addr, kind)
+	r.metrics.observeRequest(s.addr, q.kind)
 	launch(pctx, s, trial, false)
 	outstanding := 1
 
 	var timerC <-chan time.Time
-	if hd := r.hedgeDelay(kind); hd >= 0 && !trial {
+	if hd := r.hedgeDelay(q.kind); hd >= 0 && !trial {
 		timer := time.NewTimer(hd)
 		defer timer.Stop()
 		timerC = timer.C
@@ -649,7 +679,7 @@ func attempt[T any](r *Router, ctx context.Context, kind, graph string, s *shard
 			// Hedge onto the next admissible replica. Half-open trials
 			// are not duplicated — a probe should be one request — so a
 			// granted trial slot is returned unused.
-			hs, htrial, _ := r.pick(graph, merged(tried, s.addr))
+			hs, htrial, _ := r.pick(q.graph, merged(tried, s.addr))
 			if hs == nil || hs == s {
 				continue
 			}
@@ -657,8 +687,8 @@ func attempt[T any](r *Router, ctx context.Context, kind, graph string, s *shard
 				hs.brk.release()
 				continue
 			}
-			r.metrics.observeHedge(kind)
-			r.metrics.observeRequest(hs.addr, kind)
+			r.metrics.observeHedge(q.kind)
+			r.metrics.observeRequest(hs.addr, q.kind)
 			launch(hctx, hs, false, true)
 			outstanding++
 		case lg := <-ch:
@@ -667,9 +697,9 @@ func attempt[T any](r *Router, ctx context.Context, kind, graph string, s *shard
 				pcancel()
 				hcancel()
 				r.noteSuccess(lg.s)
-				r.lat[kind].observe(lg.took)
+				r.lat[q.kind].observe(lg.took)
 				if lg.hedge {
-					r.metrics.observeHedgeWon(kind)
+					r.metrics.observeHedgeWon(q.kind)
 				}
 				return lg.out, nil
 			}
@@ -681,7 +711,7 @@ func attempt[T any](r *Router, ctx context.Context, kind, graph string, s *shard
 				}
 				pcancel()
 				hcancel()
-				return zero, pe
+				return answer{}, pe
 			}
 			var te *serve.TransportError
 			var se *serve.Error
@@ -704,24 +734,28 @@ func attempt[T any](r *Router, ctx context.Context, kind, graph string, s *shard
 				pcancel()
 				hcancel()
 				r.noteSuccess(lg.s)
-				return zero, lg.err
+				return answer{}, lg.err
 			}
 			if outstanding == 0 {
-				return zero, lastErr
+				return answer{}, lastErr
 			}
 		}
 	}
 }
 
-// route runs one query against the graph's replica set under the
-// retry budget: each attempt picks the least-loaded admissible holder
-// (hedging to a second), transport faults and retryable 5xx move on
-// after a jittered backoff, and a final application answer ends the
-// query. An exhausted budget answers 503 with a Retry-After hint and
-// a body naming the graph and its dead-holder count.
-func route[T any](r *Router, ctx context.Context, graph, kind string,
-	call func(context.Context, *serve.ShardClient) (T, error)) (T, error) {
-	var zero T
+// route is the whole path of one query: admission control, then the
+// graph's replica set under the retry budget — each attempt picks the
+// least-loaded admissible holder (hedging to a second), transport
+// faults and retryable 5xx move on after a jittered backoff, and a
+// final application answer ends the query. An exhausted budget answers
+// 503 with a Retry-After hint and a body naming the graph and its
+// dead-holder count — except for a CC query whose last good answer is
+// still within Config.MaxStale, which degrades to that answer, marked
+// stale (see stale.go).
+func (r *Router) route(ctx context.Context, q query) (answer, error) {
+	if se := r.admit(q.kind); se != nil {
+		return answer{}, se
+	}
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	tried := make(map[string]bool, 2)
@@ -731,10 +765,10 @@ func route[T any](r *Router, ctx context.Context, graph, kind string,
 	for a := 0; a < budget; a++ {
 		if a > 0 {
 			if err := r.backoff(ctx, a); err != nil {
-				return zero, err
+				return answer{}, err
 			}
 		}
-		s, trial, k := r.pick(graph, tried)
+		s, trial, k := r.pick(q.graph, tried)
 		known = known || k
 		if s == nil {
 			if !known {
@@ -744,8 +778,11 @@ func route[T any](r *Router, ctx context.Context, graph, kind string,
 			// a cooldown or the health loop time to return one.
 			continue
 		}
-		out, err := attempt(r, ctx, kind, graph, s, trial, tried, call)
+		out, err := r.attempt(ctx, q, s, trial, tried)
 		if err == nil {
+			if q.kind == "cc" {
+				r.stale.store(q, out.cc)
+			}
 			return out, nil
 		}
 		var te *serve.TransportError
@@ -758,85 +795,45 @@ func route[T any](r *Router, ctx context.Context, graph, kind string,
 		default:
 			// Final application answers and caller-context errors pass
 			// through unwrapped (the 4xx/499/504 paths).
-			return zero, err
+			return answer{}, err
 		}
 	}
 	if !known {
-		return zero, serve.Errorf(http.StatusNotFound, "graph %q not loaded", graph)
+		return answer{}, serve.Errorf(http.StatusNotFound, "graph %q not loaded", q.graph)
 	}
-	r.metrics.observeBudgetExhausted(kind)
-	dead, holders := r.deadHolders(graph)
+	r.metrics.observeBudgetExhausted(q.kind)
+	if resp, ok := r.staleFor(q); ok {
+		return answer{cc: resp}, nil
+	}
+	dead, holders := r.deadHolders(q.graph)
 	msg := fmt.Sprintf("graph %q: no live replica (%d of %d holders dead; retry budget %d exhausted)",
-		graph, dead, holders, budget)
+		q.graph, dead, holders, budget)
 	if lastErr != nil {
 		msg += fmt.Sprintf(": %v", lastErr)
 	}
-	return zero, &serve.Error{
+	return answer{}, &serve.Error{
 		Status:     http.StatusServiceUnavailable,
 		RetryAfter: r.retryAfter(),
 		Message:    msg,
 	}
 }
 
-// CC implements serve.Backend across the fleet. Successful answers
-// refresh the router's degradation cache; a 503 (no live replica
-// within the budget) falls back to the cached answer, marked stale,
-// when one exists within Config.MaxStale.
+// CC implements serve.Backend across the fleet.
 func (r *Router) CC(ctx context.Context, graph, algo string, labels bool) (*serve.CCResponse, error) {
-	if se := r.admit("cc"); se != nil {
-		return nil, se
-	}
-	out, err := route(r, ctx, graph, "cc", func(ctx context.Context, c *serve.ShardClient) (*serve.CCResponse, error) {
-		return c.CC(ctx, graph, algo, labels)
-	})
-	if err == nil {
-		r.stale.store(graph, algo, labels, out)
-		return out, nil
-	}
-	if resp, ok := r.staleFor(graph, algo, labels, err); ok {
-		return resp, nil
-	}
-	return nil, err
-}
-
-// staleFor serves the degraded answer for a 503: the last good CC
-// response for the same (graph, algo, labels) request, if it is
-// younger than MaxStale, marked "stale": true.
-func (r *Router) staleFor(graph, algo string, labels bool, err error) (*serve.CCResponse, bool) {
-	if r.cfg.MaxStale <= 0 {
-		return nil, false
-	}
-	var se *serve.Error
-	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
-		return nil, false
-	}
-	resp, age, ok := r.stale.get(graph, algo, labels, r.cfg.MaxStale)
-	if !ok {
-		return nil, false
-	}
-	r.metrics.observeStale(graph)
-	r.logf("fleet: serving stale CC for %q (age %v, no live replica)", graph, age.Round(time.Millisecond))
-	return resp, true
+	out, err := r.route(ctx, query{kind: "cc", graph: graph, algo: algo, labels: labels})
+	return out.cc, err
 }
 
 // BFS implements serve.Backend across the fleet.
 func (r *Router) BFS(ctx context.Context, graph string, root uint32, algo string) (*serve.BFSResponse, error) {
-	if se := r.admit("bfs"); se != nil {
-		return nil, se
-	}
-	return route(r, ctx, graph, "bfs", func(ctx context.Context, c *serve.ShardClient) (*serve.BFSResponse, error) {
-		return c.BFS(ctx, graph, root, algo)
-	})
+	out, err := r.route(ctx, query{kind: "bfs", graph: graph, algo: algo, root: root})
+	return out.bfs, err
 }
 
 // SSSP implements serve.Backend across the fleet.
 func (r *Router) SSSP(ctx context.Context, graph string, root uint32, algo string) (*serve.SSSPResponse, error) {
-	if se := r.admit("sssp"); se != nil {
-		return nil, se
-	}
-	return route(r, ctx, graph, "sssp", func(ctx context.Context, c *serve.ShardClient) (*serve.SSSPResponse, error) {
-		return c.SSSP(ctx, graph, root, algo)
-	})
+	out, err := r.route(ctx, query{kind: "sssp", graph: graph, algo: algo, root: root})
+	return out.sssp, err
 }
 
 // Graphs implements serve.Backend: the union of the live shards'

@@ -16,45 +16,39 @@ import (
 	"bagraph/internal/serve"
 )
 
-type staleKey struct {
-	graph  string
-	algo   string
-	labels bool
-}
-
+// staleEntry is a last-good answer as the shard client returned it —
+// stored, not copied: the fresh path pays nothing for the cache.
 type staleEntry struct {
-	resp serve.CCResponse
+	resp *serve.CCResponse
 	at   time.Time
 }
 
-// staleCache holds last-good CC responses. now is injectable so tests
-// can age entries without sleeping.
+// staleCache holds last-good CC responses by the query that got them.
+// now is injectable so tests can age entries without sleeping.
 type staleCache struct {
 	now func() time.Time
 
 	mu sync.RWMutex
-	m  map[staleKey]staleEntry
+	m  map[query]staleEntry
 }
 
 func newStaleCache() *staleCache {
-	return &staleCache{now: time.Now, m: make(map[staleKey]staleEntry)}
+	return &staleCache{now: time.Now, m: make(map[query]staleEntry)}
 }
 
 // store records a fresh answer for its request shape.
-func (c *staleCache) store(graph, algo string, labels bool, resp *serve.CCResponse) {
-	k := staleKey{graph: graph, algo: algo, labels: labels}
+func (c *staleCache) store(q query, resp *serve.CCResponse) {
 	c.mu.Lock()
-	c.m[k] = staleEntry{resp: *resp, at: c.now()}
+	c.m[q] = staleEntry{resp: resp, at: c.now()}
 	c.mu.Unlock()
 }
 
-// get returns a copy of the cached answer with Stale set, plus its
-// age, when one exists within maxAge. The copy is shallow: the Labels
-// slice is shared with the stored entry and treated read-only.
-func (c *staleCache) get(graph, algo string, labels bool, maxAge time.Duration) (*serve.CCResponse, time.Duration, bool) {
-	k := staleKey{graph: graph, algo: algo, labels: labels}
+// get returns the cached answer marked stale — a copy without the
+// shard's retained bytes, which the server therefore encodes afresh,
+// marker included — plus its age, when one exists within maxAge.
+func (c *staleCache) get(q query, maxAge time.Duration) (*serve.CCResponse, time.Duration, bool) {
 	c.mu.RLock()
-	e, ok := c.m[k]
+	e, ok := c.m[q]
 	c.mu.RUnlock()
 	if !ok {
 		return nil, 0, false
@@ -63,7 +57,21 @@ func (c *staleCache) get(graph, algo string, labels bool, maxAge time.Duration) 
 	if age > maxAge {
 		return nil, 0, false
 	}
-	resp := e.resp
-	resp.Stale = true
-	return &resp, age, true
+	return e.resp.MarkStale(), age, true
+}
+
+// staleFor serves the degraded answer when the retry budget found no
+// live replica: the last good response to the same CC query, if it is
+// younger than MaxStale, marked "stale": true.
+func (r *Router) staleFor(q query) (*serve.CCResponse, bool) {
+	if r.cfg.MaxStale <= 0 {
+		return nil, false
+	}
+	resp, age, ok := r.stale.get(q, r.cfg.MaxStale)
+	if !ok {
+		return nil, false
+	}
+	r.metrics.observeStale(q.graph)
+	r.logf("fleet: serving stale CC for %q (age %v, no live replica)", q.graph, age.Round(time.Millisecond))
+	return resp, true
 }

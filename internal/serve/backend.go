@@ -7,9 +7,11 @@ package serve
 // front either an in-process batcher (Local, the single-daemon and
 // shard configuration) or a remote shard over HTTP (ShardClient, what
 // the fleet router fans queries through). Both implementations produce
-// the same response structs and the same typed errors, so a response
-// that travelled router → shard → router is byte-identical to one the
-// shard would have served directly.
+// the same response structs and the same typed errors. A ShardClient
+// additionally keeps, on each response it returns, the verified body
+// the shard sent (the unexported wire field); the server writes those
+// bytes instead of encoding the struct again, so a response that
+// travelled router → shard → router IS the one the shard served.
 
 import (
 	"context"
@@ -159,6 +161,21 @@ type CCResponse struct {
 	Stale      bool       `json:"stale,omitempty"`
 	Stats      QueryStats `json:"stats"`
 	Labels     []uint32   `json:"labels,omitempty"`
+
+	// wire, when set, is the body this response was decoded from,
+	// verified by the ShardClient that read it. The server sends it
+	// as the answer; code that changes any field above must clear it.
+	wire []byte
+}
+
+// MarkStale returns a copy of the response marked stale, without the
+// retained body (which does not carry the marker), so the server
+// encodes the copy. Labels is shared with the receiver, read-only.
+func (r *CCResponse) MarkStale() *CCResponse {
+	c := *r
+	c.Stale = true
+	c.wire = nil
+	return &c
 }
 
 // BFSResponse is the /query/bfs response body.
@@ -171,6 +188,8 @@ type BFSResponse struct {
 	Reached int        `json:"reached"`
 	Stats   QueryStats `json:"stats"`
 	Dist    []uint32   `json:"dist"`
+
+	wire []byte // see CCResponse
 }
 
 // SSSPResponse is the /query/sssp response body. Sum (of finite
@@ -186,4 +205,6 @@ type SSSPResponse struct {
 	Sum     uint64     `json:"sum"`
 	Stats   QueryStats `json:"stats"`
 	Dist    []uint64   `json:"dist"`
+
+	wire []byte // see CCResponse
 }

@@ -1,15 +1,19 @@
 package serve
 
 // ShardClient is the remote Backend: it speaks the daemon's own
-// HTTP+JSON API against one shard process, decoding responses into the
-// same structs the in-process backend produces. Failures split into
-// two families the fleet router routes on: an application answer from
-// a live shard (any HTTP status, surfaced as *Error so the router
-// passes it through byte-identically) versus a transport failure (the
-// shard is unreachable or died mid-response — the router retries the
-// query on a replica). The caller's context errors pass through
-// unwrapped, so a cancelled client still maps to 499 and a fired
-// deadline to 504, exactly as with the in-process backend.
+// HTTP+JSON API against one shard process. A 200 query answer is read
+// whole, verified by the strict reader in wire.go — which also fills
+// in the same struct the in-process backend produces — and kept on
+// that struct, so the router's server forwards the shard's bytes
+// instead of encoding them a second time; nothing is passed on before
+// the last byte has been verified. Failures split into two families
+// the fleet router routes on: an application answer from a live shard
+// (any non-200 status, surfaced as *Error so the router passes it
+// through) versus a transport failure (the shard is unreachable, died
+// mid-response, or sent a body that does not verify — the router
+// retries the query on a replica). The caller's context errors pass
+// through unwrapped, so a cancelled client still maps to 499 and a
+// fired deadline to 504, exactly as with the in-process backend.
 
 import (
 	"bytes"
@@ -19,6 +23,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -26,6 +31,9 @@ import (
 type ShardClient struct {
 	base string
 	hc   *http.Client
+
+	mu       sync.Mutex
+	vertices map[string]int // graph sizes, from the last listing and Replace answers
 }
 
 // NewShardClient builds a client for a shard at addr (host:port, or a
@@ -39,16 +47,16 @@ func NewShardClient(addr string, hc *http.Client) *ShardClient {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &ShardClient{base: strings.TrimSuffix(addr, "/"), hc: hc}
+	return &ShardClient{base: strings.TrimSuffix(addr, "/"), hc: hc, vertices: map[string]int{}}
 }
 
 // Addr returns the shard's base URL.
 func (c *ShardClient) Addr() string { return c.base }
 
 // TransportError marks a failure to reach the shard at all (dial,
-// reset, mid-body disconnect): the query never got an answer and is
-// safe to retry on a replica. Application answers — any decoded HTTP
-// status — are *Error instead.
+// reset, mid-body disconnect) or to get a body that verifies: the
+// query never got an answer and is safe to retry on a replica.
+// Application answers — any non-200 HTTP status — are *Error instead.
 type TransportError struct {
 	Shard string
 	Err   error
@@ -60,88 +68,175 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// roundTrip POSTs (or GETs, with a nil body) one API call and decodes
-// the JSON answer into out.
-func (c *ShardClient) roundTrip(ctx context.Context, method, path string, body, out any) error {
+// controlBodyCap bounds the bodies of the small-answer calls (/graphs,
+// /healthz, /admin/replace), which no graph sizes.
+const controlBodyCap = 8 << 20
+
+// do sends one API call (POST with a JSON body, or GET with a nil one)
+// and reads the whole answer, refusing one longer than limit bytes. A
+// 200 returns the body; any other status returns the *Error it
+// carries. Failing to get or finish an answer is a *TransportError,
+// unless the caller's own context ended: that is not a shard fault and
+// surfaces unwrapped, so it maps to 499/504 like an in-process query.
+func (c *ShardClient) do(ctx context.Context, method, path string, body any, limit int64) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// The caller's own context dying is not a shard fault: surface
-		// it unwrapped so it maps to 499/504 like an in-process query.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		return &TransportError{Shard: c.base, Err: err}
+		return nil, c.failed(ctx, err)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp, limit)
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return ctxErr
-		}
-		return &TransportError{Shard: c.base, Err: err}
+		return nil, c.failed(ctx, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e errorResponse
 		if json.Unmarshal(raw, &e) != nil || e.Error == "" {
 			e.Error = fmt.Sprintf("shard %s: %s", c.base, strings.TrimSpace(string(raw)))
 		}
-		return &Error{Status: resp.StatusCode, Message: e.Error, RetryAfter: e.RetryAfter}
+		return nil, &Error{Status: resp.StatusCode, Message: e.Error, RetryAfter: e.RetryAfter}
+	}
+	return raw, nil
+}
+
+// failed classifies a call that got no complete answer.
+func (c *ShardClient) failed(ctx context.Context, err error) error {
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	return &TransportError{Shard: c.base, Err: err}
+}
+
+// readBody reads and closes the response body, sized from its
+// Content-Length when the shard sent one.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	defer resp.Body.Close()
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("response body of %d bytes exceeds the %d-byte cap", resp.ContentLength, limit)
+	}
+	var buf bytes.Buffer
+	if resp.ContentLength > 0 {
+		// MinRead of slack lets ReadFrom see EOF without growing.
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > limit {
+		return nil, fmt.Errorf("response body exceeds the %d-byte cap", limit)
+	}
+	return buf.Bytes(), nil
+}
+
+// badBody is the transport fault for a 200 whose body does not verify:
+// the shard did not deliver an answer, whatever it meant to send.
+func (c *ShardClient) badBody(err error) error {
+	return &TransportError{Shard: c.base, Err: fmt.Errorf("bad response body: %w", err)}
+}
+
+// roundTrip makes one small-answer call and decodes its JSON into out.
+func (c *ShardClient) roundTrip(ctx context.Context, method, path string, body, out any) error {
+	raw, err := c.do(ctx, method, path, body, controlBodyCap)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
-		return &TransportError{Shard: c.base, Err: fmt.Errorf("bad response body: %w", err)}
+		return c.badBody(err)
 	}
 	return nil
 }
 
-// CC implements Backend by forwarding to the shard's /query/cc.
-func (c *ShardClient) CC(ctx context.Context, graph, algo string, labels bool) (*CCResponse, error) {
-	var out CCResponse
-	err := c.roundTrip(ctx, http.MethodPost, "/query/cc",
-		ccQuery{Graph: graph, Algo: algo, Labels: labels}, &out)
+// vertexCount is the graph's size in the shard's last listing. A graph
+// the listing lacks (none was fetched yet, or the shard loaded the
+// graph since) costs one /graphs call; one the shard does not hold
+// counts zero vertices, and its 404 fits in the head room alone.
+func (c *ShardClient) vertexCount(ctx context.Context, graph string) (int, error) {
+	c.mu.Lock()
+	n, ok := c.vertices[graph]
+	c.mu.Unlock()
+	if ok {
+		return n, nil
+	}
+	if _, err := c.Graphs(ctx); err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.vertices[graph], nil
+}
+
+// query makes one /query call for v, a response struct whose trailing
+// array field arr points at, and returns the verified body to retain.
+// The body is read whole — never longer than the graph's vertex count
+// allows — and verified before anything is returned: a truncated,
+// corrupted, oversized or merely unfamiliar body is a transport fault
+// the router retries elsewhere, never a partly trusted answer.
+func query[T uint32 | uint64](ctx context.Context, c *ShardClient, path, graph string, req any, key string, v any, arr *[]T) ([]byte, error) {
+	n, err := c.vertexCount(ctx, graph)
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	raw, err := c.do(ctx, http.MethodPost, path, req, answerCap(graph, n, uint64(^T(0))))
+	if err != nil {
+		return nil, err
+	}
+	if err := decodeAnswer(raw, key, headRoom(graph), v, arr); err != nil {
+		return nil, c.badBody(err)
+	}
+	return raw, nil
+}
+
+// CC implements Backend by forwarding to the shard's /query/cc.
+func (c *ShardClient) CC(ctx context.Context, graph, algo string, labels bool) (*CCResponse, error) {
+	out := new(CCResponse)
+	var err error
+	out.wire, err = query(ctx, c, "/query/cc", graph,
+		ccQuery{Graph: graph, Algo: algo, Labels: labels}, "labels", out, &out.Labels)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // BFS implements Backend by forwarding to the shard's /query/bfs.
 func (c *ShardClient) BFS(ctx context.Context, graph string, root uint32, algo string) (*BFSResponse, error) {
-	var out BFSResponse
-	err := c.roundTrip(ctx, http.MethodPost, "/query/bfs",
-		traversalQuery{Graph: graph, Root: root, Algo: algo}, &out)
+	out := new(BFSResponse)
+	var err error
+	out.wire, err = query(ctx, c, "/query/bfs", graph,
+		traversalQuery{Graph: graph, Root: root, Algo: algo}, "dist", out, &out.Dist)
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return out, nil
 }
 
 // SSSP implements Backend by forwarding to the shard's /query/sssp.
 func (c *ShardClient) SSSP(ctx context.Context, graph string, root uint32, algo string) (*SSSPResponse, error) {
-	var out SSSPResponse
-	err := c.roundTrip(ctx, http.MethodPost, "/query/sssp",
-		traversalQuery{Graph: graph, Root: root, Algo: algo}, &out)
+	out := new(SSSPResponse)
+	var err error
+	out.wire, err = query(ctx, c, "/query/sssp", graph,
+		traversalQuery{Graph: graph, Root: root, Algo: algo}, "dist", out, &out.Dist)
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return out, nil
 }
 
-// Graphs implements Backend by forwarding to the shard's /graphs.
+// Graphs implements Backend by forwarding to the shard's /graphs. The
+// listing's vertex counts become the sizes query answers are capped by.
 func (c *ShardClient) Graphs(ctx context.Context) ([]GraphInfo, error) {
 	var out struct {
 		Graphs []GraphInfo `json:"graphs"`
@@ -149,6 +244,13 @@ func (c *ShardClient) Graphs(ctx context.Context) ([]GraphInfo, error) {
 	if err := c.roundTrip(ctx, http.MethodGet, "/graphs", nil, &out); err != nil {
 		return nil, err
 	}
+	vertices := make(map[string]int, len(out.Graphs))
+	for _, g := range out.Graphs {
+		vertices[g.Name] = g.Vertices
+	}
+	c.mu.Lock()
+	c.vertices = vertices
+	c.mu.Unlock()
 	return out.Graphs, nil
 }
 
@@ -171,6 +273,9 @@ func (c *ShardClient) Replace(ctx context.Context, graph, path string) (*Replace
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	c.vertices[graph] = out.Vertices
+	c.mu.Unlock()
 	return &out, nil
 }
 

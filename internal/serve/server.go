@@ -8,9 +8,10 @@
 // The HTTP handlers front a Backend (see backend.go): the in-process
 // Local backend (registry + batcher) in a single daemon or fleet
 // shard, or a fleet router fanning the same queries across remote
-// shards through ShardClients. Handlers decode, delegate and encode;
-// every dispatch decision lives behind the interface, which is what
-// keeps a routed response byte-identical to a direct one.
+// shards through ShardClients. Handlers decode, delegate and write —
+// the encoding of the backend's struct, or, when the backend is a
+// router relaying a shard, the verified bytes that shard sent; every
+// dispatch decision lives behind the interface.
 //
 // Endpoints:
 //
@@ -40,6 +41,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,6 +49,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"bagraph"
@@ -265,6 +268,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the connection owns delivery; nothing to do on failure
 }
 
+// answerBufs holds the buffers query answers are encoded into, so the
+// length is known before the status line goes out.
+var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeAnswer sends a 200 query answer with its Content-Length, in one
+// Write: wire — the shard's verified body a routed response carries —
+// when there is one, the encoding of v otherwise.
+func writeAnswer(w http.ResponseWriter, wire []byte, v any) {
+	if wire == nil {
+		buf := answerBufs.Get().(*bytes.Buffer)
+		defer answerBufs.Put(buf)
+		buf.Reset()
+		if err := json.NewEncoder(buf).Encode(v); err != nil {
+			writeError(w, http.StatusInternalServerError, "encode answer: %v", err)
+			return
+		}
+		wire = buf.Bytes()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(wire) // the connection owns delivery; nothing to do on failure
+}
+
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -359,7 +386,7 @@ func (s *Server) handleCC(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, resp.wire, resp)
 }
 
 // traversalQuery is the /query/bfs and /query/sssp request body.
@@ -381,7 +408,7 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, resp.wire, resp)
 }
 
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
@@ -396,5 +423,5 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, resp.wire, resp)
 }

@@ -20,7 +20,7 @@ import (
 
 // newTestServer publishes one small disconnected graph and returns the
 // HTTP test harness around the daemon core.
-func newTestServer(t *testing.T) (*httptest.Server, *bagraph.Graph) {
+func newTestServer(t testing.TB) (*httptest.Server, *bagraph.Graph) {
 	t.Helper()
 	g, err := bagraph.CorpusGraph("cond-mat-2005", 0.02, 9)
 	if err != nil {

@@ -1,0 +1,142 @@
+package serve
+
+// The strict reader a ShardClient verifies a shard's 200 query answer
+// with. A routed answer is forwarded as the bytes the shard sent, so
+// this is the only inspection those bytes get: it must accept nothing
+// encoding/json would refuse or decode differently, and it must be
+// cheap, because an answer is one short head followed by one array of
+// |V| integers. The head goes through encoding/json; the array is read
+// in a single pass that knows exactly one spelling of it — the one the
+// shard's encoder produces.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+)
+
+// answerHeadRoom bounds everything in a query answer that is not an
+// array element: the scalars, the stats object and the algorithm name
+// fit in it many times over. The graph name is the one unbounded part,
+// so headRoom adds its worst-case JSON escaping (\u00XX, six bytes per
+// byte).
+const answerHeadRoom = 4 << 10
+
+func headRoom(graph string) int { return answerHeadRoom + 6*len(graph) }
+
+// maxDigits is the length of the widest decimal an array of elements
+// up to elemMax (MaxUint32 or MaxUint64) can hold.
+func maxDigits(elemMax uint64) int {
+	if elemMax > math.MaxUint32 {
+		return len("18446744073709551615")
+	}
+	return len("4294967295")
+}
+
+// answerCap is the longest 200 body a shard can send for a query on a
+// graph of the given vertex count: the head room plus, per vertex, the
+// widest element of the array's width and its comma.
+func answerCap(graph string, vertices int, elemMax uint64) int64 {
+	return int64(headRoom(graph)) + int64(vertices)*int64(maxDigits(elemMax)+1)
+}
+
+// decodeAnswer verifies one 200 query body and decodes it into v, whose
+// trailing array field arr points at. The body is accepted only in the
+// shape `{head…,"key":[e,e,…,e]}` + newline: the head — closed as if
+// the array were empty — must satisfy encoding/json and be at most
+// headMax bytes; the elements must be canonical decimals (no sign,
+// fraction, exponent or leading zero) within T, separated by single
+// commas; nothing may follow the newline. A body with no such array
+// within headMax bytes is all head (a CC answer without labels) and
+// goes through encoding/json whole, if it is that short.
+//
+// Whatever this accepts, json.Unmarshal accepts and decodes to the
+// same value: the key is matched with its leading comma, so its
+// opening quote is not inside a string; the closed head parsing as one
+// object puts the key at the top level; and a canonical array in the
+// place of an empty one changes no other member.
+func decodeAnswer[T uint32 | uint64](raw []byte, key string, headMax int, v any, arr *[]T) error {
+	open := []byte(`,"` + key + `":[`)
+	window := raw
+	if len(window) > headMax {
+		window = window[:headMax]
+	}
+	at := bytes.Index(window, open)
+	if at < 0 {
+		if len(raw) > headMax {
+			return fmt.Errorf("no %q array in the first %d bytes", key, headMax)
+		}
+		return json.Unmarshal(raw, v)
+	}
+	split := at + len(open)
+	head := make([]byte, 0, split+2)
+	head = append(append(head, raw[:split]...), ']', '}')
+	if err := json.Unmarshal(head, v); err != nil {
+		return err
+	}
+	elems := raw[split:]
+	var out []T
+	end := 0
+	if len(elems) == 0 || elems[0] != ']' {
+		var err error
+		out, end, err = parseUints(elems, make([]T, 0, bytes.Count(elems, []byte{','})+1))
+		if err != nil {
+			return fmt.Errorf("%q array: %w", key, err)
+		}
+	}
+	if string(elems[end:]) != "]}\n" {
+		return fmt.Errorf("%q array: want \"]}\" and a newline to end the body at byte %d", key, split+end)
+	}
+	if len(out) > 0 {
+		*arr = out
+	}
+	return nil
+}
+
+// parseUints appends the elements of a canonical array body to out and
+// returns them with the index of the closing bracket.
+func parseUints[T uint32 | uint64](p []byte, out []T) ([]T, int, error) {
+	max := uint64(^T(0))
+	widest := maxDigits(max)
+	i := 0
+	for {
+		start := i
+		var v uint64
+		for i < len(p) {
+			d := p[i] - '0' // wraps above 9 for anything below '0'
+			if d > 9 {
+				break
+			}
+			v = v*10 + uint64(d) // may wrap from the 20th digit on: settled below
+			i++
+		}
+		digits := i - start
+		switch {
+		case i == len(p):
+			return nil, 0, fmt.Errorf("body ends inside element %d", len(out))
+		case digits == 0:
+			return nil, 0, fmt.Errorf("unexpected byte %q in element %d", p[i], len(out))
+		case p[start] == '0' && digits > 1:
+			return nil, 0, fmt.Errorf("leading zero in element %d", len(out))
+		case digits == widest && max == math.MaxUint64:
+			// The one length at which v can have wrapped and still be in range.
+			var err error
+			if v, err = strconv.ParseUint(string(p[start:i]), 10, 64); err != nil {
+				return nil, 0, fmt.Errorf("element %d exceeds %d", len(out), max)
+			}
+		case digits > widest || v > max:
+			return nil, 0, fmt.Errorf("element %d exceeds %d", len(out), max)
+		}
+		out = append(out, T(v))
+		switch p[i] {
+		case ',':
+			i++
+		case ']':
+			return out, i, nil
+		default:
+			return nil, 0, fmt.Errorf("unexpected byte %q after element %d", p[i], len(out)-1)
+		}
+	}
+}
