@@ -107,20 +107,6 @@ func (a CCAlgorithm) String() string {
 // KindCC labeling.
 func ComponentCount(labels []uint32) int { return cc.CountComponents(labels) }
 
-// ccVariant maps a facade algorithm to its parallel inner-loop variant.
-func ccVariant(alg CCAlgorithm) (cc.Variant, error) {
-	switch alg {
-	case CCBranchBased:
-		return cc.BranchBased, nil
-	case CCBranchAvoiding:
-		return cc.BranchAvoiding, nil
-	case CCHybrid:
-		return cc.Hybrid, nil
-	default:
-		return 0, fmt.Errorf("bagraph: no parallel kernel for %v", alg)
-	}
-}
-
 // WorkerPool is a persistent set of worker goroutines shared across
 // parallel kernel calls. Each parallel package-level Run otherwise
 // starts and stops its own pool; query-serving workloads — many small

@@ -25,6 +25,7 @@ import (
 
 	"bagraph/internal/bfs"
 	"bagraph/internal/cc"
+	"bagraph/internal/core"
 	"bagraph/internal/exp"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
@@ -33,6 +34,7 @@ import (
 	"bagraph/internal/relabel"
 	"bagraph/internal/simkern"
 	"bagraph/internal/sssp"
+	"bagraph/internal/testutil"
 	"bagraph/internal/uarch"
 	"bagraph/internal/xrand"
 )
@@ -204,7 +206,7 @@ func BenchmarkNativeSV(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("branch-avoiding/%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				labels, _, _ := cc.SV(context.Background(), g, cc.BranchAvoiding)
+				labels, _, _ := cc.SV(context.Background(), g, core.BranchAvoiding)
 				if len(labels) == 0 && g.NumVertices() > 0 {
 					b.Fatal("no labels")
 				}
@@ -213,7 +215,7 @@ func BenchmarkNativeSV(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("hybrid/%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				labels, _, _ := cc.SV(context.Background(), g, cc.Hybrid)
+				labels, _, _ := cc.SV(context.Background(), g, core.Hybrid)
 				if len(labels) == 0 && g.NumVertices() > 0 {
 					b.Fatal("no labels")
 				}
@@ -246,7 +248,7 @@ func BenchmarkNativeBFS(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("branch-avoiding/%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dist, _, _ := bfs.TopDown(context.Background(), g, 0, bfs.BranchAvoiding)
+				dist, _, _ := bfs.TopDown(context.Background(), g, 0, core.BranchAvoiding)
 				if len(dist) == 0 {
 					b.Fatal("no distances")
 				}
@@ -295,7 +297,7 @@ func BenchmarkParallelSV(b *testing.B) {
 	g := benchRMAT(b)
 	b.Run("sequential-baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			labels, _, _ := cc.SV(context.Background(), g, cc.Hybrid)
+			labels, _, _ := cc.SV(context.Background(), g, core.Hybrid)
 			if len(labels) == 0 {
 				b.Fatal("no labels")
 			}
@@ -303,17 +305,16 @@ func BenchmarkParallelSV(b *testing.B) {
 		reportEdges(b, g.NumArcs())
 	})
 	for _, w := range workerSweep() {
-		pool := par.NewPool(w)
 		b.Run(fmt.Sprintf("hybrid/workers=%d", w), func(b *testing.B) {
+			x := testutil.Exec(b, w, par.Static)
 			for i := 0; i < b.N; i++ {
-				labels, _, _ := cc.SVParallel(g, cc.ParallelOptions{Pool: pool, Variant: cc.Hybrid})
+				labels, _, _ := cc.SVParallel(x, g, cc.ParallelOptions{Variant: core.Hybrid})
 				if len(labels) == 0 {
 					b.Fatal("no labels")
 				}
 			}
 			reportEdges(b, g.NumArcs())
 		})
-		pool.Close()
 	}
 }
 
@@ -329,17 +330,16 @@ func BenchmarkParallelBFS(b *testing.B) {
 		reportEdges(b, g.NumArcs())
 	})
 	for _, w := range workerSweep() {
-		pool := par.NewPool(w)
 		b.Run(fmt.Sprintf("dir-opt/workers=%d", w), func(b *testing.B) {
+			x := testutil.Exec(b, w, par.Static)
 			for i := 0; i < b.N; i++ {
-				dist, _, _ := bfs.ParallelDO(g, 0, bfs.ParallelOptions{Pool: pool})
+				dist, _, _ := bfs.ParallelDO(x, g, 0, bfs.ParallelOptions{})
 				if len(dist) == 0 {
 					b.Fatal("no distances")
 				}
 			}
 			reportEdges(b, g.NumArcs())
 		})
-		pool.Close()
 	}
 }
 
@@ -361,20 +361,17 @@ func BenchmarkParallelSSSP(b *testing.B) {
 		reportEdges(b, g.NumArcs())
 	})
 	for _, workers := range workerSweep() {
-		pool := par.NewPool(workers)
 		b.Run(fmt.Sprintf("hybrid/workers=%d", workers), func(b *testing.B) {
+			x := testutil.Exec(b, workers, par.Static)
 			dist := make([]uint64, g.NumVertices())
 			for i := 0; i < b.N; i++ {
-				dist, _, _ = sssp.Parallel(w, 0, sssp.ParallelOptions{
-					Pool: pool, Variant: sssp.Hybrid, Dist: dist,
-				})
+				dist, _, _ = sssp.Parallel(x, w, 0, sssp.ParallelOptions{Variant: core.Hybrid, Dist: dist})
 				if len(dist) == 0 {
 					b.Fatal("no distances")
 				}
 			}
 			reportEdges(b, g.NumArcs())
 		})
-		pool.Close()
 	}
 }
 
@@ -434,13 +431,11 @@ func BenchmarkStealVsStatic(b *testing.B) {
 	g := benchHubRMAT(b)
 	workers := stealWorkers()
 	for _, sched := range []par.Schedule{par.Static, par.Stealing} {
-		pool := par.NewPool(workers)
 		b.Run(fmt.Sprintf("cc/%v/workers=%d", sched, workers), func(b *testing.B) {
+			x := testutil.Exec(b, workers, sched)
 			var steals, chunks uint64
 			for i := 0; i < b.N; i++ {
-				_, st, err := cc.SVParallel(g, cc.ParallelOptions{
-					Pool: pool, Variant: cc.Hybrid, Schedule: sched,
-				})
+				_, st, err := cc.SVParallel(x, g, cc.ParallelOptions{Variant: core.Hybrid})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -452,11 +447,10 @@ func BenchmarkStealVsStatic(b *testing.B) {
 			reportEdges(b, g.NumArcs())
 		})
 		b.Run(fmt.Sprintf("bfs/%v/workers=%d", sched, workers), func(b *testing.B) {
+			x := testutil.Exec(b, workers, sched)
 			var steals, chunks uint64
 			for i := 0; i < b.N; i++ {
-				_, st, err := bfs.ParallelDO(g, 0, bfs.ParallelOptions{
-					Pool: pool, Schedule: sched,
-				})
+				_, st, err := bfs.ParallelDO(x, g, 0, bfs.ParallelOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -467,7 +461,6 @@ func BenchmarkStealVsStatic(b *testing.B) {
 			b.ReportMetric(float64(chunks)/float64(b.N), "chunks/op")
 			reportEdges(b, g.NumArcs())
 		})
-		pool.Close()
 	}
 }
 
@@ -547,14 +540,14 @@ func BenchmarkParallelSSSPLightHeavy(b *testing.B) {
 		name  string
 		split bool
 	}{{"unified", false}, {"light-heavy", true}} {
-		pool := par.NewPool(workers)
 		b.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(b *testing.B) {
+			x := testutil.Exec(b, workers, par.Static)
 			dist := make([]uint64, g.NumVertices())
 			var light, heavy uint64
 			for i := 0; i < b.N; i++ {
 				var st Stats
-				dist, st, err = sssp.Parallel(w, 0, sssp.ParallelOptions{
-					Pool: pool, Variant: sssp.Hybrid, Delta: delta,
+				dist, st, err = sssp.Parallel(x, w, 0, sssp.ParallelOptions{
+					Variant: core.Hybrid, Delta: delta,
 					LightHeavy: tc.split, Dist: dist,
 				})
 				if err != nil {
@@ -567,7 +560,6 @@ func BenchmarkParallelSSSPLightHeavy(b *testing.B) {
 			b.ReportMetric(float64(heavy)/float64(b.N), "heavy-relax/op")
 			reportEdges(b, g.NumArcs())
 		})
-		pool.Close()
 	}
 }
 
@@ -675,7 +667,7 @@ func BenchmarkRunOverhead(b *testing.B) {
 	})
 	b.Run("cc/direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			labels, _, _ := cc.SV(context.Background(), g, cc.BranchAvoiding)
+			labels, _, _ := cc.SV(context.Background(), g, core.BranchAvoiding)
 			if len(labels) == 0 {
 				b.Fatal("no labels")
 			}

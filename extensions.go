@@ -87,17 +87,3 @@ func checkSource(g *WeightedGraph, src uint32) error {
 	}
 	return nil
 }
-
-// ssspVariant maps a facade algorithm to its parallel relaxation loop.
-func ssspVariant(alg SSSPAlgorithm) (sssp.Variant, error) {
-	switch alg {
-	case SSSPBellmanFord:
-		return sssp.BranchBased, nil
-	case SSSPBellmanFordBranchAvoiding:
-		return sssp.BranchAvoiding, nil
-	case SSSPHybrid:
-		return sssp.Hybrid, nil
-	default:
-		return 0, fmt.Errorf("bagraph: no parallel kernel for %v", alg)
-	}
-}

@@ -2,6 +2,13 @@
 // kernel packages: a context is observed at pass barriers only, and
 // through ctx.Err() alone.
 //
+// For the four engine kernels the poll site is a single call:
+// par.Exec.Pass checks Ctx.Err() once before it dispatches a pass, and
+// the kernels themselves hold no context to poll. The analyzer keeps
+// that true (a kernel that grew its own check inside a pass would trip
+// the rules below) and governs the sequential kernels, which poll at the
+// top of their own pass loops.
+//
 // The contract has two halves. Workers and inner loops never see the
 // context — that is what keeps the per-element loops free of the
 // synchronized channel read ctx.Done() implies and of per-element
@@ -21,8 +28,9 @@
 //     reset the depth: a barrier helper closure polls at its top, depth
 //     0). The outermost loop of a kernel is its pass loop and may poll;
 //     anything deeper is per-vertex or per-arc territory. A legitimate
-//     inner barrier (multisource's per-level sweep inside the wave
-//     loop) carries //ba:allow-ctx with its justification.
+//     inner barrier would carry //ba:allow-ctx with its justification;
+//     the tree has none (multisource's per-level sweep inside its wave
+//     loop polls through Exec.Pass like every other pass).
 package barrierctx
 
 import (

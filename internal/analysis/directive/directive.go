@@ -25,8 +25,9 @@
 //	                             early-exit probe, taken once per vertex
 //	                             and predicted until then).
 //	//ba:allow-ctx <reason>      the statement below may observe ctx at
-//	                             an inner barrier (multisource's wave
-//	                             loop; checked by barrierctx).
+//	                             an inner barrier (checked by
+//	                             barrierctx; the tree has none —
+//	                             engine passes poll in par.Exec.Pass).
 //	//ba:allow-mask <reason>     the call below may feed a mask primitive
 //	                             an operand the analyzer cannot bound
 //	                             (checked by maskdomain).

@@ -15,22 +15,14 @@ import (
 	"fmt"
 
 	"bagraph/internal/bfs"
+	"bagraph/internal/core"
 	"bagraph/internal/graph"
 )
 
 // Inf marks unreachable pairs.
 const Inf = bfs.Inf
 
-// Variant selects the BFS kernel used for the sweeps.
-type Variant = bfs.Variant
-
-// Kernel variants.
-const (
-	BranchBased    = bfs.BranchBased
-	BranchAvoiding = bfs.BranchAvoiding
-)
-
-func run(g *graph.Graph, root uint32, v Variant) []uint32 {
+func run(g *graph.Graph, root uint32, v core.Variant) []uint32 {
 	dist, _, _ := bfs.TopDown(context.Background(), g, root, v)
 	return dist
 }
@@ -52,7 +44,7 @@ type Result struct {
 
 // Summary runs a BFS from every vertex and aggregates eccentricities,
 // diameter, radius and mean distance. O(|V|·(|V|+|E|)).
-func Summary(g *graph.Graph, v Variant) Result {
+func Summary(g *graph.Graph, v core.Variant) Result {
 	n := g.NumVertices()
 	res := Result{Ecc: make([]uint32, n)}
 	var sum uint64
@@ -87,7 +79,7 @@ func Summary(g *graph.Graph, v Variant) Result {
 
 // AllDistances materializes the full |V|×|V| distance matrix. Intended
 // for small graphs (tests, exact diameter checks); memory is O(|V|²).
-func AllDistances(g *graph.Graph, v Variant) [][]uint32 {
+func AllDistances(g *graph.Graph, v core.Variant) [][]uint32 {
 	n := g.NumVertices()
 	out := make([][]uint32, n)
 	for s := 0; s < n; s++ {

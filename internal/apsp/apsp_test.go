@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 )
@@ -19,7 +20,7 @@ func TestMatrixMatchesFloydWarshall(t *testing.T) {
 		gen.Disconnected(gen.Path(4), 3),
 	}
 	for _, g := range graphs {
-		for _, v := range []Variant{BranchBased, BranchAvoiding} {
+		for _, v := range []core.Variant{core.BranchBased, core.BranchAvoiding} {
 			if err := VerifyMatrix(g, AllDistances(g, v)); err != nil {
 				t.Fatalf("variant %d on %s: %v", v, g, err)
 			}
@@ -31,7 +32,7 @@ func TestMatrixProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 4 + int(seed%20)
 		g := gen.GNM(n, int64(n), seed)
-		return VerifyMatrix(g, AllDistances(g, BranchAvoiding)) == nil
+		return VerifyMatrix(g, AllDistances(g, core.BranchAvoiding)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -40,7 +41,7 @@ func TestMatrixProperty(t *testing.T) {
 
 func TestSummaryPath(t *testing.T) {
 	g := gen.Path(10)
-	for _, v := range []Variant{BranchBased, BranchAvoiding} {
+	for _, v := range []core.Variant{core.BranchBased, core.BranchAvoiding} {
 		r := Summary(g, v)
 		if r.Diameter != 9 {
 			t.Fatalf("path diameter = %d", r.Diameter)
@@ -59,7 +60,7 @@ func TestSummaryPath(t *testing.T) {
 
 func TestSummaryCycleUniform(t *testing.T) {
 	g := gen.Cycle(8)
-	r := Summary(g, BranchAvoiding)
+	r := Summary(g, core.BranchAvoiding)
 	if r.Diameter != 4 || r.Radius != 4 {
 		t.Fatalf("cycle8: diameter=%d radius=%d", r.Diameter, r.Radius)
 	}
@@ -77,8 +78,8 @@ func TestSummaryCycleUniform(t *testing.T) {
 
 func TestSummaryVariantsAgree(t *testing.T) {
 	g := gen.BarabasiAlbert(80, 3, 5)
-	a := Summary(g, BranchBased)
-	b := Summary(g, BranchAvoiding)
+	a := Summary(g, core.BranchBased)
+	b := Summary(g, core.BranchAvoiding)
 	if a.Diameter != b.Diameter || a.Radius != b.Radius ||
 		a.ReachablePairs != b.ReachablePairs || a.MeanDistance != b.MeanDistance {
 		t.Fatalf("summaries differ: %+v vs %+v", a, b)
@@ -87,7 +88,7 @@ func TestSummaryVariantsAgree(t *testing.T) {
 
 func TestSummaryDisconnected(t *testing.T) {
 	g := gen.Disconnected(gen.Path(3), 2)
-	r := Summary(g, BranchBased)
+	r := Summary(g, core.BranchBased)
 	if r.Diameter != 2 {
 		t.Fatalf("diameter = %d", r.Diameter)
 	}
@@ -96,7 +97,7 @@ func TestSummaryDisconnected(t *testing.T) {
 		t.Fatalf("pairs = %d", r.ReachablePairs)
 	}
 	isolated := graph.MustBuild(3, nil, graph.Options{})
-	r2 := Summary(isolated, BranchBased)
+	r2 := Summary(isolated, core.BranchBased)
 	if r2.Diameter != 0 || r2.Radius != 0 || r2.ReachablePairs != 0 || r2.MeanDistance != 0 {
 		t.Fatalf("isolated summary: %+v", r2)
 	}
@@ -105,7 +106,7 @@ func TestSummaryDisconnected(t *testing.T) {
 func TestSummaryMatchesPseudoDiameter(t *testing.T) {
 	// PseudoDiameter is a lower bound on the true diameter.
 	g := gen.GNM(60, 120, 9)
-	r := Summary(g, BranchAvoiding)
+	r := Summary(g, core.BranchAvoiding)
 	if pd := g.PseudoDiameter(); uint32(pd) > r.Diameter {
 		t.Fatalf("pseudo-diameter %d exceeds true diameter %d", pd, r.Diameter)
 	}
@@ -113,7 +114,7 @@ func TestSummaryMatchesPseudoDiameter(t *testing.T) {
 
 func TestVerifyMatrixCatchesCorruption(t *testing.T) {
 	g := gen.Cycle(6)
-	d := AllDistances(g, BranchBased)
+	d := AllDistances(g, core.BranchBased)
 	d[2][3]++
 	if err := VerifyMatrix(g, d); err == nil {
 		t.Fatal("corrupted matrix accepted")

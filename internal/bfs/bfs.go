@@ -33,24 +33,11 @@ import (
 // Inf is the distance assigned to unreached vertices.
 const Inf = ^uint32(0)
 
-// Variant selects the per-edge loop of TopDown.
-type Variant int
-
-const (
-	// BranchBased tests each neighbor with a conditional branch and
-	// stores only discoveries (the paper's Algorithm 4).
-	BranchBased Variant = iota
-	// BranchAvoiding writes the queue slot and the distance for every
-	// traversed edge and lets conditional moves decide what sticks
-	// (Algorithm 5).
-	BranchAvoiding
-)
-
 // TopDownBranchBased runs the classical top-down BFS (Algorithm 4) from
 // root to completion — the reference oracle the other kernels are
 // validated against.
 func TopDownBranchBased(g *graph.Graph, root uint32) ([]uint32, perfcount.Stats) {
-	dist, st, _ := TopDown(context.Background(), g, root, BranchBased)
+	dist, st, _ := TopDown(context.Background(), g, root, core.BranchBased)
 	return dist, st
 }
 
@@ -61,12 +48,13 @@ func TopDownBranchBased(g *graph.Graph, root uint32) ([]uint32, perfcount.Stats)
 // slot at the tail and writes the neighbor's distance back for every
 // traversed edge, with conditional moves selecting the new distance and
 // advancing the tail only when the neighbor was undiscovered — stores
-// grow from O(|V|) to O(|E|).
+// grow from O(|V|) to O(|E|). Top-down BFS has no hybrid loop:
+// core.Hybrid runs branch-based.
 //
 // The context is observed between levels (never in the per-edge loop,
 // preserving the paper's operation mix), and a cancelled run returns the
 // distances computed so far alongside ctx's error.
-func TopDown(ctx context.Context, g *graph.Graph, root uint32, variant Variant) ([]uint32, perfcount.Stats, error) {
+func TopDown(ctx context.Context, g *graph.Graph, root uint32, variant core.Variant) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
 	dist := make([]uint32, n)
 	for i := range dist {
@@ -95,7 +83,7 @@ func TopDown(ctx context.Context, g *graph.Graph, root uint32, variant Variant) 
 		}
 		levelEnd := tail
 		start := time.Now()
-		if variant == BranchAvoiding {
+		if variant == core.BranchAvoiding {
 			tail = levelBranchAvoiding(adj, offs, buf, dist, head, levelEnd, &st)
 		} else {
 			tail = levelBranchBased(adj, offs, buf, dist, head, levelEnd, &st)
@@ -178,10 +166,10 @@ func levelBranchAvoiding(adj []uint32, offs []int64, buf, dist []uint32, head, l
 // between levels (see TopDown).
 func DirectionOptimizing(ctx context.Context, g *graph.Graph, root uint32, alpha, beta int) ([]uint32, perfcount.Stats, error) {
 	if alpha <= 0 {
-		alpha = 15
+		alpha = defaultAlpha
 	}
 	if beta <= 0 {
-		beta = 18
+		beta = defaultBeta
 	}
 	n := g.NumVertices()
 	dist := make([]uint32, n)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 	"bagraph/internal/perfcount"
@@ -17,7 +18,7 @@ type kernel struct {
 
 // topDownBA is the branch-avoiding TopDown to completion.
 func topDownBA(g *graph.Graph, root uint32) ([]uint32, perfcount.Stats) {
-	dist, st, _ := TopDown(context.Background(), g, root, BranchAvoiding)
+	dist, st, _ := TopDown(context.Background(), g, root, core.BranchAvoiding)
 	return dist, st
 }
 

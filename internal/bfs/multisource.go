@@ -31,7 +31,6 @@ package bfs
 // reused mask arrays.
 
 import (
-	"context"
 	"math/bits"
 	"time"
 
@@ -47,23 +46,6 @@ const msWave = 64
 
 // MultiSourceOptions configures MultiSource.
 type MultiSourceOptions struct {
-	// Ctx, when non-nil, cancels the run cooperatively: it is observed
-	// at each shared level-sweep barrier (workers never see it) and a
-	// cancelled run returns the distances computed so far alongside the
-	// context's error.
-	Ctx context.Context
-	// Workers is the number of concurrent workers; < 1 means GOMAXPROCS.
-	Workers int
-	// Schedule selects how each sweep's chunks reach the workers:
-	// par.Static (the default) fixes one block per worker; par.Stealing
-	// over-decomposes the sweep and lets idle workers steal whole
-	// chunks from stragglers. Both schedules produce byte-identical
-	// distances.
-	Schedule par.Schedule
-	// Pool, when non-nil, supplies the worker pool (its size overrides
-	// Workers). The caller keeps ownership; MultiSource will not close
-	// it.
-	Pool *par.Pool
 	// Dists, when holding len(roots) slices each of length |V|,
 	// receives the per-source distances and suppresses the result
 	// allocations; prior contents are overwritten. The returned slices
@@ -84,14 +66,11 @@ type msWorker struct {
 // sweeps and returns one distance array per root, each identical to
 // what the sequential kernels produce for that root. Roots must be in
 // range (the facade and the daemon validate); duplicate roots are
-// allowed and produce identical arrays. A cancelled
-// MultiSourceOptions.Ctx is observed at the next sweep barrier and
-// returned as the error.
-func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]uint32, perfcount.Stats, error) {
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// allowed and produce identical arrays. Both schedules produce
+// byte-identical distances. A cancelled x.Ctx is observed before the
+// next shared level sweep and returned as the error, alongside the
+// distances computed so far.
+func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
 	k := len(roots)
 	dists := opt.Dists
@@ -108,19 +87,15 @@ func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]ui
 	}
 	var st perfcount.Stats
 	if n == 0 || k == 0 {
-		return dists, st, ctx.Err()
+		return dists, st, nil
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = par.NewPool(opt.Workers)
-		defer pool.Close()
-	}
+	nw := x.Pool.Workers()
 	adj := g.Adjacency()
 	offs := g.Offsets()
 	// 64-aligned chunks: each worker owns whole words of the active
 	// bitset, making the saturation clears below race-free.
-	vchunks := par.Partition(offs, par.ChunkCount(pool.Workers(), opt.Schedule), 64)
-	acc := make([]msWorker, pool.Workers())
+	vchunks := par.Partition(offs, par.ChunkCount(nw, x.Schedule), 64)
+	acc := make([]msWorker, nw)
 
 	seen := make([]uint64, n)
 	frontier := make([]uint64, n)
@@ -159,10 +134,6 @@ func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]ui
 		}
 
 		for level := uint32(1); ; level++ {
-			//ba:allow-ctx the per-level sweep barrier: one check per level inside the wave loop, never per vertex or per arc
-			if err := ctx.Err(); err != nil {
-				return dists, st, err
-			}
 			start := time.Now()
 			// Skipped (saturated) vertices no longer write next[v], so the
 			// swapped-in array must read zero for them.
@@ -171,7 +142,7 @@ func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]ui
 			// Workers own whole words of the active bitset (64-aligned
 			// chunks), so the sweep is atomic-free.
 			//ba:atomic-free
-			cst := pool.RunChunks(vchunks, opt.Schedule, func(t int, r par.Range) {
+			err := x.Pass(&st, vchunks, func(t int, r par.Range) {
 				a := &acc[t]
 				// The final probe (v == -1) also loaded words before
 				// giving up; count it so the metric reflects real work.
@@ -206,9 +177,9 @@ func MultiSource(g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]ui
 					}
 				}
 			})
-			st.Chunks += cst.Chunks
-			st.Steals += cst.Steals
-			st.StealPasses += cst.StealPasses
+			if err != nil {
+				return dists, st, err
+			}
 			advanced := uint64(0)
 			for t := range acc {
 				advanced |= acc[t].advanced

@@ -27,7 +27,7 @@ func msRoots(g *graph.Graph, k int) []uint32 {
 func TestMultiSourceMatchesSequential(t *testing.T) {
 	testutil.ForEachGraph(t, nil, func(t *testing.T, g *graph.Graph) {
 		if g.NumVertices() == 0 {
-			dists, st, _ := MultiSource(g, []uint32{}, MultiSourceOptions{Workers: 2})
+			dists, st, _ := MultiSource(testutil.Exec(t, 2, par.Static), g, []uint32{}, MultiSourceOptions{})
 			if len(dists) != 0 || st.Reached != 0 {
 				t.Fatalf("empty graph: %d dists, reached %d", len(dists), st.Reached)
 			}
@@ -39,7 +39,7 @@ func TestMultiSourceMatchesSequential(t *testing.T) {
 		}
 		roots := msRoots(g, k)
 		for _, workers := range testutil.WorkerCounts {
-			dists, st, _ := MultiSource(g, roots, MultiSourceOptions{Workers: workers})
+			dists, st, _ := MultiSource(testutil.Exec(t, workers, par.Static), g, roots, MultiSourceOptions{})
 			if len(dists) != k {
 				t.Fatalf("w%d: %d distance arrays for %d roots", workers, len(dists), k)
 			}
@@ -68,7 +68,7 @@ func TestMultiSourceMatchesSequential(t *testing.T) {
 func TestMultiSourceWaves(t *testing.T) {
 	g := gen.RMAT(10, 8, gen.DefaultRMAT, 5)
 	roots := msRoots(g, 70)
-	dists, st, _ := MultiSource(g, roots, MultiSourceOptions{Workers: 4})
+	dists, st, _ := MultiSource(testutil.Exec(t, 4, par.Static), g, roots, MultiSourceOptions{})
 	if st.Waves != 2 {
 		t.Fatalf("waves = %d, want 2", st.Waves)
 	}
@@ -89,7 +89,8 @@ func TestMultiSourceDuplicatesAndReuse(t *testing.T) {
 	for i := range bufs {
 		bufs[i] = make([]uint32, n)
 	}
-	dists, _, _ := MultiSource(g, roots, MultiSourceOptions{Workers: 2, Dists: bufs})
+	x := testutil.Exec(t, 2, par.Static)
+	dists, _, _ := MultiSource(x, g, roots, MultiSourceOptions{Dists: bufs})
 	for i := range dists {
 		if &dists[i][0] != &bufs[i][0] {
 			t.Fatalf("result %d does not alias the caller buffer", i)
@@ -99,7 +100,7 @@ func TestMultiSourceDuplicatesAndReuse(t *testing.T) {
 	}
 	// Reuse the buffers for a second batch: prior contents must not leak.
 	roots2 := []uint32{1, 2, 3, 4}
-	dists2, _, _ := MultiSource(g, roots2, MultiSourceOptions{Workers: 2, Dists: bufs})
+	dists2, _, _ := MultiSource(x, g, roots2, MultiSourceOptions{Dists: bufs})
 	for i := range dists2 {
 		want, _ := TopDownBranchBased(g, roots2[i])
 		testutil.MustEqualDists(t, fmt.Sprintf("reuse/req%d", i), dists2[i], want)
@@ -108,11 +109,10 @@ func TestMultiSourceDuplicatesAndReuse(t *testing.T) {
 
 // TestMultiSourceSharedPool reuses one resident pool across batches.
 func TestMultiSourceSharedPool(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
+	x := testutil.Exec(t, 4, par.Static)
 	g := gen.Grid3D(10, 10, 10, 1)
 	for run := 0; run < 3; run++ {
-		dists, _, _ := MultiSource(g, []uint32{0, 500}, MultiSourceOptions{Pool: pool})
+		dists, _, _ := MultiSource(x, g, []uint32{0, 500}, MultiSourceOptions{})
 		for i, r := range []uint32{0, 500} {
 			want, _ := TopDownBranchBased(g, r)
 			testutil.MustEqualDists(t, fmt.Sprintf("run%d/root%d", run, r), dists[i], want)
@@ -126,7 +126,7 @@ func TestMultiSourceSharedPool(t *testing.T) {
 func TestMultiSourceSharedSweepEconomy(t *testing.T) {
 	g := gen.Path(200)
 	roots := msRoots(g, 8)
-	_, st, _ := MultiSource(g, roots, MultiSourceOptions{Workers: 2})
+	_, st, _ := MultiSource(testutil.Exec(t, 2, par.Static), g, roots, MultiSourceOptions{})
 	sum := 0
 	for _, r := range roots {
 		_, sst := TopDownBranchBased(g, r)

@@ -34,7 +34,6 @@ package bfs
 // volume exceeds |arcs|/alpha and its size exceeds |V|/beta.
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
@@ -46,31 +45,19 @@ import (
 
 // ParallelOptions configures ParallelDO.
 type ParallelOptions struct {
-	// Ctx, when non-nil, cancels the run cooperatively: it is observed
-	// at each level barrier (workers never see it) and a cancelled run
-	// returns the distances computed so far alongside the context's
-	// error.
-	Ctx context.Context
-	// Workers is the number of concurrent workers; < 1 means GOMAXPROCS.
-	Workers int
-	// Alpha and Beta are the direction-switch thresholds; <= 0 means the
-	// sequential kernel's defaults (15 and 18).
-	Alpha, Beta int
-	// Schedule selects how each level's chunks reach the workers:
-	// par.Static (the default) fixes one block per worker; par.Stealing
-	// over-decomposes the sweep and lets idle workers steal whole
-	// chunks from stragglers. Both schedules produce byte-identical
-	// distances.
-	Schedule par.Schedule
-	// Pool, when non-nil, supplies the worker pool (its size overrides
-	// Workers). The caller keeps ownership; ParallelDO will not close it.
-	Pool *par.Pool
 	// Dist, when of length |V|, receives the distances and suppresses the
 	// per-call result allocation; its prior contents are overwritten. The
 	// returned slice aliases it. Long-lived callers (the serving layer)
 	// reuse this across queries.
 	Dist []uint32
 }
+
+// The Beamer direction-switch thresholds: ParallelDO's fixed values and
+// the sequential DirectionOptimizing's defaults.
+const (
+	defaultAlpha = 15
+	defaultBeta  = 18
+)
 
 // perWorkerLevel accumulates one worker's contribution to a level,
 // merged at the level barrier.
@@ -84,22 +71,18 @@ type perWorkerLevel struct {
 }
 
 // ParallelDO runs direction-optimizing BFS from root across workers and
-// returns the distance array, identical to the sequential kernels'. A
-// cancelled ParallelOptions.Ctx is observed at the next level barrier
-// and returned as the error.
-func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	alpha := opt.Alpha
-	if alpha <= 0 {
-		alpha = 15
-	}
-	beta := opt.Beta
-	if beta <= 0 {
-		beta = 18
-	}
+// returns the distance array, identical to the sequential kernels'.
+// Both schedules produce byte-identical distances. A cancelled x.Ctx is
+// observed before the next level and returned as the error, alongside
+// the distances of the levels completed so far (deeper vertices still
+// Inf).
+func ParallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
+	return parallelDO(x, g, root, opt, defaultAlpha, defaultBeta)
+}
+
+// parallelDO is ParallelDO with the direction-switch thresholds as
+// parameters, so tests can force a direction.
+func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, alpha, beta int) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
 	dist := opt.Dist
 	if dist == nil || len(dist) != n {
@@ -110,20 +93,16 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, per
 	}
 	var st perfcount.Stats
 	if n == 0 {
-		return dist, st, ctx.Err()
+		return dist, st, nil
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = par.NewPool(opt.Workers)
-		defer pool.Close()
-	}
+	nw := x.Pool.Workers()
 	adj := g.Adjacency()
 	offs := g.Offsets()
 	arcs := g.NumArcs()
 	// Vertex chunks for bottom-up sweeps: degree-balanced, 64-aligned so
 	// whichever worker runs a chunk owns whole bitset words; fixed across
 	// levels (only the executing worker varies under par.Stealing).
-	chunkTarget := par.ChunkCount(pool.Workers(), opt.Schedule)
+	chunkTarget := par.ChunkCount(nw, x.Schedule)
 	vchunks := par.Partition(offs, chunkTarget, 64)
 
 	frontier := []uint32{root}
@@ -145,22 +124,15 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, per
 	st.DistStores++
 	st.QueueStores++
 
-	acc := make([]perWorkerLevel, pool.Workers())
+	acc := make([]perWorkerLevel, nw)
 	level := uint32(0)
 
 	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			// Cancelled at the level barrier: dist holds every level
-			// completed so far, the deeper vertices still Inf.
-			return dist, st, err
-		}
 		start := time.Now()
-		st.LevelSizes = append(st.LevelSizes, len(frontier))
-		st.Reached += len(frontier)
+		size := len(frontier)
 
-		bottomUp := volume > arcs/int64(alpha) && len(frontier) > n/beta
+		bottomUp := volume > arcs/int64(alpha) && size > n/beta
 		if bottomUp {
-			st.BottomUpLevels++
 			if !bitsValid {
 				frontierBits.Reset()
 				for _, v := range frontier {
@@ -180,7 +152,7 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, per
 			// Workers own whole bitset words (64-aligned chunks), so the
 			// bottom-up sweep needs no atomics at all.
 			//ba:atomic-free
-			cst := pool.RunChunks(vchunks, opt.Schedule, func(t int, r par.Range) {
+			err := x.Pass(&st, vchunks, func(t int, r par.Range) {
 				a := &acc[t]
 				// The final probe (v == -1) also loaded words before
 				// giving up; count it so the metric reflects real work.
@@ -209,10 +181,11 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, per
 					}
 				}
 			})
+			if err != nil {
+				return dist, st, err
+			}
+			st.BottomUpLevels++
 			unvisitedValid = true
-			st.Chunks += cst.Chunks
-			st.Steals += cst.Steals
-			st.StealPasses += cst.StealPasses
 			nextLen := 0
 			volume = 0
 			for t := range acc {
@@ -233,12 +206,11 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, per
 				frontier = appendN(frontier, nextLen)
 			}
 		} else {
-			st.TopDownLevels++
 			// Frontier chunks are equal-count, not degree-balanced: the
 			// frontier's arc volume is unknown until scanned, which is
 			// exactly the skew the Stealing schedule absorbs.
-			fchunks := par.PartitionSlice(len(frontier), chunkTarget)
-			cst := pool.RunChunks(fchunks, opt.Schedule, func(t int, c par.Range) {
+			fchunks := par.PartitionSlice(size, chunkTarget)
+			err := x.Pass(&st, fchunks, func(t int, c par.Range) {
 				a := &acc[t]
 				next := level + 1
 				for _, v := range frontier[c.Lo:c.Hi] {
@@ -255,9 +227,10 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, per
 					}
 				}
 			})
-			st.Chunks += cst.Chunks
-			st.Steals += cst.Steals
-			st.StealPasses += cst.StealPasses
+			if err != nil {
+				return dist, st, err
+			}
+			st.TopDownLevels++
 			frontier = frontier[:0]
 			volume = 0
 			for t := range acc {
@@ -270,6 +243,8 @@ func ParallelDO(g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, per
 			bitsValid = false
 			unvisitedValid = false
 		}
+		st.LevelSizes = append(st.LevelSizes, size)
+		st.Reached += size
 		level++
 		st.Passes++
 		st.PassDurations = append(st.PassDurations, time.Since(start))

@@ -17,14 +17,12 @@ func TestParallelDOMatchesSequential(t *testing.T) {
 		}
 		ref, _ := TopDownBranchBased(g, 0)
 		for _, workers := range testutil.WorkerCounts {
+			x := testutil.Exec(t, workers, par.Static)
 			// Stress both heuristic regimes: default thresholds, and
 			// alpha/beta forcing bottom-up almost immediately.
-			for _, opt := range []ParallelOptions{
-				{Workers: workers},
-				{Workers: workers, Alpha: 1 << 20, Beta: 1 << 20},
-			} {
-				name := fmt.Sprintf("w%d/a%d", workers, opt.Alpha)
-				dist, st, _ := ParallelDO(g, 0, opt)
+			for _, ab := range [][2]int{{defaultAlpha, defaultBeta}, {1 << 20, 1 << 20}} {
+				name := fmt.Sprintf("w%d/a%d", workers, ab[0])
+				dist, st, _ := parallelDO(x, g, 0, ParallelOptions{}, ab[0], ab[1])
 				testutil.MustEqualDists(t, name, dist, ref)
 				if err := Verify(g, 0, dist); err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -45,9 +43,10 @@ func TestParallelDOMatchesSequential(t *testing.T) {
 
 func TestParallelDONonZeroRoot(t *testing.T) {
 	g := gen.RMAT(11, 6, gen.DefaultRMAT, 6)
+	x := testutil.Exec(t, 4, par.Static)
 	for _, root := range []uint32{1, 17, uint32(g.NumVertices() - 1)} {
 		ref, _ := TopDownBranchBased(g, root)
-		dist, _, _ := ParallelDO(g, root, ParallelOptions{Workers: 4})
+		dist, _, _ := ParallelDO(x, g, root, ParallelOptions{})
 		for v := range dist {
 			if dist[v] != ref[v] {
 				t.Fatalf("root %d: dist[%d] = %d, want %d", root, v, dist[v], ref[v])
@@ -57,12 +56,11 @@ func TestParallelDONonZeroRoot(t *testing.T) {
 }
 
 func TestParallelDOSharedPool(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
+	x := testutil.Exec(t, 4, par.Static)
 	g := gen.Grid3D(10, 10, 10, 1)
 	ref, _ := TopDownBranchBased(g, 0)
 	for run := 0; run < 3; run++ {
-		dist, _, _ := ParallelDO(g, 0, ParallelOptions{Pool: pool})
+		dist, _, _ := ParallelDO(x, g, 0, ParallelOptions{})
 		for v := range dist {
 			if dist[v] != ref[v] {
 				t.Fatalf("run %d: dist[%d] = %d, want %d", run, v, dist[v], ref[v])
@@ -73,7 +71,7 @@ func TestParallelDOSharedPool(t *testing.T) {
 
 func TestParallelDOEmptyGraph(t *testing.T) {
 	g := graph.MustBuild(0, nil, graph.Options{})
-	dist, st, _ := ParallelDO(g, 0, ParallelOptions{Workers: 2})
+	dist, st, _ := ParallelDO(testutil.Exec(t, 2, par.Static), g, 0, ParallelOptions{})
 	if len(dist) != 0 || st.Reached != 0 {
 		t.Fatalf("empty graph: dist=%v reached=%d", dist, st.Reached)
 	}

@@ -30,36 +30,6 @@ import (
 	"bagraph/internal/perfcount"
 )
 
-// Variant selects the inner loop of SV and SVParallel.
-type Variant int
-
-const (
-	// BranchBased compares labels with a conditional branch per edge
-	// (the paper's Algorithm 2).
-	BranchBased Variant = iota
-	// BranchAvoiding computes the label minimum with arithmetic masks
-	// (Algorithm 3): no data-dependent branch in the pass.
-	BranchAvoiding
-	// Hybrid runs branch-avoiding passes while labels churn and switches
-	// to the branch-based loop once the per-pass change fraction drops
-	// below hybridChangeFraction (the paper's §6.2 crossover).
-	Hybrid
-)
-
-// String implements fmt.Stringer.
-func (v Variant) String() string {
-	switch v {
-	case BranchBased:
-		return "branch-based"
-	case BranchAvoiding:
-		return "branch-avoiding"
-	case Hybrid:
-		return "hybrid"
-	default:
-		return "unknown"
-	}
-}
-
 // hybridChangeFraction is the Hybrid switch threshold: once the fraction
 // of vertices that changed label in a pass drops below it, the labels
 // have mostly stabilized, the comparison branch has become predictable,
@@ -79,7 +49,7 @@ func initLabels(n int) []uint32 {
 // (Algorithm 2) to completion — the reference oracle the other kernels
 // are validated against.
 func SVBranchBased(g *graph.Graph) ([]uint32, perfcount.Stats) {
-	labels, st, _ := SV(context.Background(), g, BranchBased)
+	labels, st, _ := SV(context.Background(), g, core.BranchBased)
 	return labels, st
 }
 
@@ -94,20 +64,20 @@ func SVBranchBased(g *graph.Graph) ([]uint32, perfcount.Stats) {
 // The context is observed between passes (never inside the inner loop,
 // which stays exactly the paper's operation mix), and a cancelled run
 // returns the labels computed so far alongside ctx's error.
-func SV(ctx context.Context, g *graph.Graph, variant Variant) ([]uint32, perfcount.Stats, error) {
+func SV(ctx context.Context, g *graph.Graph, variant core.Variant) ([]uint32, perfcount.Stats, error) {
 	return sv(ctx, g, variant, hybridChangeFraction)
 }
 
 // sv is SV with the Hybrid switch threshold as a parameter, so tests can
 // force the crossover.
-func sv(ctx context.Context, g *graph.Graph, variant Variant, threshold float64) ([]uint32, perfcount.Stats, error) {
+func sv(ctx context.Context, g *graph.Graph, variant core.Variant, threshold float64) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
 	labels := initLabels(n)
 	var st perfcount.Stats
 	adj := g.Adjacency()
 	offs := g.Offsets()
 
-	avoiding := variant == BranchAvoiding || variant == Hybrid
+	avoiding := variant == core.BranchAvoiding || variant == core.Hybrid
 	for change := true; change; {
 		if err := ctx.Err(); err != nil {
 			return labels, st, err
@@ -156,7 +126,7 @@ func sv(ctx context.Context, g *graph.Graph, variant Variant, threshold float64)
 		st.PassDurations = append(st.PassDurations, time.Since(start))
 		st.PassChanges = append(st.PassChanges, changed)
 		st.Passes++
-		if variant == Hybrid && avoiding && float64(changed) < threshold*float64(n) {
+		if variant == core.Hybrid && avoiding && float64(changed) < threshold*float64(n) {
 			avoiding = false
 		}
 	}

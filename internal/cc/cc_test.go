@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 	"bagraph/internal/perfcount"
@@ -13,7 +14,7 @@ import (
 )
 
 // run is SV to completion.
-func run(g *graph.Graph, variant Variant) ([]uint32, perfcount.Stats) {
+func run(g *graph.Graph, variant core.Variant) ([]uint32, perfcount.Stats) {
 	labels, st, _ := SV(context.Background(), g, variant)
 	return labels, st
 }
@@ -21,7 +22,7 @@ func run(g *graph.Graph, variant Variant) ([]uint32, perfcount.Stats) {
 // hybridAt is the Hybrid kernel with its switch threshold overridden:
 // math.Inf(1) forces the crossover at the first pass barrier.
 func hybridAt(g *graph.Graph, threshold float64) ([]uint32, perfcount.Stats) {
-	labels, st, _ := sv(context.Background(), g, Hybrid, threshold)
+	labels, st, _ := sv(context.Background(), g, core.Hybrid, threshold)
 	return labels, st
 }
 
@@ -30,8 +31,8 @@ func hybridAt(g *graph.Graph, threshold float64) ([]uint32, perfcount.Stats) {
 func allVariants(t *testing.T, g *graph.Graph) []uint32 {
 	t.Helper()
 	bb, stBB := SVBranchBased(g)
-	ba, stBA := run(g, BranchAvoiding)
-	hyAuto, _ := run(g, Hybrid)
+	ba, stBA := run(g, core.BranchAvoiding)
+	hyAuto, _ := run(g, core.Hybrid)
 	hyForced, _ := hybridAt(g, math.Inf(1))
 	uf := UnionFind(g)
 	ref := ViaBFS(g)
@@ -100,7 +101,7 @@ func TestComponentCountsKnown(t *testing.T) {
 		{gen.Complete(8), 1},
 	}
 	for _, c := range cases {
-		labels, _ := run(c.g, BranchAvoiding)
+		labels, _ := run(c.g, core.BranchAvoiding)
 		if got := CountComponents(labels); got != c.want {
 			t.Errorf("%s: components = %d, want %d", c.g, got, c.want)
 		}
@@ -124,7 +125,7 @@ func TestComponentSizes(t *testing.T) {
 func TestLabelsAreMinIDs(t *testing.T) {
 	// Component {0,1,2} and {3,4}: labels must be 0 and 3.
 	g := graph.MustBuild(5, []graph.Edge{{U: 2, V: 1}, {U: 1, V: 0}, {U: 4, V: 3}}, graph.Options{})
-	labels, _ := run(g, BranchAvoiding)
+	labels, _ := run(g, core.BranchAvoiding)
 	want := []uint32{0, 0, 0, 3, 3}
 	for v, w := range want {
 		if labels[v] != w {
@@ -155,7 +156,7 @@ func TestIterationsBoundedByDiameter(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	g := gen.Grid2D(10, 10, false)
 	_, bb := SVBranchBased(g)
-	_, ba := run(g, BranchAvoiding)
+	_, ba := run(g, core.BranchAvoiding)
 	n := uint64(g.NumVertices())
 
 	// BA stores once per vertex per pass, exactly.
@@ -181,7 +182,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestIterChangesAgreeBetweenVariants(t *testing.T) {
 	g := gen.Community(6, 20, 0.4, 30, 11)
 	_, bb := SVBranchBased(g)
-	_, ba := run(g, BranchAvoiding)
+	_, ba := run(g, core.BranchAvoiding)
 	if len(bb.PassChanges) != len(ba.PassChanges) {
 		t.Fatalf("pass counts differ: %d vs %d", len(bb.PassChanges), len(ba.PassChanges))
 	}
@@ -221,7 +222,7 @@ func TestHybridForcedAtZeroIsBranchBased(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, bb := SVBranchBased(g)
-	_, bbFirst, err := SV(testutil.CancelAfter(1), g, BranchBased)
+	_, bbFirst, err := SV(testutil.CancelAfter(1), g, core.BranchBased)
 	if err == nil || bbFirst.Passes != 1 {
 		t.Fatalf("first-pass probe: passes=%d err=%v", bbFirst.Passes, err)
 	}
@@ -262,7 +263,7 @@ func TestEmptyGraph(t *testing.T) {
 	if len(labels) != 0 || st.Passes != 1 {
 		t.Fatalf("empty graph: labels=%v iterations=%d", labels, st.Passes)
 	}
-	labels2, _ := run(g, BranchAvoiding)
+	labels2, _ := run(g, core.BranchAvoiding)
 	if len(labels2) != 0 {
 		t.Fatal("empty graph BA labels non-empty")
 	}
@@ -270,7 +271,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestSingleVertex(t *testing.T) {
 	g := graph.MustBuild(1, nil, graph.Options{})
-	for _, variant := range []Variant{BranchBased, BranchAvoiding, Hybrid} {
+	for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 		labels, _ := run(g, variant)
 		if len(labels) != 1 || labels[0] != 0 {
 			t.Fatalf("single vertex labels = %v", labels)

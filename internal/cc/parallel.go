@@ -24,7 +24,6 @@ package cc
 // the paper measures).
 
 import (
-	"context"
 	"time"
 
 	"bagraph/internal/core"
@@ -35,24 +34,8 @@ import (
 
 // ParallelOptions configures SVParallel.
 type ParallelOptions struct {
-	// Ctx, when non-nil, cancels the run cooperatively: it is observed
-	// at each pass barrier (workers never see it, staying atomic-free)
-	// and a cancelled run returns the labels computed so far alongside
-	// the context's error.
-	Ctx context.Context
-	// Workers is the number of concurrent workers; < 1 means GOMAXPROCS.
-	Workers int
-	// Variant selects the inner loop (default BranchBased).
-	Variant Variant
-	// Schedule selects how each pass's chunks reach the workers:
-	// par.Static (the default) fixes one arc-balanced block per worker
-	// at launch; par.Stealing over-decomposes the vertex set and lets
-	// idle workers steal whole chunks from stragglers. Both schedules
-	// produce byte-identical labelings.
-	Schedule par.Schedule
-	// Pool, when non-nil, supplies the worker pool (its size overrides
-	// Workers). The caller keeps ownership; SVParallel will not close it.
-	Pool *par.Pool
+	// Variant selects the inner loop (default core.BranchBased).
+	Variant core.Variant
 	// Labels and Scratch, when of length |V| and distinct, provide the
 	// label double-buffer and suppress the per-call allocations. The
 	// returned labeling aliases one of them; their prior contents are
@@ -65,28 +48,22 @@ type ParallelOptions struct {
 // returns the canonical min-id component labeling, identical to the
 // sequential kernels'. Vertex ranges are degree-balanced across workers;
 // each pass ends at a barrier where per-worker change counts merge and
-// the label buffers swap. A cancelled ParallelOptions.Ctx is observed
-// at the next pass barrier and returned as the error.
-func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// the label buffers swap. Both schedules produce byte-identical
+// labelings. A cancelled x.Ctx is observed before the next pass and
+// returned as the error, alongside the labels of the last completed
+// pass.
+func SVParallel(x par.Exec, g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
 	var st perfcount.Stats
 	if n == 0 {
-		return []uint32{}, st, ctx.Err()
+		return []uint32{}, st, nil
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = par.NewPool(opt.Workers)
-		defer pool.Close()
-	}
+	nw := x.Pool.Workers()
 	adj := g.Adjacency()
 	offs := g.Offsets()
 	// The chunk list is fixed across passes (the graph does not change);
 	// what varies under par.Stealing is which worker runs each chunk.
-	chunks := par.Partition(offs, par.ChunkCount(pool.Workers(), opt.Schedule), 1)
+	chunks := par.Partition(offs, par.ChunkCount(nw, x.Schedule), 1)
 
 	prev := opt.Labels
 	if len(prev) != n {
@@ -101,24 +78,23 @@ func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats,
 	}
 	// Change counts, accumulated across a worker's chunks and merged at
 	// the barrier. A worker runs its chunks serially, so no atomics.
-	perWorker := make([]int, pool.Workers())
+	perWorker := make([]int, nw)
 	// sink publishes each worker's lookahead accumulator (see the
 	// prefetch comment below) so the early loads stay live; written once
 	// per chunk, never read.
-	sink := make([]uint32, pool.Workers())
+	sink := make([]uint32, nw)
 
-	avoiding := opt.Variant == BranchAvoiding || opt.Variant == Hybrid
+	avoiding := opt.Variant == core.BranchAvoiding || opt.Variant == core.Hybrid
 
 	for {
 		start := time.Now()
 		for t := range perWorker {
 			perWorker[t] = 0
 		}
-		var cst par.ChunkStats
 		var err error
 		if avoiding {
 			//ba:atomic-free
-			cst, err = pool.RunChunksCtx(ctx, chunks, opt.Schedule, func(t int, r par.Range) {
+			err = x.Pass(&st, chunks, func(t int, r par.Range) {
 				changed := 0
 				pf := uint32(0)
 				//ba:branch-free
@@ -151,7 +127,7 @@ func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats,
 			})
 		} else {
 			//ba:atomic-free
-			cst, err = pool.RunChunksCtx(ctx, chunks, opt.Schedule, func(t int, r par.Range) {
+			err = x.Pass(&st, chunks, func(t int, r par.Range) {
 				changed := 0
 				for v := r.Lo; v < r.Hi; v++ {
 					cv := prev[v]
@@ -170,13 +146,10 @@ func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats,
 			})
 		}
 		if err != nil {
-			// Cancelled at the pass barrier: prev holds the labels of
+			// Cancelled before the pass ran: prev holds the labels of
 			// the last completed pass.
 			return prev, st, err
 		}
-		st.Chunks += cst.Chunks
-		st.Steals += cst.Steals
-		st.StealPasses += cst.StealPasses
 		changed := 0
 		for _, c := range perWorker {
 			changed += c
@@ -189,7 +162,7 @@ func SVParallel(g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats,
 		if changed == 0 {
 			break
 		}
-		if opt.Variant == Hybrid && avoiding && float64(changed) < hybridChangeFraction*float64(n) {
+		if opt.Variant == core.Hybrid && avoiding && float64(changed) < hybridChangeFraction*float64(n) {
 			avoiding = false
 		}
 	}

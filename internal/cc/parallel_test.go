@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
@@ -13,10 +14,11 @@ import (
 func TestSVParallelMatchesSequential(t *testing.T) {
 	testutil.ForEachGraph(t, nil, func(t *testing.T, g *graph.Graph) {
 		ref, _ := SVBranchBased(g)
-		for _, variant := range []Variant{BranchBased, BranchAvoiding, Hybrid} {
-			for _, workers := range testutil.WorkerCounts {
+		for _, workers := range testutil.WorkerCounts {
+			x := testutil.Exec(t, workers, par.Static)
+			for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 				name := fmt.Sprintf("%s/w%d", variant, workers)
-				labels, st, _ := SVParallel(g, ParallelOptions{Workers: workers, Variant: variant})
+				labels, st, _ := SVParallel(x, g, ParallelOptions{Variant: variant})
 				testutil.MustEqualLabels(t, name, labels, ref)
 				if g.NumVertices() > 0 {
 					if err := Verify(g, labels); err != nil {
@@ -35,13 +37,12 @@ func TestSVParallelMatchesSequential(t *testing.T) {
 }
 
 func TestSVParallelSharedPool(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
+	x := testutil.Exec(t, 4, par.Static)
 	g := gen.RMAT(10, 8, gen.DefaultRMAT, 7)
 	ref, _ := SVBranchBased(g)
 	// Reuse one pool across runs; the kernel must not close it.
 	for run := 0; run < 3; run++ {
-		labels, _, _ := SVParallel(g, ParallelOptions{Pool: pool, Variant: Hybrid})
+		labels, _, _ := SVParallel(x, g, ParallelOptions{Variant: core.Hybrid})
 		for v := range labels {
 			if labels[v] != ref[v] {
 				t.Fatalf("run %d: vertex %d labeled %d, want %d", run, v, labels[v], ref[v])
@@ -50,10 +51,11 @@ func TestSVParallelSharedPool(t *testing.T) {
 	}
 }
 
+// TestVariantString pins the single core.Variant the SV kernels take.
 func TestVariantString(t *testing.T) {
-	for v, want := range map[Variant]string{
-		BranchBased: "branch-based", BranchAvoiding: "branch-avoiding",
-		Hybrid: "hybrid", Variant(42): "unknown",
+	for v, want := range map[core.Variant]string{
+		core.BranchBased: "branch-based", core.BranchAvoiding: "branch-avoiding",
+		core.Hybrid: "hybrid", core.Variant(42): "unknown",
 	} {
 		if got := v.String(); got != want {
 			t.Errorf("Variant(%d).String() = %q, want %q", int(v), got, want)
@@ -63,7 +65,7 @@ func TestVariantString(t *testing.T) {
 
 func TestTalliesMatchParallelLabels(t *testing.T) {
 	g := gen.Disconnected(gen.GNM(400, 700, 9), 3)
-	labels, _, _ := SVParallel(g, ParallelOptions{Workers: 4, Variant: BranchAvoiding})
+	labels, _, _ := SVParallel(testutil.Exec(t, 4, par.Static), g, ParallelOptions{Variant: core.BranchAvoiding})
 	want := make(map[uint32]int)
 	for _, l := range labels {
 		want[l]++

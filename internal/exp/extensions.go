@@ -19,6 +19,7 @@ import (
 
 	"bagraph/internal/apsp"
 	"bagraph/internal/bc"
+	"bagraph/internal/core"
 	"bagraph/internal/corpus"
 	"bagraph/internal/graph"
 	"bagraph/internal/perfsim"
@@ -125,11 +126,11 @@ func ExtensionAPSP(w io.Writer, opt Options) error {
 		g := d.Generate(opt.Scale/4, opt.Seed)
 
 		start := time.Now()
-		rBB := apsp.Summary(g, apsp.BranchBased)
+		rBB := apsp.Summary(g, core.BranchBased)
 		bbTime := time.Since(start)
 
 		start = time.Now()
-		rBA := apsp.Summary(g, apsp.BranchAvoiding)
+		rBA := apsp.Summary(g, core.BranchAvoiding)
 		baTime := time.Since(start)
 
 		if rBB.Diameter != rBA.Diameter || rBB.ReachablePairs != rBA.ReachablePairs {

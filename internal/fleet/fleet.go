@@ -49,6 +49,23 @@ import (
 	"bagraph/internal/serve"
 )
 
+// Fixed policy values: no deployment, test or benchmark needs another
+// setting, so they are constants rather than Config fields.
+const (
+	// healthTimeout bounds one health probe.
+	healthTimeout = 2 * time.Second
+	// failAfter is how many consecutive probe failures trip a shard's
+	// circuit from the health loop. (Query-path transport faults have
+	// their own threshold — see Config.BreakerThreshold.)
+	failAfter = 2
+	// warmTimeout bounds each CC warm-up query on a joining shard.
+	warmTimeout = 30 * time.Second
+	// retryBackoffCap bounds the exponential growth of RetryBackoff.
+	retryBackoffCap = 250 * time.Millisecond
+	// hedgePercentile is the adaptive hedge trigger in (0, 1).
+	hedgePercentile = 0.95
+)
+
 // Config shapes a Router.
 type Config struct {
 	// Shards lists the shard addresses (host:port or http:// URLs).
@@ -61,33 +78,19 @@ type Config struct {
 	// with an open circuit back off to 8x this. It also sets the
 	// Retry-After hint on 503s.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe; 0 means 2s.
-	HealthTimeout time.Duration
-	// FailAfter is how many consecutive probe failures trip a shard's
-	// circuit from the health loop; < 1 means 2. (Query-path transport
-	// faults have their own threshold — see BreakerThreshold.)
-	FailAfter int
-	// WarmTimeout bounds each CC warm-up query on a joining shard; 0
-	// means 30s.
-	WarmTimeout time.Duration
 	// RetryBudget is the maximum attempts one query spends across the
 	// replica set (first try included); < 1 means 3.
 	RetryBudget int
 	// RetryBackoff is the base delay before the first retry; it doubles
-	// per attempt up to RetryBackoffCap and is jittered into [d/2, d].
+	// per attempt up to retryBackoffCap and is jittered into [d/2, d].
 	// 0 means 5ms.
 	RetryBackoff time.Duration
-	// RetryBackoffCap bounds the exponential growth; 0 means 250ms.
-	RetryBackoffCap time.Duration
 	// HedgeAfter controls request hedging: > 0 is a fixed delay after
 	// which the query is duplicated on the next live replica; 0 (the
 	// default) adapts the delay to the observed per-kind latency
-	// percentile (HedgePercentile, once 16 samples exist, floored at
+	// percentile (hedgePercentile, once 16 samples exist, floored at
 	// 1ms); < 0 disables hedging.
 	HedgeAfter time.Duration
-	// HedgePercentile is the adaptive hedge trigger in (0, 1);
-	// 0 means 0.95.
-	HedgePercentile float64
 	// BreakerThreshold is how many consecutive query-path transport
 	// faults open a shard's circuit; < 1 means 1 (a refused connection
 	// is not a flaky probe).
@@ -201,26 +204,11 @@ func New(cfg Config) (*Router, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
 	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 2 * time.Second
-	}
-	if cfg.FailAfter < 1 {
-		cfg.FailAfter = 2
-	}
-	if cfg.WarmTimeout <= 0 {
-		cfg.WarmTimeout = 30 * time.Second
-	}
 	if cfg.RetryBudget < 1 {
 		cfg.RetryBudget = 3
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 5 * time.Millisecond
-	}
-	if cfg.RetryBackoffCap <= 0 {
-		cfg.RetryBackoffCap = 250 * time.Millisecond
-	}
-	if cfg.HedgePercentile <= 0 || cfg.HedgePercentile >= 1 {
-		cfg.HedgePercentile = 0.95
 	}
 	if cfg.BreakerThreshold < 1 {
 		cfg.BreakerThreshold = 1
@@ -338,7 +326,7 @@ func (r *Router) noteSuccess(s *shard) {
 // healthLoop probes one shard forever: closed-circuit shards every
 // HealthInterval, open ones with exponential backoff up to 8x. A probe
 // is a /healthz round-trip plus a /graphs refresh (holdings drive
-// placement, so they must track rollouts); FailAfter consecutive
+// placement, so they must track rollouts); failAfter consecutive
 // failures trip a closed circuit, and a recovering shard is warmed
 // before its circuit closes.
 func (r *Router) healthLoop(s *shard) {
@@ -357,7 +345,7 @@ func (r *Router) healthLoop(s *shard) {
 			continue
 		}
 		failures++
-		if failures >= r.cfg.FailAfter && s.brk.currentState() == breakerClosed {
+		if failures >= failAfter && s.brk.currentState() == breakerClosed {
 			if s.brk.trip() {
 				r.metrics.observeFailover(s.addr)
 				r.logf("fleet: shard %s circuit opened (%d consecutive failed probes)", s.addr, failures)
@@ -367,7 +355,7 @@ func (r *Router) healthLoop(s *shard) {
 		if s.brk.currentState() != breakerClosed {
 			// Exponential backoff while the circuit is open, capped at 8
 			// intervals.
-			shift := failures - r.cfg.FailAfter
+			shift := failures - failAfter
 			if shift < 0 {
 				shift = 0
 			}
@@ -387,7 +375,7 @@ func (r *Router) healthLoop(s *shard) {
 // recovery path that restores caches; the query path's half-open trial
 // is the fast path for transient partitions.
 func (r *Router) probe(s *shard) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	h, err := s.client.Healthz(ctx)
 	if err == nil {
@@ -418,7 +406,7 @@ func (r *Router) probe(s *shard) bool {
 // first client the fill it would have paid anyway.
 func (r *Router) warm(s *shard) {
 	for _, g := range s.listing() {
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.WarmTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), warmTimeout)
 		_, err := s.client.CC(ctx, g.Name, "", false)
 		cancel()
 		r.metrics.observeWarm(s.addr)
@@ -539,8 +527,8 @@ func (r *Router) admit(kind string) *serve.Error {
 // from the router's seeded PRNG, landing in [d/2, d].
 func (r *Router) backoff(ctx context.Context, attempt int) error {
 	d := r.cfg.RetryBackoff << (attempt - 1)
-	if d > r.cfg.RetryBackoffCap || d <= 0 {
-		d = r.cfg.RetryBackoffCap
+	if d > retryBackoffCap || d <= 0 {
+		d = retryBackoffCap
 	}
 	d = d/2 + time.Duration(r.nextRand()%uint64(d/2+1))
 	select {
@@ -561,7 +549,7 @@ func (r *Router) hedgeDelay(kind string) time.Duration {
 	case r.cfg.HedgeAfter < 0:
 		return -1
 	}
-	p, ok := r.lat[kind].percentile(r.cfg.HedgePercentile)
+	p, ok := r.lat[kind].percentile(hedgePercentile)
 	if !ok {
 		return -1
 	}

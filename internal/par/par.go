@@ -30,6 +30,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"bagraph/internal/perfcount"
 )
 
 // Range is a half-open vertex interval [Lo, Hi).
@@ -114,8 +116,8 @@ func PartitionSlice(n, parts int) []Range {
 // Pool is a fixed set of persistent worker goroutines. A Pool amortizes
 // goroutine startup across the many short barrier-synchronized passes of
 // an iterative kernel (an SV pass or a BFS level each end at a barrier).
-// A Pool must be released with Close; kernels that create one internally
-// do so with defer.
+// A Pool must be released with Close by whoever started it; the kernels
+// only borrow one through an Exec.
 type Pool struct {
 	workers int
 	tasks   chan task
@@ -176,23 +178,6 @@ func (p *Pool) Run(n int, fn func(i int)) {
 		p.tasks <- task{fn: fn, i: i, done: &done}
 	}
 	done.Wait()
-}
-
-// RunCtx is Run with cooperative cancellation at the pass barrier: it
-// skips the pass entirely when ctx is already cancelled, and otherwise
-// reports ctx.Err() after the barrier. Workers never observe ctx — a
-// pass always runs to completion once dispatched, which is what keeps
-// the kernels' inner loops free of per-element atomics and branches;
-// the granularity of cancellation is one pass (one SV sweep, one BFS
-// level, one SSSP scatter). Cancellation is detected through ctx.Err()
-// alone, never Done(), so tests can drive deterministic barrier-exact
-// cancellation with an Err-only context.
-func (p *Pool) RunCtx(ctx context.Context, n int, fn func(i int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p.Run(n, fn)
-	return ctx.Err()
 }
 
 // Close stops the worker goroutines. The pool must not be used after
@@ -346,14 +331,35 @@ func (p *Pool) RunChunks(chunks []Range, sched Schedule, fn func(worker int, c R
 	return st
 }
 
-// RunChunksCtx is RunChunks with cooperative cancellation at the pass
-// barrier, mirroring RunCtx: a context already cancelled skips the pass
-// entirely, and otherwise ctx.Err() is reported after the barrier.
-// Workers never observe ctx — once dispatched, a pass runs every chunk.
-func (p *Pool) RunChunksCtx(ctx context.Context, chunks []Range, sched Schedule, fn func(worker int, c Range)) (ChunkStats, error) {
-	if err := ctx.Err(); err != nil {
-		return ChunkStats{}, err
+// Exec is the handle an engine kernel runs its passes through: the
+// caller's context, the worker pool (caller-owned; a kernel never starts
+// or closes one) and the chunk schedule. The kernels take an Exec plus
+// their own arguments and dispatch every pass with Pass, so the
+// barrier-only cancellation contract lives at one call site.
+type Exec struct {
+	Ctx      context.Context
+	Pool     *Pool
+	Schedule Schedule
+}
+
+// Pass runs one barrier-synchronized pass: it polls Ctx.Err() exactly
+// once, before dispatch, and returns that error without running a chunk;
+// otherwise it runs the chunks under the schedule (see RunChunks for
+// fn's contract), folds the scheduler counters into st and returns nil
+// at the barrier. Workers never observe the context — once dispatched a
+// pass runs every chunk, which is what keeps the kernels' inner loops
+// free of per-element atomics and branches; the granularity of
+// cancellation is one pass (one SV sweep, one BFS level, one SSSP
+// scatter). Cancellation is detected through Err() alone, never Done(),
+// so tests can drive barrier-exact cancellation with an Err-only
+// context.
+func (x Exec) Pass(st *perfcount.Stats, chunks []Range, fn func(worker int, c Range)) error {
+	if err := x.Ctx.Err(); err != nil {
+		return err
 	}
-	st := p.RunChunks(chunks, sched, fn)
-	return st, ctx.Err()
+	cst := x.Pool.RunChunks(chunks, x.Schedule, fn)
+	st.Chunks += cst.Chunks
+	st.Steals += cst.Steals
+	st.StealPasses += cst.StealPasses
+	return nil
 }

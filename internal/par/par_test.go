@@ -1,7 +1,6 @@
 package par
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -240,26 +239,6 @@ func TestRunChunksEmpty(t *testing.T) {
 		if st != (ChunkStats{}) {
 			t.Errorf("%v: stats %+v for the empty chunk list", sched, st)
 		}
-	}
-}
-
-func TestRunChunksCtx(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	chunks := PartitionSlice(16, 8)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.RunChunksCtx(cancelled, chunks, Stealing, func(int, Range) {
-		t.Fatal("pre-cancelled pass dispatched a chunk")
-	}); err == nil {
-		t.Fatal("pre-cancelled RunChunksCtx reported no error")
-	}
-	ran := int32(0)
-	st, err := p.RunChunksCtx(context.Background(), chunks, Static, func(_ int, c Range) {
-		atomic.AddInt32(&ran, 1)
-	})
-	if err != nil || int(ran) != st.Chunks {
-		t.Fatalf("ran %d chunks of %d, err %v", ran, st.Chunks, err)
 	}
 }
 

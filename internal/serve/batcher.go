@@ -150,8 +150,15 @@ func (b *Batcher) SetTuner(t *tune.Controller) { b.tuner = t }
 func (b *Batcher) Workers() int { return b.wp.Workers() }
 
 // workload describes one dispatch to the tuner: the cell identity plus
-// the static shape facts a first decision needs.
-func (b *Batcher) workload(e *Entry, kind string, delta uint64) tune.Workload {
+// the static shape facts a first decision needs. For SSSP that includes
+// the entry's cached bucket width (0 before the weighted view exists —
+// fine for the callers that only want the cell's algorithm pick, since
+// the cell is keyed by graph, epoch and kind alone).
+func (b *Batcher) workload(e *Entry, kind string) tune.Workload {
+	var delta uint64
+	if kind == tune.KindSSSP {
+		delta = e.SSSPDelta()
+	}
 	g := e.Graph()
 	return tune.Workload{
 		Graph: e.Name(), Epoch: e.Epoch(), Kind: kind,
@@ -161,12 +168,37 @@ func (b *Batcher) workload(e *Entry, kind string, delta uint64) tune.Workload {
 	}
 }
 
-// scheduleName renders a schedule for the autotune decisions metric.
-func scheduleName(s bagraph.Schedule) string {
-	if s == bagraph.ScheduleStealing {
-		return "stealing"
+// tunedRun is the batcher's one kernel run path: the static schedule —
+// or, with a tuner attached, the cell's current decision for the
+// result-invariant knobs (schedule; for SSSP also delta and light/heavy)
+// — one run on the resident pool under ctx, and the run's counters fed
+// back to the tuner and the metrics plane. kind is the tune.Kind* label
+// of the cell.
+func (b *Batcher) tunedRun(ctx context.Context, e *Entry, tgt bagraph.Target, kind string, req bagraph.Request) (*bagraph.Result, error) {
+	req.Schedule = b.schedule
+	var w tune.Workload
+	if b.tuner != nil {
+		w = b.workload(e, kind)
+		d := b.tuner.Decide(w)
+		req.Schedule = d.Schedule
+		b.metrics.ObserveAutotune(kind, "schedule", d.Schedule.String())
+		if kind == tune.KindSSSP {
+			req.LightHeavy = d.LightHeavy
+			if d.Delta != 0 {
+				req.Delta = d.Delta
+			}
+			b.metrics.ObserveAutotune(kind, "delta", formatDelta(req.Delta))
+		}
 	}
-	return "static"
+	res, err := b.wp.Run(ctx, tgt, req)
+	if err != nil {
+		return nil, err
+	}
+	if b.tuner != nil {
+		b.tuner.Observe(w, res.Stats)
+	}
+	b.metrics.ObserveRun(kind, res.Stats)
+	return res, nil
 }
 
 // kindLabel is the metric label for a batch key: the query family,
@@ -354,22 +386,10 @@ func (b *Batcher) runCC(ctx context.Context, algo string, e *Entry) ([]uint32, b
 	if err != nil {
 		return nil, bagraph.Stats{}, err
 	}
-	req.Schedule = b.schedule
-	var w tune.Workload
-	if b.tuner != nil {
-		w = b.workload(e, tune.KindCC, 0)
-		d := b.tuner.Decide(w)
-		req.Schedule = d.Schedule
-		b.metrics.ObserveAutotune(tune.KindCC, "schedule", scheduleName(d.Schedule))
-	}
-	res, err := b.wp.Run(ctx, e.target(), req)
+	res, err := b.tunedRun(ctx, e, e.target(), tune.KindCC, req)
 	if err != nil {
 		return nil, bagraph.Stats{}, err
 	}
-	if b.tuner != nil {
-		b.tuner.Observe(w, res.Stats)
-	}
-	b.metrics.ObserveRun(tune.KindCC, res.Stats)
 	return res.Labels, res.Stats, nil
 }
 
@@ -511,24 +531,12 @@ func (b *Batcher) dispatch(key batchKey, reqs []*Request) {
 		for i, r := range reqs {
 			roots[i] = r.root
 		}
-		sched := b.schedule
-		var w tune.Workload
-		if b.tuner != nil {
-			w = b.workload(key.entry, tune.KindMS, 0)
-			d := b.tuner.Decide(w)
-			sched = d.Schedule
-			b.metrics.ObserveAutotune(tune.KindMS, "schedule", scheduleName(sched))
-		}
 		bctx, stop := batchContext(reqs)
-		res, err := b.wp.Run(bctx, key.entry.target(), bagraph.Request{
-			Kind: bagraph.KindBFSBatch, Roots: roots, Schedule: sched,
+		res, err := b.tunedRun(bctx, key.entry, key.entry.target(), tune.KindMS, bagraph.Request{
+			Kind: bagraph.KindBFSBatch, Roots: roots,
 		})
 		stop()
 		if err == nil {
-			if b.tuner != nil {
-				b.tuner.Observe(w, res.Stats)
-			}
-			b.metrics.ObserveRun(tune.KindMS, res.Stats)
 			b.metrics.ObserveWaveOccupancy(n, res.Stats.Waves)
 		}
 		for i := range results {
@@ -567,49 +575,20 @@ func (b *Batcher) runOne(r *Request) Result {
 		if err != nil {
 			return Result{Err: err}
 		}
-		req.Schedule = b.schedule
-		var w tune.Workload
-		if b.tuner != nil {
-			w = b.workload(r.entry, tune.KindSSSP, r.entry.SSSPDelta())
-			d := b.tuner.Decide(w)
-			req.Schedule = d.Schedule
-			req.LightHeavy = d.LightHeavy
-			if d.Delta != 0 {
-				req.Delta = d.Delta
-			}
-			b.metrics.ObserveAutotune(tune.KindSSSP, "schedule", scheduleName(d.Schedule))
-			b.metrics.ObserveAutotune(tune.KindSSSP, "delta", formatDelta(req.Delta))
-		}
-		res, err := b.wp.Run(r.ctx, tgt, req)
+		res, err := b.tunedRun(r.ctx, r.entry, tgt, tune.KindSSSP, req)
 		if err != nil {
 			return Result{Err: err}
 		}
-		if b.tuner != nil {
-			b.tuner.Observe(w, res.Stats)
-		}
-		b.metrics.ObserveRun(tune.KindSSSP, res.Stats)
 		return Result{Dists: res.Dists, Stats: res.Stats}
 	default:
 		req, err := algoreq.BFS(r.algo, r.root)
 		if err != nil {
 			return Result{Err: err}
 		}
-		req.Schedule = b.schedule
-		var w tune.Workload
-		if b.tuner != nil {
-			w = b.workload(r.entry, tune.KindBFS, 0)
-			d := b.tuner.Decide(w)
-			req.Schedule = d.Schedule
-			b.metrics.ObserveAutotune(tune.KindBFS, "schedule", scheduleName(d.Schedule))
-		}
-		res, err := b.wp.Run(r.ctx, r.entry.target(), req)
+		res, err := b.tunedRun(r.ctx, r.entry, r.entry.target(), tune.KindBFS, req)
 		if err != nil {
 			return Result{Err: err}
 		}
-		if b.tuner != nil {
-			b.tuner.Observe(w, res.Stats)
-		}
-		b.metrics.ObserveRun(tune.KindBFS, res.Stats)
 		return Result{Hops: res.Hops, Stats: res.Stats}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bagraph/internal/bfs"
 	"bagraph/internal/cc"
 	"bagraph/internal/gen"
+	"bagraph/internal/par"
 	"bagraph/internal/sssp"
 	"bagraph/internal/testutil"
 )
@@ -95,7 +96,7 @@ func TestBatcherImmediateWindow(t *testing.T) {
 	if res.Err != nil || res.Batch != 1 {
 		t.Fatalf("immediate dispatch: batch %d err %v", res.Batch, res.Err)
 	}
-	want, _, _ := bfs.ParallelDO(e.Graph(), 3, bfs.ParallelOptions{Workers: 1})
+	want, _, _ := bfs.ParallelDO(testutil.Exec(t, 1, par.Static), e.Graph(), 3, bfs.ParallelOptions{})
 	for v := range want {
 		if res.Hops[v] != want[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, res.Hops[v], want[v])

@@ -25,6 +25,7 @@ import (
 
 	"bagraph"
 	"bagraph/internal/bfs"
+	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 )
@@ -84,7 +85,7 @@ func BenchmarkServeBatch(b *testing.B) {
 					wg.Add(1)
 					go func(root uint32) {
 						defer wg.Done()
-						dist, _, _ := bfs.TopDown(context.Background(), g, root, bfs.BranchAvoiding)
+						dist, _, _ := bfs.TopDown(context.Background(), g, root, core.BranchAvoiding)
 						if len(dist) == 0 {
 							b.Error("bad result")
 						}

@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ShardClient implements Backend over one shard's HTTP API.
@@ -277,14 +276,6 @@ func (c *ShardClient) Replace(ctx context.Context, graph, path string) (*Replace
 	c.vertices[graph] = out.Vertices
 	c.mu.Unlock()
 	return &out, nil
-}
-
-// HealthzTimeout is a convenience probe with its own deadline, for
-// health-check loops that must not hang on a wedged shard.
-func (c *ShardClient) HealthzTimeout(parent context.Context, d time.Duration) (*Health, error) {
-	ctx, cancel := context.WithTimeout(parent, d)
-	defer cancel()
-	return c.Healthz(ctx)
 }
 
 var _ Backend = (*ShardClient)(nil)

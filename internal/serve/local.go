@@ -74,15 +74,7 @@ func (l *Local) resolveAuto(e *Entry, kind, algo string) string {
 			return bfsAliases[""]
 		}
 	}
-	var delta uint64
-	if kind == tune.KindSSSP {
-		// The cell is keyed by (graph, epoch, kind) alone; the delta
-		// only shapes the Delta decision, which the batcher re-derives,
-		// so the entry's cached width (0 before the weighted view
-		// exists) is fine here.
-		delta = e.SSSPDelta()
-	}
-	d := l.tuner.Decide(l.batcher.workload(e, kind, delta))
+	d := l.tuner.Decide(l.batcher.workload(e, kind))
 	l.metrics.ObserveAutotune(kind, "algo", d.Algo)
 	return d.Algo
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 	"bagraph/internal/sssp"
@@ -37,7 +38,7 @@ func TestBellmanFordMatchesNativeAndDijkstra(t *testing.T) {
 		if rBB.Passes != rBA.Passes {
 			t.Fatalf("%s: passes differ: %d vs %d", g, rBB.Passes, rBA.Passes)
 		}
-		native, nst, _ := sssp.BellmanFord(context.Background(), g, 0, sssp.BranchBased, nil)
+		native, nst, _ := sssp.BellmanFord(context.Background(), g, 0, core.BranchBased, nil)
 		if nst.Passes != rBB.Passes {
 			t.Fatalf("%s: instrumented passes %d != native %d", g, rBB.Passes, nst.Passes)
 		}

@@ -50,7 +50,6 @@ package sssp
 // non-negative), so buckets are visited in nondecreasing order.
 
 import (
-	"context"
 	"math/bits"
 	"time"
 
@@ -61,57 +60,18 @@ import (
 	"bagraph/internal/perfcount"
 )
 
-// Variant selects the relaxation inner loop of BellmanFord and Parallel.
-type Variant int
-
-const (
-	// BranchBased tests each relaxation with a conditional branch (the
-	// weighted analogue of the paper's Algorithm 2 comparison).
-	BranchBased Variant = iota
-	// BranchAvoiding emits every candidate with an unconditional store
-	// and a mask-selected tail increment (the Algorithm 3/5
-	// conditional-move transformation): no data-dependent branch in the
-	// scatter loop.
-	BranchAvoiding
-	// Hybrid relaxes branch-avoidingly while improvements are frequent
-	// (the branch is unpredictable) and switches to the branch-based
-	// loop once the per-pass improvement rate drops below
-	// hybridChangeFraction — the paper's §6.2 crossover, applied to the
-	// relaxation success rate.
-	Hybrid
-)
-
 // hybridChangeFraction is the Hybrid switch threshold: once a pass's
 // improved-vertex count falls below this fraction of the arcs it
 // scanned, the relaxation branch has become predictable and later
 // passes run branch-based.
 const hybridChangeFraction = 0.02
 
-// String implements fmt.Stringer.
-func (v Variant) String() string {
-	switch v {
-	case BranchBased:
-		return "branch-based"
-	case BranchAvoiding:
-		return "branch-avoiding"
-	case Hybrid:
-		return "hybrid"
-	default:
-		return "unknown"
-	}
-}
-
 // ParallelOptions configures Parallel.
 type ParallelOptions struct {
-	// Ctx, when non-nil, cancels the run cooperatively: it is observed
-	// at each scatter/merge pass barrier (workers never see it) and a
-	// cancelled run returns the tentative distances computed so far
-	// alongside the context's error.
-	Ctx context.Context
-	// Workers is the number of concurrent workers; < 1 means GOMAXPROCS.
-	Workers int
-	// Variant selects the relaxation inner loop (default BranchBased).
-	Variant Variant
+	// Variant selects the relaxation inner loop (default
+	// core.BranchBased; the scatter paragraph above says how the loops
+	// differ).
+	Variant core.Variant
 	// Delta is the bucket width; it is rounded up to a power of two.
 	// 0 picks the default: the smallest power of two >= the mean arc
 	// weight, which makes unit-weight graphs run one bucket per hop
@@ -127,15 +87,6 @@ type ParallelOptions struct {
 	// re-relaxation volume, visible in Stats.HeavyRelaxed vs the
 	// repeated scans it replaces.
 	LightHeavy bool
-	// Schedule selects how each scatter pass's frontier chunks reach
-	// the workers: par.Static (the default) fixes one degree-balanced
-	// block per worker; par.Stealing over-decomposes the frontier and
-	// lets idle workers steal whole chunks from stragglers. Both
-	// schedules produce byte-identical distances.
-	Schedule par.Schedule
-	// Pool, when non-nil, supplies the worker pool (its size overrides
-	// Workers). The caller keeps ownership; Parallel will not close it.
-	Pool *par.Pool
 	// Dist, when of length |V|, receives the distances and suppresses
 	// the per-call result allocation; its prior contents are
 	// overwritten. The returned slice aliases it. Long-lived callers
@@ -186,31 +137,22 @@ func deltaShift(delta uint64, g *graph.Weighted) uint {
 
 // Parallel computes shortest-path distances from src with the
 // delta-stepping engine kernel; the result is element-for-element
-// identical to Dijkstra's for every variant. A cancelled
-// ParallelOptions.Ctx is observed at the next pass barrier and
-// returned as the error.
-func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, perfcount.Stats, error) {
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// identical to Dijkstra's for every variant and both schedules. A
+// cancelled x.Ctx is observed before the next scatter pass and returned
+// as the error, alongside the tentative distances computed so far.
+func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, perfcount.Stats, error) {
 	n := g.NumVertices()
 	dist := initDist(opt.Dist, n, src)
 	var st perfcount.Stats
 	if n == 0 || int(src) >= n {
-		return dist, st, ctx.Err()
-	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = par.NewPool(opt.Workers)
-		defer pool.Close()
+		return dist, st, nil
 	}
 	adj := g.Adjacency()
 	ws := g.ArcWeights()
 	offs := g.Offsets()
 	shift := deltaShift(opt.Delta, g)
 
-	avoiding := opt.Variant == BranchAvoiding || opt.Variant == Hybrid
+	avoiding := opt.Variant == core.BranchAvoiding || opt.Variant == core.Hybrid
 
 	// The light/heavy split: arcs with weight < lightCut relax in the
 	// in-bucket passes, the rest wait for the one heavy pass at bucket
@@ -236,8 +178,8 @@ func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, per
 	buckets := map[uint64][]uint32{0: {src}}
 	order := bucketHeap{0}
 
-	nw := pool.Workers()
-	chunkTarget := par.ChunkCount(nw, opt.Schedule)
+	nw := x.Pool.Workers()
+	chunkTarget := par.ChunkCount(nw, x.Schedule)
 	cands := make([][]candidate, nw)
 	candStores := make([]uint64, nw) // per-worker, merged at the barrier
 	// sink publishes each worker's prefetch-lookahead accumulator (see
@@ -274,16 +216,13 @@ func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, per
 	// workers take whole chunks from stragglers (an RMAT hub's chunk
 	// can no longer stall the pass barrier behind it).
 	relaxPass := func(verts []uint32, vOffs []int64, heavy bool) (int, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
 		start := time.Now()
 		scanned := vOffs[len(vOffs)-1]
 		chunks := par.Partition(vOffs, chunkTarget, 1)
 		// Workers fill private candidate buffers; all folding happens at
 		// the pass barrier below.
 		//ba:atomic-free
-		cst := pool.RunChunks(chunks, opt.Schedule, func(t int, r par.Range) {
+		err := x.Pass(&st, chunks, func(t int, r par.Range) {
 			buf := cands[t]
 			stores := candStores[t]
 			if avoiding {
@@ -413,9 +352,9 @@ func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, per
 			cands[t] = buf
 			candStores[t] = stores
 		})
-		st.Chunks += cst.Chunks
-		st.Steals += cst.Steals
-		st.StealPasses += cst.StealPasses
+		if err != nil {
+			return 0, err
+		}
 
 		// Merge at the barrier: fold candidates into the distance
 		// array (min), collect the improved set, re-bucket it by
@@ -468,7 +407,7 @@ func Parallel(g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, per
 		st.PassDurations = append(st.PassDurations, time.Since(start))
 		st.PassChanges = append(st.PassChanges, len(changed))
 		st.Passes++
-		if opt.Variant == Hybrid && avoiding && scanned > 0 &&
+		if opt.Variant == core.Hybrid && avoiding && scanned > 0 &&
 			float64(len(changed)) < hybridChangeFraction*float64(scanned) {
 			avoiding = false
 		}

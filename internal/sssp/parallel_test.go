@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
 	"bagraph/internal/testutil"
@@ -21,10 +22,11 @@ func TestParallelMatchesDijkstra(t *testing.T) {
 				t.Fatalf("dijkstra oracle invalid: %v", err)
 			}
 		}
-		for _, variant := range []Variant{BranchBased, BranchAvoiding, Hybrid} {
-			for _, workers := range testutil.WorkerCounts {
+		for _, workers := range testutil.WorkerCounts {
+			x := testutil.Exec(t, workers, par.Static)
+			for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 				name := fmt.Sprintf("%s/w%d", variant, workers)
-				dist, st, _ := Parallel(g, 0, ParallelOptions{Workers: workers, Variant: variant})
+				dist, st, _ := Parallel(x, g, 0, ParallelOptions{Variant: variant})
 				testutil.MustEqualDists(t, name, dist, want)
 				if g.NumVertices() > 0 {
 					if err := Verify(g, 0, dist); err != nil {
@@ -45,9 +47,10 @@ func TestParallelMatchesDijkstra(t *testing.T) {
 func TestParallelDeltaSweep(t *testing.T) {
 	g := testutil.RandomWeighted(300, 900, 50, 7)
 	want := Dijkstra(g, 3)
+	x := testutil.Exec(t, 4, par.Static)
 	for _, delta := range []uint64{1, 2, 16, 1 << 20} {
-		for _, variant := range []Variant{BranchBased, BranchAvoiding, Hybrid} {
-			dist, _, _ := Parallel(g, 3, ParallelOptions{Workers: 4, Variant: variant, Delta: delta})
+		for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
+			dist, _, _ := Parallel(x, g, 3, ParallelOptions{Variant: variant, Delta: delta})
 			testutil.MustEqualDists(t, fmt.Sprintf("delta=%d/%s", delta, variant), dist, want)
 		}
 	}
@@ -59,14 +62,12 @@ func TestParallelDeltaSweep(t *testing.T) {
 func TestParallelLightHeavyMatchesDijkstra(t *testing.T) {
 	testutil.ForEachWeighted(t, nil, func(t *testing.T, g *graph.Weighted) {
 		want := Dijkstra(g, 0)
-		for _, variant := range []Variant{BranchBased, BranchAvoiding, Hybrid} {
-			for _, sched := range []par.Schedule{par.Static, par.Stealing} {
-				for _, workers := range []int{1, 4} {
+		for _, sched := range []par.Schedule{par.Static, par.Stealing} {
+			for _, workers := range []int{1, 4} {
+				x := testutil.Exec(t, workers, sched)
+				for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 					name := fmt.Sprintf("%s/%v/w%d", variant, sched, workers)
-					dist, _, _ := Parallel(g, 0, ParallelOptions{
-						Workers: workers, Variant: variant,
-						LightHeavy: true, Schedule: sched,
-					})
+					dist, _, _ := Parallel(x, g, 0, ParallelOptions{Variant: variant, LightHeavy: true})
 					testutil.MustEqualDists(t, name, dist, want)
 				}
 			}
@@ -81,9 +82,8 @@ func TestParallelLightHeavyMatchesDijkstra(t *testing.T) {
 func TestParallelLightHeavySplitsWork(t *testing.T) {
 	g := testutil.RandomWeighted(300, 1200, 100, 17)
 	want := Dijkstra(g, 0)
-	dist, split, _ := Parallel(g, 0, ParallelOptions{
-		Workers: 2, LightHeavy: true, Delta: 8,
-	})
+	x := testutil.Exec(t, 2, par.Static)
+	dist, split, _ := Parallel(x, g, 0, ParallelOptions{LightHeavy: true, Delta: 8})
 	testutil.MustEqualDists(t, "light-heavy delta=8", dist, want)
 	if split.HeavyRelaxed == 0 {
 		t.Fatal("no heavy relaxations despite weights far above delta")
@@ -91,7 +91,7 @@ func TestParallelLightHeavySplitsWork(t *testing.T) {
 	if split.LightRelaxed == 0 {
 		t.Fatal("no light relaxations")
 	}
-	_, unsplit, _ := Parallel(g, 0, ParallelOptions{Workers: 2, Delta: 8})
+	_, unsplit, _ := Parallel(x, g, 0, ParallelOptions{Delta: 8})
 	if unsplit.HeavyRelaxed != 0 {
 		t.Fatalf("unsplit run counted %d heavy relaxations", unsplit.HeavyRelaxed)
 	}
@@ -113,16 +113,17 @@ func TestParallelNonZeroSourceAndBuffer(t *testing.T) {
 	g := testutil.RandomWeighted(200, 700, 30, 9)
 	n := g.NumVertices()
 	buf := make([]uint64, n)
+	x := testutil.Exec(t, 3, par.Static)
 	for _, src := range []uint32{1, 17, uint32(n - 1)} {
 		want := Dijkstra(g, src)
-		dist, _, _ := Parallel(g, src, ParallelOptions{Workers: 3, Dist: buf})
+		dist, _, _ := Parallel(x, g, src, ParallelOptions{Dist: buf})
 		if &dist[0] != &buf[0] {
 			t.Fatal("result does not alias the caller buffer")
 		}
 		testutil.MustEqualDists(t, fmt.Sprintf("src=%d", src), dist, want)
 	}
 	small := make([]uint64, 3)
-	dist, _, _ := Parallel(g, 0, ParallelOptions{Workers: 2, Dist: small})
+	dist, _, _ := Parallel(x, g, 0, ParallelOptions{Dist: small})
 	if len(dist) != n {
 		t.Fatalf("wrong-size buffer: len=%d, want %d", len(dist), n)
 	}
@@ -131,12 +132,11 @@ func TestParallelNonZeroSourceAndBuffer(t *testing.T) {
 // TestParallelSharedPool reuses one resident pool across runs; the
 // kernel must not close it and repeated runs must stay correct.
 func TestParallelSharedPool(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
+	x := testutil.Exec(t, 4, par.Static)
 	g := testutil.RandomWeighted(150, 500, 20, 11)
 	want := Dijkstra(g, 0)
 	for run := 0; run < 3; run++ {
-		dist, _, _ := Parallel(g, 0, ParallelOptions{Pool: pool, Variant: Hybrid})
+		dist, _, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.Hybrid})
 		testutil.MustEqualDists(t, fmt.Sprintf("run%d", run), dist, want)
 	}
 }
@@ -146,8 +146,9 @@ func TestParallelSharedPool(t *testing.T) {
 // arc, the branch-based loop only per improvement.
 func TestParallelStoreAsymmetry(t *testing.T) {
 	g := testutil.RandomWeighted(400, 1600, 9, 13)
-	_, bb, _ := Parallel(g, 0, ParallelOptions{Workers: 2, Variant: BranchBased})
-	_, ba, _ := Parallel(g, 0, ParallelOptions{Workers: 2, Variant: BranchAvoiding})
+	x := testutil.Exec(t, 2, par.Static)
+	_, bb, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.BranchBased})
+	_, ba, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.BranchAvoiding})
 	if ba.CandStores <= bb.CandStores {
 		t.Fatalf("BA cand stores = %d, not above BB's %d", ba.CandStores, bb.CandStores)
 	}
@@ -163,7 +164,7 @@ func TestParallelStoreAsymmetry(t *testing.T) {
 // out-of-range source yields an all-Inf labeling rather than a panic.
 func TestParallelOutOfRangeSource(t *testing.T) {
 	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}}, false, "tiny")
-	dist, st, _ := Parallel(g, 9, ParallelOptions{Workers: 2})
+	dist, st, _ := Parallel(testutil.Exec(t, 2, par.Static), g, 9, ParallelOptions{})
 	for v, d := range dist {
 		if d != Inf {
 			t.Fatalf("dist[%d] = %d, want Inf", v, d)
@@ -174,11 +175,12 @@ func TestParallelOutOfRangeSource(t *testing.T) {
 	}
 }
 
-// TestVariantString pins the canonical names the CLI and daemon expose.
+// TestVariantString pins the canonical names the CLI and daemon expose,
+// on the single core.Variant the relaxation kernels take.
 func TestVariantString(t *testing.T) {
-	for v, want := range map[Variant]string{
-		BranchBased: "branch-based", BranchAvoiding: "branch-avoiding",
-		Hybrid: "hybrid", Variant(42): "unknown",
+	for v, want := range map[core.Variant]string{
+		core.BranchBased: "branch-based", core.BranchAvoiding: "branch-avoiding",
+		core.Hybrid: "hybrid", core.Variant(42): "unknown",
 	} {
 		if got := v.String(); got != want {
 			t.Errorf("Variant(%d).String() = %q, want %q", int(v), got, want)

@@ -61,7 +61,7 @@ func initDist(buf []uint64, n int, src uint32) []uint64 {
 // between sweeps (never in the relaxation loop, which stays exactly the
 // paper's operation mix), and a cancelled run returns the tentative
 // distances computed so far alongside ctx's error.
-func BellmanFord(ctx context.Context, g *graph.Weighted, src uint32, variant Variant, dist []uint64) ([]uint64, perfcount.Stats, error) {
+func BellmanFord(ctx context.Context, g *graph.Weighted, src uint32, variant core.Variant, dist []uint64) ([]uint64, perfcount.Stats, error) {
 	n := g.NumVertices()
 	dist = initDist(dist, n, src)
 	var st perfcount.Stats
@@ -76,7 +76,7 @@ func BellmanFord(ctx context.Context, g *graph.Weighted, src uint32, variant Var
 		change = false
 		changed := 0
 		start := time.Now()
-		if variant == BranchAvoiding {
+		if variant == core.BranchAvoiding {
 			var diffAccum uint64
 			//ba:branch-free
 			for v := 0; v < n; v++ {

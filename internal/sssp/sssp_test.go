@@ -6,14 +6,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
+	"bagraph/internal/par"
 	"bagraph/internal/perfcount"
 	"bagraph/internal/testutil"
 )
 
 // bellmanFord is BellmanFord to completion into a fresh array.
-func bellmanFord(g *graph.Weighted, src uint32, variant Variant) ([]uint64, perfcount.Stats) {
+func bellmanFord(g *graph.Weighted, src uint32, variant core.Variant) ([]uint64, perfcount.Stats) {
 	dist, st, _ := BellmanFord(context.Background(), g, src, variant, nil)
 	return dist, st
 }
@@ -21,8 +23,8 @@ func bellmanFord(g *graph.Weighted, src uint32, variant Variant) ([]uint64, perf
 func TestKernelsAgreeWithDijkstra(t *testing.T) {
 	testutil.ForEachWeighted(t, nil, func(t *testing.T, g *graph.Weighted) {
 		want := Dijkstra(g, 0)
-		bb, stBB := bellmanFord(g, 0, BranchBased)
-		ba, stBA := bellmanFord(g, 0, BranchAvoiding)
+		bb, stBB := bellmanFord(g, 0, core.BranchBased)
+		ba, stBA := bellmanFord(g, 0, core.BranchAvoiding)
 		if g.NumVertices() > 0 {
 			if err := Verify(g, 0, want); err != nil {
 				t.Fatalf("dijkstra oracle invalid: %v", err)
@@ -38,16 +40,17 @@ func TestKernelsAgreeWithDijkstra(t *testing.T) {
 }
 
 func TestAgreementProperty(t *testing.T) {
+	x := testutil.Exec(t, 2, par.Static)
 	f := func(seed uint64) bool {
 		n := 10 + int(seed%80)
 		g := testutil.RandomWeighted(n, 2*n, 20, seed)
 		src := uint32(seed % uint64(n))
 		want := Dijkstra(g, src)
-		bb, _ := bellmanFord(g, src, BranchBased)
-		ba, _ := bellmanFord(g, src, BranchAvoiding)
-		par, _, _ := Parallel(g, src, ParallelOptions{Workers: 2, Variant: Hybrid})
+		bb, _ := bellmanFord(g, src, core.BranchBased)
+		ba, _ := bellmanFord(g, src, core.BranchAvoiding)
+		eng, _, _ := Parallel(x, g, src, ParallelOptions{Variant: core.Hybrid})
 		for v := range want {
-			if bb[v] != want[v] || ba[v] != want[v] || par[v] != want[v] {
+			if bb[v] != want[v] || ba[v] != want[v] || eng[v] != want[v] {
 				return false
 			}
 		}
@@ -62,8 +65,8 @@ func TestStoreAsymmetry(t *testing.T) {
 	// Branch-avoiding stores exactly |V| per pass; branch-based stores
 	// per improvement.
 	g := testutil.AttachHashWeights(t, gen.Grid3D(6, 6, 6, 1), 50, 7)
-	_, bb := bellmanFord(g, 0, BranchBased)
-	_, ba := bellmanFord(g, 0, BranchAvoiding)
+	_, bb := bellmanFord(g, 0, core.BranchBased)
+	_, ba := bellmanFord(g, 0, core.BranchAvoiding)
 	v := uint64(g.NumVertices())
 	if ba.DistStores != v*uint64(ba.Passes) {
 		t.Fatalf("BA stores = %d, want %d", ba.DistStores, v*uint64(ba.Passes))
@@ -82,8 +85,8 @@ func TestStoreAsymmetry(t *testing.T) {
 
 func TestPassChangesAgree(t *testing.T) {
 	g := testutil.RandomWeighted(120, 400, 9, 11)
-	_, bb := bellmanFord(g, 5, BranchBased)
-	_, ba := bellmanFord(g, 5, BranchAvoiding)
+	_, bb := bellmanFord(g, 5, core.BranchBased)
+	_, ba := bellmanFord(g, 5, core.BranchAvoiding)
 	for i := range bb.PassChanges {
 		if bb.PassChanges[i] != ba.PassChanges[i] {
 			t.Fatalf("pass %d: changes %d vs %d", i, bb.PassChanges[i], ba.PassChanges[i])
@@ -93,7 +96,7 @@ func TestPassChangesAgree(t *testing.T) {
 
 func TestDisconnected(t *testing.T) {
 	g := graph.MustBuildWeighted(4, []graph.WeightedEdge{{U: 0, V: 1, W: 3}, {U: 2, V: 3, W: 4}}, false, "2comp")
-	for _, variant := range []Variant{BranchBased, BranchAvoiding} {
+	for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding} {
 		dist, _ := bellmanFord(g, 0, variant)
 		if dist[2] != Inf || dist[3] != Inf {
 			t.Fatal("unreachable vertices not Inf")
@@ -110,7 +113,7 @@ func TestDisconnected(t *testing.T) {
 
 func TestZeroWeightEdges(t *testing.T) {
 	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0}}, false, "zeros")
-	for _, variant := range []Variant{BranchBased, BranchAvoiding} {
+	for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding} {
 		dist, _ := bellmanFord(g, 0, variant)
 		if dist[1] != 0 || dist[2] != 0 {
 			t.Fatalf("zero-weight distances: %v", dist)
@@ -127,7 +130,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 		t.Fatal("empty dijkstra")
 	}
 	single := graph.MustBuildWeighted(1, nil, false, "")
-	dist, st := bellmanFord(single, 0, BranchAvoiding)
+	dist, st := bellmanFord(single, 0, core.BranchAvoiding)
 	if dist[0] != 0 || st.Passes != 1 {
 		t.Fatal("singleton BF wrong")
 	}
@@ -149,12 +152,12 @@ func TestMaxWeightNoOverflow(t *testing.T) {
 	if want[n-1] != uint64(n-1)*uint64(maxW) {
 		t.Fatalf("end distance = %d, want %d", want[n-1], uint64(n-1)*uint64(maxW))
 	}
-	bb, _ := bellmanFord(g, 0, BranchBased)
-	ba, _ := bellmanFord(g, 0, BranchAvoiding)
-	par, _, _ := Parallel(g, 0, ParallelOptions{Workers: 3})
+	bb, _ := bellmanFord(g, 0, core.BranchBased)
+	ba, _ := bellmanFord(g, 0, core.BranchAvoiding)
+	eng, _, _ := Parallel(testutil.Exec(t, 3, par.Static), g, 0, ParallelOptions{})
 	testutil.MustEqualDists(t, "branch-based", bb, want)
 	testutil.MustEqualDists(t, "branch-avoiding", ba, want)
-	testutil.MustEqualDists(t, "parallel", par, want)
+	testutil.MustEqualDists(t, "parallel", eng, want)
 	if err := Verify(g, 0, want); err != nil {
 		t.Fatal(err)
 	}

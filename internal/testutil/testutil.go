@@ -24,6 +24,7 @@ import (
 
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
+	"bagraph/internal/par"
 	"bagraph/internal/xrand"
 )
 
@@ -196,6 +197,16 @@ func MustEqualLabels(tb testing.TB, ctx string, got, want []uint32) {
 			tb.Fatalf("%s: vertex %d labeled %d, oracle says %d", ctx, v, got[v], want[v])
 		}
 	}
+}
+
+// Exec returns the handle the engine-kernel tests reach their kernels
+// through: a background context, a pool of the given size (< 1 means
+// GOMAXPROCS) closed when the test ends, and the schedule.
+func Exec(tb testing.TB, workers int, sched par.Schedule) par.Exec {
+	tb.Helper()
+	pool := par.NewPool(workers)
+	tb.Cleanup(pool.Close)
+	return par.Exec{Ctx: context.Background(), Pool: pool, Schedule: sched}
 }
 
 // cancelAfter is a context whose Err starts reporting Canceled after a

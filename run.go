@@ -30,6 +30,7 @@ import (
 
 	"bagraph/internal/bfs"
 	"bagraph/internal/cc"
+	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
 	"bagraph/internal/perfcount"
@@ -82,37 +83,26 @@ type Target interface {
 }
 
 // Schedule selects how a parallel kernel's passes distribute work
-// across the pool.
-type Schedule int
+// across the pool. It is the engine's own type; String renders "static"
+// and "stealing", the names ParseSchedule and the /metrics labels use.
+type Schedule = par.Schedule
 
 const (
 	// ScheduleStatic partitions each pass once at launch into one
 	// arc-balanced block per worker — no scheduling traffic during the
 	// pass, but a straggler block stalls the pass barrier on skewed
 	// work (an RMAT hub, a sparse late-level frontier).
-	ScheduleStatic Schedule = iota
+	ScheduleStatic = par.Static
 	// ScheduleStealing over-decomposes each pass into arc-balanced
 	// chunks (several per worker); an idle worker steals whole chunks
 	// from the most-loaded straggler through one atomic fetch per chunk.
 	// The per-edge inner loops are untouched — results are
 	// byte-identical to ScheduleStatic.
-	ScheduleStealing
+	ScheduleStealing = par.Stealing
 )
 
-// String implements fmt.Stringer.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleStatic:
-		return "static"
-	case ScheduleStealing:
-		return "steal"
-	default:
-		return fmt.Sprintf("Schedule(%d)", int(s))
-	}
-}
-
 // ParseSchedule resolves the schedule names the CLIs and the daemon
-// expose: "static" and "steal" (or "stealing").
+// expose: "static" and "stealing" (or the short "steal").
 func ParseSchedule(s string) (Schedule, error) {
 	switch s {
 	case "", "static":
@@ -120,16 +110,8 @@ func ParseSchedule(s string) (Schedule, error) {
 	case "steal", "stealing":
 		return ScheduleStealing, nil
 	default:
-		return ScheduleStatic, fmt.Errorf("bagraph: unknown schedule %q (want static or steal)", s)
+		return ScheduleStatic, fmt.Errorf("bagraph: unknown schedule %q (want static or stealing)", s)
 	}
-}
-
-// par converts to the engine's schedule enum.
-func (s Schedule) par() par.Schedule {
-	if s == ScheduleStealing {
-		return par.Stealing
-	}
-	return par.Static
 }
 
 // Request describes one kernel execution. The zero value runs the
@@ -280,9 +262,10 @@ func (p *WorkerPool) Run(ctx context.Context, g Target, req Request) (*Result, e
 // running it).
 func (p *WorkerPool) Each(n int, fn func(i int)) { p.pool.Run(n, fn) }
 
-// runRequest validates and dispatches one request. pool, when non-nil,
-// is a resident pool owned by the caller; parallel kernels otherwise
-// start a transient one.
+// runRequest validates and dispatches one request. It is the one place
+// that defaults the context and, for an engine kernel with no resident
+// pool (pool == nil), starts and stops a transient one sized by
+// Request.Workers; the kernels below only borrow the resulting par.Exec.
 func runRequest(ctx context.Context, g Target, req Request, pool *par.Pool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -326,31 +309,47 @@ func runRequest(ctx context.Context, g Target, req Request, pool *par.Pool) (*Re
 	if base.Directed() {
 		return nil, ErrDirected
 	}
+	x := par.Exec{Ctx: ctx, Pool: pool, Schedule: req.Schedule}
+	if pool == nil && (req.Parallel || req.Kind == KindBFSBatch) {
+		x.Pool = par.NewPool(req.Workers)
+		defer x.Pool.Close()
+	}
 	switch req.Kind {
 	case KindCC:
-		return runCCRequest(ctx, base, req, pool)
+		return runCCRequest(x, base, req)
 	case KindBFS:
-		return runBFSRequest(ctx, base, req, pool)
+		return runBFSRequest(x, base, req)
 	case KindBFSBatch:
-		return runBFSBatchRequest(ctx, base, req, pool)
+		return runBFSBatchRequest(x, base, req)
 	case KindSSSP:
 		if weighted == nil {
 			return nil, fmt.Errorf("bagraph: %v needs a *WeightedGraph (AttachWeights derives one)", req.Kind)
 		}
-		return runSSSPRequest(ctx, weighted, req, pool)
+		return runSSSPRequest(x, weighted, req)
 	default:
 		return nil, fmt.Errorf("bagraph: unknown request kind %v", req.Kind)
 	}
 }
 
 // runCCRequest dispatches KindCC.
-func runCCRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (*Result, error) {
-	if req.Parallel {
-		variant, err := ccVariant(req.CC)
-		if err != nil {
-			return nil, err
+func runCCRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
+	var variant core.Variant
+	switch req.CC {
+	case CCBranchBased:
+		variant = core.BranchBased
+	case CCBranchAvoiding:
+		variant = core.BranchAvoiding
+	case CCHybrid:
+		variant = core.Hybrid
+	case CCUnionFind:
+		if req.Parallel {
+			return nil, fmt.Errorf("bagraph: no parallel kernel for %v", req.CC)
 		}
-		ws := req.Workspace
+	default:
+		return nil, fmt.Errorf("bagraph: unknown CC algorithm %v", req.CC)
+	}
+	ws := req.Workspace
+	if req.Parallel {
 		var labelsBuf, scratchBuf []uint32
 		if ws != nil {
 			// Prime the double-buffer so both arrays persist in the
@@ -366,14 +365,10 @@ func runCCRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (*
 			}
 			labelsBuf, scratchBuf = ws.Labels, ws.Scratch
 		}
-		labels, st, err := cc.SVParallel(g, cc.ParallelOptions{
-			Ctx:      ctx,
-			Workers:  req.Workers,
-			Pool:     pool,
-			Variant:  variant,
-			Schedule: req.Schedule.par(),
-			Labels:   labelsBuf,
-			Scratch:  scratchBuf,
+		labels, st, err := cc.SVParallel(x, g, cc.ParallelOptions{
+			Variant: variant,
+			Labels:  labelsBuf,
+			Scratch: scratchBuf,
 		})
 		return &Result{Labels: labels, Stats: st}, err
 	}
@@ -382,33 +377,26 @@ func runCCRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (*
 		st     Stats
 		err    error
 	)
-	switch req.CC {
-	case CCBranchBased:
-		labels, st, err = cc.SV(ctx, g, cc.BranchBased)
-	case CCBranchAvoiding:
-		labels, st, err = cc.SV(ctx, g, cc.BranchAvoiding)
-	case CCHybrid:
-		labels, st, err = cc.SV(ctx, g, cc.Hybrid)
-	case CCUnionFind:
+	if req.CC == CCUnionFind {
 		// The union-find baseline has no pass structure to cancel at;
 		// the pre-call context check above is its only gate.
 		labels = cc.UnionFind(g)
-	default:
-		return nil, fmt.Errorf("bagraph: unknown CC algorithm %v", req.CC)
+	} else {
+		labels, st, err = cc.SV(x.Ctx, g, variant)
 	}
-	if req.Workspace != nil && labels != nil {
+	if ws != nil && labels != nil {
 		// The sequential kernels allocate internally; capture the result
 		// so the workspace's Labels always hold the latest CC labeling —
 		// partial on cancellation, like the kinds that write the
 		// workspace buffers in place — and seed a later parallel run's
 		// double-buffer.
-		req.Workspace.Labels = labels
+		ws.Labels = labels
 	}
 	return &Result{Labels: labels, Stats: st}, err
 }
 
 // runBFSRequest dispatches KindBFS.
-func runBFSRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (*Result, error) {
+func runBFSRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 	if err := checkRoot(g, req.Root); err != nil {
 		return nil, err
 	}
@@ -421,13 +409,7 @@ func runBFSRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (
 			}
 			distBuf = ws.Hops
 		}
-		dist, st, err := bfs.ParallelDO(g, req.Root, bfs.ParallelOptions{
-			Ctx:      ctx,
-			Workers:  req.Workers,
-			Pool:     pool,
-			Schedule: req.Schedule.par(),
-			Dist:     distBuf,
-		})
+		dist, st, err := bfs.ParallelDO(x, g, req.Root, bfs.ParallelOptions{Dist: distBuf})
 		return &Result{Hops: dist, Stats: st}, err
 	}
 	var (
@@ -437,11 +419,11 @@ func runBFSRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (
 	)
 	switch req.BFS {
 	case BFSBranchBased:
-		dist, st, err = bfs.TopDown(ctx, g, req.Root, bfs.BranchBased)
+		dist, st, err = bfs.TopDown(x.Ctx, g, req.Root, core.BranchBased)
 	case BFSBranchAvoiding:
-		dist, st, err = bfs.TopDown(ctx, g, req.Root, bfs.BranchAvoiding)
+		dist, st, err = bfs.TopDown(x.Ctx, g, req.Root, core.BranchAvoiding)
 	case BFSDirectionOptimizing:
-		dist, st, err = bfs.DirectionOptimizing(ctx, g, req.Root, 0, 0)
+		dist, st, err = bfs.DirectionOptimizing(x.Ctx, g, req.Root, 0, 0)
 	default:
 		return nil, fmt.Errorf("bagraph: unknown BFS variant %v", req.BFS)
 	}
@@ -455,7 +437,7 @@ func runBFSRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (
 }
 
 // runBFSBatchRequest dispatches KindBFSBatch.
-func runBFSBatchRequest(ctx context.Context, g *Graph, req Request, pool *par.Pool) (*Result, error) {
+func runBFSBatchRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 	for _, r := range req.Roots {
 		if err := checkRoot(g, r); err != nil {
 			return nil, err
@@ -469,13 +451,7 @@ func runBFSBatchRequest(ctx context.Context, g *Graph, req Request, pool *par.Po
 		}
 		distsBuf = ws.HopsBatch
 	}
-	dists, st, err := bfs.MultiSource(g, req.Roots, bfs.MultiSourceOptions{
-		Ctx:      ctx,
-		Workers:  req.Workers,
-		Pool:     pool,
-		Schedule: req.Schedule.par(),
-		Dists:    distsBuf,
-	})
+	dists, st, err := bfs.MultiSource(x, g, req.Roots, bfs.MultiSourceOptions{Dists: distsBuf})
 	if ws != nil {
 		ws.HopsBatch = dists
 	}
@@ -483,9 +459,27 @@ func runBFSBatchRequest(ctx context.Context, g *Graph, req Request, pool *par.Po
 }
 
 // runSSSPRequest dispatches KindSSSP.
-func runSSSPRequest(ctx context.Context, g *WeightedGraph, req Request, pool *par.Pool) (*Result, error) {
+func runSSSPRequest(x par.Exec, g *WeightedGraph, req Request) (*Result, error) {
 	if err := checkSource(g, req.Root); err != nil {
 		return nil, err
+	}
+	var variant core.Variant
+	switch req.SSSP {
+	case SSSPBellmanFord:
+		variant = core.BranchBased
+	case SSSPBellmanFordBranchAvoiding:
+		variant = core.BranchAvoiding
+	case SSSPHybrid:
+		if !req.Parallel {
+			return nil, fmt.Errorf("bagraph: %v exists only in the parallel kernel (set Request.Parallel)", req.SSSP)
+		}
+		variant = core.Hybrid
+	case SSSPDijkstra:
+		if req.Parallel {
+			return nil, fmt.Errorf("bagraph: no parallel kernel for %v", req.SSSP)
+		}
+	default:
+		return nil, fmt.Errorf("bagraph: unknown SSSP algorithm %v", req.SSSP)
 	}
 	ws := req.Workspace
 	var distBuf []uint64
@@ -497,34 +491,18 @@ func runSSSPRequest(ctx context.Context, g *WeightedGraph, req Request, pool *pa
 		st   Stats
 		err  error
 	)
-	if req.Parallel {
-		variant, verr := ssspVariant(req.SSSP)
-		if verr != nil {
-			return nil, verr
-		}
-		dist, st, err = sssp.Parallel(g, req.Root, sssp.ParallelOptions{
-			Ctx:        ctx,
-			Workers:    req.Workers,
-			Pool:       pool,
+	switch {
+	case req.Parallel:
+		dist, st, err = sssp.Parallel(x, g, req.Root, sssp.ParallelOptions{
 			Variant:    variant,
 			Delta:      req.Delta,
 			LightHeavy: req.LightHeavy,
-			Schedule:   req.Schedule.par(),
 			Dist:       distBuf,
 		})
-	} else {
-		switch req.SSSP {
-		case SSSPBellmanFord:
-			dist, st, err = sssp.BellmanFord(ctx, g, req.Root, sssp.BranchBased, distBuf)
-		case SSSPBellmanFordBranchAvoiding:
-			dist, st, err = sssp.BellmanFord(ctx, g, req.Root, sssp.BranchAvoiding, distBuf)
-		case SSSPDijkstra:
-			dist, err = sssp.DijkstraCtx(ctx, g, req.Root, distBuf)
-		case SSSPHybrid:
-			return nil, fmt.Errorf("bagraph: %v exists only in the parallel kernel (set Request.Parallel)", req.SSSP)
-		default:
-			return nil, fmt.Errorf("bagraph: unknown SSSP algorithm %v", req.SSSP)
-		}
+	case req.SSSP == SSSPDijkstra:
+		dist, err = sssp.DijkstraCtx(x.Ctx, g, req.Root, distBuf)
+	default:
+		dist, st, err = sssp.BellmanFord(x.Ctx, g, req.Root, variant, distBuf)
 	}
 	if ws != nil {
 		ws.Dists = dist

@@ -297,30 +297,28 @@ func TestRunCancelMidKernel(t *testing.T) {
 	g := gen.Path(512) // diameter 511: hundreds of passes/levels
 	w := testutil.AttachHashWeights(t, g, 1, 1)
 
-	// Per-case Err budgets: every kernel checks the context once at the
-	// Run entry and once per pass/level barrier, except the parallel CC
-	// kernel whose RunCtx barrier checks twice per pass (before and
-	// after). Budget 2 therefore completes exactly one pass of any
-	// once-per-pass kernel and cancels at the second barrier — below
-	// even the Gauss-Seidel kernels' two-pass minimum — while the
-	// parallel CC case needs 3 for its first pass to be accounted.
+	// Every kernel checks the context once at the Run entry and once per
+	// pass/level (the engine kernels inside par.Exec.Pass, the
+	// sequential ones at the top of their pass loop). An Err budget of 2
+	// therefore completes exactly one pass and cancels before the
+	// second — below even the Gauss-Seidel kernels' two-pass minimum.
+	const budget = 2
 	reqs := []struct {
-		name   string
-		budget int
-		req    Request
+		name string
+		req  Request
 	}{
-		{"cc/seq-bb", 2, Request{Kind: KindCC, CC: CCBranchBased}},
-		{"cc/seq-ba", 2, Request{Kind: KindCC, CC: CCBranchAvoiding}},
-		{"cc/seq-hybrid", 2, Request{Kind: KindCC, CC: CCHybrid}},
-		{"cc/par", 3, Request{Kind: KindCC, CC: CCBranchAvoiding, Parallel: true, Workers: 2}},
-		{"bfs/seq-bb", 2, Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 0}},
-		{"bfs/seq-ba", 2, Request{Kind: KindBFS, BFS: BFSBranchAvoiding, Root: 0}},
-		{"bfs/seq-do", 2, Request{Kind: KindBFS, BFS: BFSDirectionOptimizing, Root: 0}},
-		{"bfs/par", 2, Request{Kind: KindBFS, Parallel: true, Root: 0, Workers: 2}},
-		{"bfsbatch", 2, Request{Kind: KindBFSBatch, Roots: []uint32{0, 511}, Workers: 2}},
-		{"sssp/seq-bb", 2, Request{Kind: KindSSSP, SSSP: SSSPBellmanFord, Root: 0}},
-		{"sssp/seq-ba", 2, Request{Kind: KindSSSP, SSSP: SSSPBellmanFordBranchAvoiding, Root: 0}},
-		{"sssp/par", 2, Request{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true, Root: 0, Workers: 2}},
+		{"cc/seq-bb", Request{Kind: KindCC, CC: CCBranchBased}},
+		{"cc/seq-ba", Request{Kind: KindCC, CC: CCBranchAvoiding}},
+		{"cc/seq-hybrid", Request{Kind: KindCC, CC: CCHybrid}},
+		{"cc/par", Request{Kind: KindCC, CC: CCBranchAvoiding, Parallel: true, Workers: 2}},
+		{"bfs/seq-bb", Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 0}},
+		{"bfs/seq-ba", Request{Kind: KindBFS, BFS: BFSBranchAvoiding, Root: 0}},
+		{"bfs/seq-do", Request{Kind: KindBFS, BFS: BFSDirectionOptimizing, Root: 0}},
+		{"bfs/par", Request{Kind: KindBFS, Parallel: true, Root: 0, Workers: 2}},
+		{"bfsbatch", Request{Kind: KindBFSBatch, Roots: []uint32{0, 511}, Workers: 2}},
+		{"sssp/seq-bb", Request{Kind: KindSSSP, SSSP: SSSPBellmanFord, Root: 0}},
+		{"sssp/seq-ba", Request{Kind: KindSSSP, SSSP: SSSPBellmanFordBranchAvoiding, Root: 0}},
+		{"sssp/par", Request{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true, Root: 0, Workers: 2}},
 	}
 	for _, c := range reqs {
 		t.Run(c.name, func(t *testing.T) {
@@ -329,7 +327,7 @@ func TestRunCancelMidKernel(t *testing.T) {
 				target = w
 			}
 			full := runOK(t, target, c.req)
-			res, err := Run(testutil.CancelAfter(c.budget), target, c.req)
+			res, err := Run(testutil.CancelAfter(budget), target, c.req)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}

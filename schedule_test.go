@@ -147,7 +147,7 @@ func TestParseSchedule(t *testing.T) {
 	if _, err := ParseSchedule("fifo"); err == nil {
 		t.Error("ParseSchedule accepted an unknown name")
 	}
-	if ScheduleStatic.String() != "static" || ScheduleStealing.String() != "steal" {
+	if ScheduleStatic.String() != "static" || ScheduleStealing.String() != "stealing" {
 		t.Errorf("Schedule strings: %v %v", ScheduleStatic, ScheduleStealing)
 	}
 }
