@@ -293,28 +293,41 @@ func workerSweep() []int {
 	return append(ws, max)
 }
 
+// BenchmarkParallelSV runs two inputs. On the RMAT graph one component
+// holds most vertices, so the parallel kernel's BFS seed labels nearly
+// everything. Six equal GNM components are the case without that
+// property: the seed labels one sixth and propagation does the rest.
 func BenchmarkParallelSV(b *testing.B) {
-	g := benchRMAT(b)
-	b.Run("sequential-baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			labels, _, _ := cc.SV(context.Background(), g, core.Hybrid)
-			if len(labels) == 0 {
-				b.Fatal("no labels")
-			}
-		}
-		reportEdges(b, g.NumArcs())
-	})
-	for _, w := range workerSweep() {
-		b.Run(fmt.Sprintf("hybrid/workers=%d", w), func(b *testing.B) {
-			x := testutil.Exec(b, w, par.Static)
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat", benchRMAT(b)},
+		{"gnm50k-x6", gen.Disconnected(gen.GNM(50000, 150000, 7), 6)},
+	}
+	for _, in := range inputs {
+		g := in.g
+		b.Run(in.name+"/sequential-baseline", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				labels, _, _ := cc.SVParallel(x, g, cc.ParallelOptions{Variant: core.Hybrid})
+				labels, _, _ := cc.SV(context.Background(), g, core.Hybrid)
 				if len(labels) == 0 {
 					b.Fatal("no labels")
 				}
 			}
 			reportEdges(b, g.NumArcs())
 		})
+		for _, w := range workerSweep() {
+			b.Run(fmt.Sprintf("%s/hybrid/workers=%d", in.name, w), func(b *testing.B) {
+				x := testutil.Exec(b, w, par.Static)
+				for i := 0; i < b.N; i++ {
+					labels, _, _ := cc.SVParallel(x, g, cc.ParallelOptions{Variant: core.Hybrid})
+					if len(labels) == 0 {
+						b.Fatal("no labels")
+					}
+				}
+				reportEdges(b, g.NumArcs())
+			})
+		}
 	}
 }
 

@@ -103,6 +103,10 @@ func main() {
 			fmt.Printf("schedule: %d chunks, %d stolen (%d steal passes)\n",
 				st.Chunks, st.Steals, st.StealPasses)
 		}
+		if levels := st.TopDownLevels + st.BottomUpLevels; levels > 0 {
+			fmt.Printf("seed: BFS labeled %d vertices in %d levels (%d bottom-up), passes 1-%d\n",
+				st.Reached, levels, st.BottomUpLevels, levels)
+		}
 		for i := range st.PassDurations {
 			fmt.Printf("  pass %2d: %10v  changed %d\n", i+1, st.PassDurations[i], st.PassChanges[i])
 		}

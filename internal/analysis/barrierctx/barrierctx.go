@@ -27,10 +27,9 @@
 //   - ctx.Err() at loop depth >= 2 within a function (function literals
 //     reset the depth: a barrier helper closure polls at its top, depth
 //     0). The outermost loop of a kernel is its pass loop and may poll;
-//     anything deeper is per-vertex or per-arc territory. A legitimate
-//     inner barrier would carry //ba:allow-ctx with its justification;
-//     the tree has none (multisource's per-level sweep inside its wave
-//     loop polls through Exec.Pass like every other pass).
+//     anything deeper is per-vertex or per-arc territory. No escape: an
+//     inner barrier (multisource's per-level sweep inside its wave loop)
+//     polls through Exec.Pass like every other pass.
 package barrierctx
 
 import (
@@ -102,7 +101,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					walk(m.Body, depth+1)
 					return false
 				case *ast.CallExpr:
-					checkCall(pass, info, m, depth, inMarkedRegion)
+					checkCall(pass, m, depth, inMarkedRegion)
 				}
 				return true
 			})
@@ -118,7 +117,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // checkCall flags one ctx.Err()/ctx.Done() call that breaks the
 // contract.
-func checkCall(pass *analysis.Pass, info directive.Info, call *ast.CallExpr, depth int, inMarked func(ast.Node) bool) {
+func checkCall(pass *analysis.Pass, call *ast.CallExpr, depth int, inMarked func(ast.Node) bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -139,8 +138,8 @@ func checkCall(pass *analysis.Pass, info directive.Info, call *ast.CallExpr, dep
 			pass.Reportf(call.Pos(), "ctx.Err() inside a //ba: marked region: workers and branch-avoiding loops never observe the context; poll at the pass barrier instead")
 			return
 		}
-		if depth >= 2 && !info.Escaped(directive.AllowCtx, call.Pos()) {
-			pass.Reportf(call.Pos(), "ctx.Err() at loop depth %d: kernels observe cancellation at pass barriers only (the outermost loop); annotate //ba:allow-ctx if this is a genuine inner barrier", depth)
+		if depth >= 2 {
+			pass.Reportf(call.Pos(), "ctx.Err() at loop depth %d: kernels observe cancellation at pass barriers only (the outermost loop); an inner barrier polls through par.Exec.Pass", depth)
 		}
 	}
 }

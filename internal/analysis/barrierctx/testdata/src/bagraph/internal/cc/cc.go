@@ -28,18 +28,6 @@ func barriers(ctx context.Context, n int) error {
 	return nil
 }
 
-func innerBarrier(ctx context.Context, waves, levels int) error {
-	for w := 0; w < waves; w++ {
-		for l := 0; l < levels; l++ {
-			//ba:allow-ctx one check per level inside the wave loop, a genuine sweep barrier
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func closureResetsDepth(ctx context.Context, n int) error {
 	relax := func() error {
 		return ctx.Err() // depth 0 inside the literal: ok

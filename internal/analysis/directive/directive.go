@@ -24,10 +24,6 @@
 //	                             branch-free region (the bottom-up
 //	                             early-exit probe, taken once per vertex
 //	                             and predicted until then).
-//	//ba:allow-ctx <reason>      the statement below may observe ctx at
-//	                             an inner barrier (checked by
-//	                             barrierctx; the tree has none —
-//	                             engine passes poll in par.Exec.Pass).
 //	//ba:allow-mask <reason>     the call below may feed a mask primitive
 //	                             an operand the analyzer cannot bound
 //	                             (checked by maskdomain).
@@ -54,7 +50,6 @@ const (
 const (
 	AllowAtomic = "allow-atomic"
 	AllowBranch = "allow-branch"
-	AllowCtx    = "allow-ctx"
 	AllowMask   = "allow-mask"
 )
 
@@ -149,7 +144,7 @@ func ParseFile(fset *token.FileSet, file *ast.File) Info {
 					continue
 				}
 				info.Regions = append(info.Regions, Region{Name: name, Node: node, Pos: c.Pos()})
-			case AllowAtomic, AllowBranch, AllowCtx, AllowMask:
+			case AllowAtomic, AllowBranch, AllowMask:
 				if reason == "" {
 					info.Errors = append(info.Errors, Bad{c.Pos(),
 						"//ba:" + name + " needs a reason: every escape carries its justification"})
@@ -163,7 +158,7 @@ func ParseFile(fset *token.FileSet, file *ast.File) Info {
 				info.Escapes = append(info.Escapes, Escape{Name: name, Reason: reason, Node: node, Pos: c.Pos()})
 			default:
 				info.Errors = append(info.Errors, Bad{c.Pos(),
-					"unknown directive //ba:" + name + " (want branch-free, atomic-free, allow-atomic, allow-branch, allow-ctx, or allow-mask)"})
+					"unknown directive //ba:" + name + " (want branch-free, atomic-free, allow-atomic, allow-branch, or allow-mask)"})
 			}
 		}
 	}

@@ -93,8 +93,14 @@ func TestMalformed(t *testing.T) {
 			want: "governs nothing",
 		},
 		{
-			src:  "package x\n\nfunc f() {\n\t_ = 1\n\t//ba:allow-ctx a reason\n}\n",
+			src:  "package x\n\nfunc f() {\n\t_ = 1\n\t//ba:allow-branch a reason\n}\n",
 			want: "governs nothing",
+		},
+		{
+			// Context polls have no escape: inner barriers go through
+			// par.Exec.Pass.
+			src:  "package x\n\nfunc f() {\n\t//ba:allow-ctx a reason\n\t_ = 1\n}\n",
+			want: "unknown directive //ba:allow-ctx",
 		},
 	}
 	for _, c := range cases {

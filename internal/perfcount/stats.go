@@ -11,13 +11,17 @@ import "time"
 type Stats struct {
 	// Passes counts outer iterations: SV passes (including the final
 	// pass that observes no change), BFS levels (shared sweeps for the
-	// multi-source kernel), SSSP relaxation passes.
+	// multi-source kernel), SSSP relaxation passes. Parallel CC counts
+	// every barrier pass it dispatches: its seed's BFS levels, the fill
+	// and each propagation pass.
 	Passes int
 	// PassDurations holds per-pass wall-clock times.
 	PassDurations []time.Duration
-	// PassChanges holds per-pass changed-vertex counts (CC and SSSP).
+	// PassChanges holds per-pass changed-vertex counts (CC and SSSP); a
+	// parallel CC seed level counts the frontier it settled.
 	PassChanges []int
-	// LevelSizes holds per-level frontier sizes (single-source BFS).
+	// LevelSizes holds per-level frontier sizes (single-source BFS and
+	// the parallel CC seed).
 	LevelSizes []int
 	// TopDownLevels and BottomUpLevels split BFS levels by traversal
 	// direction: pure top-down kernels count every level as top-down,
@@ -27,7 +31,8 @@ type Stats struct {
 	// Waves counts 64-source sweeps (multi-source BFS).
 	Waves int
 	// Reached counts discovered vertices including the root (BFS;
-	// source-vertex pairs for multi-source BFS).
+	// source-vertex pairs for multi-source BFS; the seeded component's
+	// size for parallel CC).
 	Reached int
 	// LabelStores counts label-array writes (CC).
 	LabelStores uint64
@@ -56,9 +61,10 @@ type Stats struct {
 	LightRelaxed, HeavyRelaxed uint64
 	// WordsScanned counts the succinct-bitset words the parallel BFS
 	// kernels loaded while sweeping for candidates (bottom-up levels of
-	// single-source BFS, shared sweeps of multi-source BFS) — the
-	// frontier-locality proxy that drops under a hub-clustered layout.
-	// Zero for CC, SSSP, and the sequential kernels.
+	// single-source BFS, including the parallel CC seed, and shared
+	// sweeps of multi-source BFS) — the frontier-locality proxy that
+	// drops under a hub-clustered layout. Zero for SSSP and the
+	// sequential kernels.
 	WordsScanned uint64
 }
 

@@ -38,7 +38,7 @@ func scrape(t *testing.T, baseURL string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*(?:\{[^{}]*\})?) (-?[0-9eE+.]+|\+Inf|NaN)$`)
+	line := regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*(?:\{[^{}]*\})?) (-?[0-9.]+(?:[eE][-+]?[0-9]+)?|\+Inf|NaN)$`)
 	out := make(map[string]float64)
 	for _, l := range strings.Split(strings.TrimSpace(string(body)), "\n") {
 		if l == "" || strings.HasPrefix(l, "#") {

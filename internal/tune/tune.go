@@ -286,7 +286,10 @@ func (c *Controller) Observe(w Workload, st bagraph.Stats) {
 
 	// Algo: classify each observed pass's change fraction against the
 	// cutover. BFS kernels report no PassChanges; their cells keep the
-	// direction-optimizing default.
+	// direction-optimizing default. Parallel CC reports its seed's BFS
+	// levels and fill as passes too, so a one-component graph — where
+	// no propagation pass runs and the pick cannot change the work —
+	// classifies seed passes only.
 	if w.Vertices > 0 {
 		for _, changed := range st.PassChanges {
 			f := float64(changed) / float64(w.Vertices)
@@ -301,7 +304,8 @@ func (c *Controller) Observe(w Workload, st bagraph.Stats) {
 		total := cl.hiPasses + cl.loPasses
 		switch {
 		case total == 0:
-			// No pass evidence (empty graphs): keep the hybrid.
+			// Nothing classified: every observed run was on a zero-vertex
+			// workload or reported no PassChanges. Keep the hybrid.
 		case cl.hiPasses == 0:
 			cl.algo = "par-bb" // every pass predictable: branches are free
 		case cl.loPasses == 0:
