@@ -6,9 +6,10 @@ package graph
 // extra load per edge.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // WeightedEdge is an edge with a non-negative 32-bit weight.
@@ -42,10 +43,10 @@ func BuildWeighted(n int, edges []WeightedEdge, directed bool, name string) (*We
 	if n < 0 {
 		return nil, errors.New("graph: negative vertex count")
 	}
-	type warc struct {
-		u, v, w uint32
-	}
-	arcs := make([]warc, 0, len(edges)*2)
+	// Place the arcs by source (a counting sort), then order each list
+	// by (target, weight): the order one sort of all arcs by (source,
+	// target, weight) gives, for the price of sorting the short lists.
+	offs := make([]int64, n+1)
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.U, e.V, n)
@@ -53,44 +54,64 @@ func BuildWeighted(n int, edges []WeightedEdge, directed bool, name string) (*We
 		if e.U == e.V {
 			continue
 		}
-		arcs = append(arcs, warc{e.U, e.V, e.W})
+		offs[e.U+1]++
 		if !directed {
-			arcs = append(arcs, warc{e.V, e.U, e.W})
+			offs[e.V+1]++
 		}
 	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].u != arcs[j].u {
-			return arcs[i].u < arcs[j].u
-		}
-		if arcs[i].v != arcs[j].v {
-			return arcs[i].v < arcs[j].v
-		}
-		return arcs[i].w < arcs[j].w
-	})
-	// Dedup keeping the minimum weight (first after the sort).
-	out := arcs[:0]
-	for i, a := range arcs {
-		if i > 0 && a.u == arcs[i-1].u && a.v == arcs[i-1].v {
+	for v := 0; v < n; v++ {
+		offs[v+1] += offs[v]
+	}
+	type warc struct {
+		v, w uint32
+	}
+	arcs := make([]warc, offs[n])
+	next := slices.Clone(offs[:n])
+	for _, e := range edges {
+		if e.U == e.V {
 			continue
 		}
-		out = append(out, a)
+		arcs[next[e.U]] = warc{e.V, e.W}
+		next[e.U]++
+		if !directed {
+			arcs[next[e.V]] = warc{e.U, e.W}
+			next[e.V]++
+		}
 	}
-	arcs = out
+	byTarget := func(a, b warc) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	}
+	// Dedup each list in place keeping the minimum weight (first after
+	// the sort); offs[v] moves to the list's compacted start once its
+	// old value has been read.
+	kept := int64(0)
+	for v := 0; v < n; v++ {
+		list := arcs[offs[v]:offs[v+1]]
+		slices.SortFunc(list, byTarget)
+		offs[v] = kept
+		for _, a := range list {
+			if kept > offs[v] && arcs[kept-1].v == a.v {
+				continue
+			}
+			arcs[kept] = a
+			kept++
+		}
+	}
+	offs[n] = kept
 
 	g := &Graph{
-		offs:     make([]int64, n+1),
-		adj:      make([]uint32, len(arcs)),
+		offs:     offs,
+		adj:      make([]uint32, kept),
 		directed: directed,
 		name:     name,
 	}
-	weights := make([]uint32, len(arcs))
-	for i, a := range arcs {
-		g.offs[a.u+1]++
+	weights := make([]uint32, kept)
+	for i, a := range arcs[:kept] {
 		g.adj[i] = a.v
 		weights[i] = a.w
-	}
-	for v := 0; v < n; v++ {
-		g.offs[v+1] += g.offs[v]
 	}
 	return &Weighted{Graph: g, weights: weights}, nil
 }

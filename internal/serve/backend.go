@@ -7,11 +7,12 @@ package serve
 // front either an in-process batcher (Local, the single-daemon and
 // shard configuration) or a remote shard over HTTP (ShardClient, what
 // the fleet router fans queries through). Both implementations produce
-// the same response structs and the same typed errors. A ShardClient
-// additionally keeps, on each response it returns, the verified body
-// the shard sent (the unexported wire field); the server writes those
-// bytes instead of encoding the struct again, so a response that
-// travelled router → shard → router IS the one the shard served.
+// the same response structs and the same typed errors. A response may
+// also carry the body it is served as (the unexported wire field): a
+// ShardClient keeps the verified bytes the shard sent, so a response
+// that travelled router → shard → router IS the one the shard served,
+// and Local hands a CC cache hit the encoding its epoch's cache already
+// holds. The server writes those bytes instead of encoding the struct.
 
 import (
 	"context"
@@ -162,10 +163,19 @@ type CCResponse struct {
 	Stats      QueryStats `json:"stats"`
 	Labels     []uint32   `json:"labels,omitempty"`
 
-	// wire, when set, is the body this response was decoded from,
-	// verified by the ShardClient that read it. The server sends it
-	// as the answer; code that changes any field above must clear it.
+	// wire, when set, is the body this response is served as: the
+	// shard's bytes a ShardClient decoded it from and verified, or the
+	// encoding Local's per-epoch CC cache holds for a hit. The server
+	// sends it as the answer; code that changes any field above must
+	// clear it.
 	wire []byte
+}
+
+// appendJSON appends the response's encoding (see appendAnswer).
+func (r *CCResponse) appendJSON(dst []byte) ([]byte, error) {
+	head := *r
+	head.Labels = nil
+	return appendAnswer(dst, r, &head, "labels", r.Labels)
 }
 
 // MarkStale returns a copy of the response marked stale, without the
@@ -192,6 +202,13 @@ type BFSResponse struct {
 	wire []byte // see CCResponse
 }
 
+// appendJSON appends the response's encoding (see appendAnswer).
+func (r *BFSResponse) appendJSON(dst []byte) ([]byte, error) {
+	head := *r
+	head.Dist = []uint32{}
+	return appendAnswer(dst, r, &head, "dist", r.Dist)
+}
+
 // SSSPResponse is the /query/sssp response body. Sum (of finite
 // distances) is the order-independent digest the smoke script compares
 // against the CLI kernels without parsing the whole array.
@@ -207,4 +224,11 @@ type SSSPResponse struct {
 	Dist    []uint64   `json:"dist"`
 
 	wire []byte // see CCResponse
+}
+
+// appendJSON appends the response's encoding (see appendAnswer).
+func (r *SSSPResponse) appendJSON(dst []byte) ([]byte, error) {
+	head := *r
+	head.Dist = []uint64{}
+	return appendAnswer(dst, r, &head, "dist", r.Dist)
 }

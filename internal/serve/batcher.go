@@ -315,9 +315,18 @@ func (f *fillContext) Err() error {
 // their own queries; they neither poison the cache with their error
 // nor leave a detached kernel run burning the pool for nobody.
 func (b *Batcher) CC(ctx context.Context, e *Entry, algo string) (labels []uint32, components int, stats bagraph.Stats, shared bool, err error) {
+	res, shared, err := b.cc(ctx, e, algo)
+	if err != nil {
+		return nil, 0, bagraph.Stats{}, false, err
+	}
+	return res.labels, res.components, res.stats, shared, nil
+}
+
+// cc is CC returning the filled cache entry itself.
+func (b *Batcher) cc(ctx context.Context, e *Entry, algo string) (res *ccResult, shared bool, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, bagraph.Stats{}, false, err
+			return nil, false, err
 		}
 		e.ccMu.Lock()
 		res, ok := e.ccCache[algo]
@@ -348,11 +357,14 @@ func (b *Batcher) CC(ctx context.Context, e *Entry, algo string) (labels []uint3
 				b.metrics.ObserveCC("retry")
 				continue
 			}
+			if res.err != nil {
+				return nil, false, res.err
+			}
 			// shared = ok: true exactly when this call joined a fill
 			// (or cache) someone else installed.
-			return res.labels, res.components, res.stats, ok, res.err
+			return res, ok, nil
 		case <-ctx.Done():
-			return nil, 0, bagraph.Stats{}, false, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 	}
 }

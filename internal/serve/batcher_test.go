@@ -3,7 +3,14 @@ package serve
 import (
 	"bagraph"
 
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +18,7 @@ import (
 	"bagraph/internal/bfs"
 	"bagraph/internal/cc"
 	"bagraph/internal/gen"
+	"bagraph/internal/graph"
 	"bagraph/internal/par"
 	"bagraph/internal/sssp"
 	"bagraph/internal/testutil"
@@ -314,4 +322,102 @@ func TestReplaceInvalidatesCCCache(t *testing.T) {
 	if comps != 1 {
 		t.Fatalf("star components = %d, want 1", comps)
 	}
+
+	// Over HTTP: the filler's answer is encoded fresh, every later one
+	// of either shape is its epoch's cached body — and each is exactly
+	// what encoding/json makes of the answer — until the epoch retires.
+	r = NewRegistry()
+	e1, err = r.Add("g", gen.Path(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := New(r, Config{Workers: 1, BatchWindow: -1, Autotune: true})
+	ts := httptest.NewServer(core.Handler())
+	defer func() {
+		ts.Close()
+		core.Close()
+	}()
+	post := func(algo string, labels bool) ([]byte, error) {
+		body, _ := json.Marshal(ccQuery{Graph: "g", Algo: algo, Labels: labels})
+		resp, err := http.Post(ts.URL+"/query/cc", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("%s labels=%v: status %d: %s", algo, labels, resp.StatusCode, raw)
+		}
+		return raw, err
+	}
+	query := func(algo string, labels bool) []byte {
+		t.Helper()
+		raw, err := post(algo, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	want := func(e *Entry, algo string, labels, cached bool) []byte {
+		t.Helper()
+		lab, comps, stats, _, err := core.Batcher().CC(context.Background(), e, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := CCResponse{Graph: "g", Epoch: e.Epoch(), Algo: algo, Components: comps, Cached: cached, Stats: statsPayload(stats)}
+		if labels {
+			resp.Labels = lab
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var old []byte
+	for i, labels := range []bool{false, true, false, true, true, false} {
+		got := query("hybrid", labels)
+		if w := want(e1, "hybrid", labels, i > 0); !bytes.Equal(got, w) {
+			t.Fatalf("epoch 1 query %d (labels=%v):\ngot  %s\nwant %s", i, labels, got, w)
+		}
+		if labels {
+			old = got
+		}
+	}
+	// "auto" resolves to the tuner's pick, whose cache it shares.
+	var head struct{ Algo string }
+	if err := json.Unmarshal(query("auto", true), &head); err != nil || head.Algo == "" || head.Algo == "auto" {
+		t.Fatalf("auto resolved to %q (%v)", head.Algo, err)
+	}
+	auto, named := query("auto", true), query(head.Algo, true)
+	if w := want(e1, head.Algo, true, true); !bytes.Equal(auto, w) || !bytes.Equal(named, w) {
+		t.Fatalf("auto and %s disagree:\nauto  %s\nnamed %s\nwant  %s", head.Algo, auto, named, w)
+	}
+
+	e2, err = r.Replace("g", graph.MustBuild(24, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, graph.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := query("hybrid", true)
+	if w := want(e2, "hybrid", true, false); !bytes.Equal(got, w) {
+		t.Fatalf("epoch 2 filler:\ngot  %s\nwant %s", got, w)
+	}
+	// The first hits of each shape race to encode the new epoch's bodies.
+	wants := map[bool][]byte{false: want(e2, "hybrid", false, true), true: want(e2, "hybrid", true, true)}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		labels := i%2 == 1
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := post("hybrid", labels)
+			if err != nil || !bytes.Equal(got, wants[labels]) {
+				t.Errorf("epoch 2 hit (labels=%v), err %v:\ngot  %s\nwant %s", labels, err, got, wants[labels])
+			}
+			if bytes.Equal(got, old) || !strings.Contains(string(got), `"epoch":2,`) {
+				t.Errorf("epoch 2 hit served epoch 1's body: %s", got)
+			}
+		}()
+	}
+	wg.Wait()
 }

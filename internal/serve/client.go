@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -119,12 +120,24 @@ func (c *ShardClient) failed(ctx context.Context, err error) error {
 	return &TransportError{Shard: c.base, Err: err}
 }
 
+// overCapError is readBody's refusal of a body longer than its cap.
+type overCapError struct {
+	length, limit int64 // length < 0: not announced
+}
+
+func (e *overCapError) Error() string {
+	if e.length < 0 {
+		return fmt.Sprintf("response body exceeds the %d-byte cap", e.limit)
+	}
+	return fmt.Sprintf("response body of %d bytes exceeds the %d-byte cap", e.length, e.limit)
+}
+
 // readBody reads and closes the response body, sized from its
 // Content-Length when the shard sent one.
 func readBody(resp *http.Response, limit int64) ([]byte, error) {
 	defer resp.Body.Close()
 	if resp.ContentLength > limit {
-		return nil, fmt.Errorf("response body of %d bytes exceeds the %d-byte cap", resp.ContentLength, limit)
+		return nil, &overCapError{resp.ContentLength, limit}
 	}
 	var buf bytes.Buffer
 	if resp.ContentLength > 0 {
@@ -135,7 +148,7 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 		return nil, err
 	}
 	if int64(buf.Len()) > limit {
-		return nil, fmt.Errorf("response body exceeds the %d-byte cap", limit)
+		return nil, &overCapError{-1, limit}
 	}
 	return buf.Bytes(), nil
 }
@@ -160,13 +173,14 @@ func (c *ShardClient) roundTrip(ctx context.Context, method, path string, body, 
 
 // vertexCount is the graph's size in the shard's last listing. A graph
 // the listing lacks (none was fetched yet, or the shard loaded the
-// graph since) costs one /graphs call; one the shard does not hold
-// counts zero vertices, and its 404 fits in the head room alone.
-func (c *ShardClient) vertexCount(ctx context.Context, graph string) (int, error) {
+// graph since) costs one /graphs call, as does a refresh; one the shard
+// does not hold counts zero vertices, and its 404 fits in the head room
+// alone.
+func (c *ShardClient) vertexCount(ctx context.Context, graph string, refresh bool) (int, error) {
 	c.mu.Lock()
 	n, ok := c.vertices[graph]
 	c.mu.Unlock()
-	if ok {
+	if ok && !refresh {
 		return n, nil
 	}
 	if _, err := c.Graphs(ctx); err != nil {
@@ -182,13 +196,22 @@ func (c *ShardClient) vertexCount(ctx context.Context, graph string) (int, error
 // The body is read whole — never longer than the graph's vertex count
 // allows — and verified before anything is returned: a truncated,
 // corrupted, oversized or merely unfamiliar body is a transport fault
-// the router retries elsewhere, never a partly trusted answer.
+// the router retries elsewhere, never a partly trusted answer. An
+// oversized body may only mean the listing is stale — the graph was
+// replaced by a larger one since — so the listing is refreshed once,
+// and the query asked again if the graph grew.
 func query[T uint32 | uint64](ctx context.Context, c *ShardClient, path, graph string, req any, key string, v any, arr *[]T) ([]byte, error) {
-	n, err := c.vertexCount(ctx, graph)
+	n, err := c.vertexCount(ctx, graph, false)
 	if err != nil {
 		return nil, err
 	}
 	raw, err := c.do(ctx, http.MethodPost, path, req, answerCap(graph, n, uint64(^T(0))))
+	var over *overCapError
+	if errors.As(err, &over) {
+		if m, lerr := c.vertexCount(ctx, graph, true); lerr == nil && m > n {
+			raw, err = c.do(ctx, http.MethodPost, path, req, answerCap(graph, m, uint64(^T(0))))
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

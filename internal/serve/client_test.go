@@ -3,7 +3,8 @@ package serve_test
 // ShardClient's bounded read: a 200 answer is refused — as a transport
 // fault, the class the router retries elsewhere — once it is longer
 // than the listed vertex count of its graph allows, whether or not the
-// shard announced the length.
+// shard announced the length; unless a fresh listing shows the graph
+// grew, in which case the answer is asked for again under the new cap.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bagraph/internal/graph"
 	"bagraph/internal/serve"
 )
 
@@ -63,8 +65,67 @@ func TestShardClientRefusesOversizedAnswer(t *testing.T) {
 			t.Fatalf("announced=%v: oversized answer: got %v, want a transport error naming the cap", withLength, err)
 		}
 	}
-	// The size came from one listing, fetched on first need.
-	if got := listings.Load(); got != 1 {
-		t.Fatalf("%d /graphs calls, want 1", got)
+	// The size came from one listing, fetched on first need, plus one
+	// refresh per oversized answer — which showed the graph had not grown.
+	if got := listings.Load(); got != 3 {
+		t.Fatalf("%d /graphs calls, want 3", got)
+	}
+}
+
+// TestShardClientFollowsReplacedGraph: a graph replaced on the shard by
+// a larger one, behind the client's back, leaves the client's listing
+// stale; the next answer overruns the stale cap, and the client must
+// re-list and re-ask rather than fail the query as a dead shard.
+func TestShardClientFollowsReplacedGraph(t *testing.T) {
+	// One edge, the rest isolated vertices: unreached hops and distances
+	// are the widest elements there are, and labels are vertex ids.
+	isolated := func(n int) *graph.Graph {
+		return graph.MustBuild(n, []graph.Edge{{U: 0, V: 1}}, graph.Options{})
+	}
+	n := 500
+	reg := serve.NewRegistry()
+	if _, err := reg.Add("g", isolated(n)); err != nil {
+		t.Fatal(err)
+	}
+	core := serve.New(reg, serve.Config{Workers: 1, BatchWindow: -1})
+	ts := httptest.NewServer(core.Handler())
+	defer func() {
+		ts.Close()
+		core.Close()
+	}()
+	client := serve.NewShardClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := client.Graphs(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each kind meets a stale listing: the graph grows 4x before each.
+	for _, kind := range []string{"bfs", "sssp", "cc"} {
+		n *= 4
+		if _, err := reg.Replace("g", isolated(n)); err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		var err error
+		switch kind {
+		case "bfs":
+			var resp *serve.BFSResponse
+			if resp, err = client.BFS(ctx, "g", 0, "bb"); err == nil {
+				got = len(resp.Dist)
+			}
+		case "sssp":
+			var resp *serve.SSSPResponse
+			if resp, err = client.SSSP(ctx, "g", 0, "dijkstra"); err == nil {
+				got = len(resp.Dist)
+			}
+		default:
+			var resp *serve.CCResponse
+			if resp, err = client.CC(ctx, "g", "unionfind", true); err == nil {
+				got = len(resp.Labels)
+			}
+		}
+		if err != nil || got != n {
+			t.Fatalf("%s after a 4x replace: %d elements, want %d; err %v", kind, got, n, err)
+		}
 	}
 }

@@ -16,3 +16,7 @@ func DecodeAnswer(kind string, raw []byte) (any, error) {
 		return out, decodeAnswer(raw, "dist", answerHeadRoom, out, &out.Dist)
 	}
 }
+
+// EncodeAnswer runs the encoder every served answer goes through over
+// a *CCResponse, *BFSResponse or *SSSPResponse, for the external tests.
+func EncodeAnswer(v any) ([]byte, error) { return v.(answer).appendJSON(nil) }

@@ -92,7 +92,8 @@ func (l *Local) canonFor(aliases map[string]string, algo, family string) (string
 	return c, nil
 }
 
-// CC implements Backend over the epoch-cached coalescing CC path.
+// CC implements Backend over the epoch-cached coalescing CC path. A
+// cache hit carries the body its epoch's cache holds for its shape.
 func (l *Local) CC(ctx context.Context, graph, algo string, labels bool) (*CCResponse, error) {
 	algo, err := l.canonFor(ccAliases, algo, "CC")
 	if err != nil {
@@ -103,7 +104,7 @@ func (l *Local) CC(ctx context.Context, graph, algo string, labels bool) (*CCRes
 		return nil, err
 	}
 	algo = l.resolveAuto(e, tune.KindCC, algo)
-	lab, components, stats, shared, err := l.batcher.CC(ctx, e, algo)
+	res, shared, err := l.batcher.cc(ctx, e, algo)
 	if err != nil {
 		return nil, err
 	}
@@ -111,12 +112,16 @@ func (l *Local) CC(ctx context.Context, graph, algo string, labels bool) (*CCRes
 		Graph:      e.Name(),
 		Epoch:      e.Epoch(),
 		Algo:       algo,
-		Components: components,
+		Components: res.components,
 		Cached:     shared,
-		Stats:      statsPayload(stats),
+		Stats:      statsPayload(res.stats),
 	}
 	if labels {
-		resp.Labels = lab
+		resp.Labels = res.labels
+	}
+	if shared {
+		// A hit is the same answer every time: send the epoch's bytes.
+		resp.wire = res.hitBody(resp, labels)
 	}
 	return resp, nil
 }

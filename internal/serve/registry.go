@@ -53,6 +53,11 @@ type Entry struct {
 // mid-kernel) is retired from the entry's cache before ready closes,
 // so waiters and later queries retry with their own context instead of
 // inheriting a dead cohort's error — the cache is never poisoned.
+//
+// Every hit on a filled result builds the same response, so hits also
+// share its encoding: hits[0] without labels, hits[1] with them, each
+// encoded by the first hit that asks for it and sent verbatim to every
+// later one. The bodies retire with the labels, at the epoch bump.
 type ccResult struct {
 	ready      chan struct{}
 	fill       *fillContext
@@ -60,6 +65,26 @@ type ccResult struct {
 	components int
 	stats      bagraph.Stats
 	err        error
+	hits       [2]ccBody
+}
+
+// ccBody is one cached:true CC answer, encoded once.
+type ccBody struct {
+	once sync.Once
+	wire []byte
+}
+
+// hitBody returns the body resp — a cache hit's answer built from res,
+// with labels or without — is served as, encoding it on the first call
+// for that shape. nil means it does not encode; the server then
+// encodes resp itself and reports why.
+func (res *ccResult) hitBody(resp *CCResponse, labels bool) []byte {
+	b := &res.hits[0]
+	if labels {
+		b = &res.hits[1]
+	}
+	b.once.Do(func() { b.wire, _ = encodeAnswer(resp) })
+	return b.wire
 }
 
 // Name returns the registry name.

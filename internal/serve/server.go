@@ -8,10 +8,11 @@
 // The HTTP handlers front a Backend (see backend.go): the in-process
 // Local backend (registry + batcher) in a single daemon or fleet
 // shard, or a fleet router fanning the same queries across remote
-// shards through ShardClients. Handlers decode, delegate and write —
-// the encoding of the backend's struct, or, when the backend is a
-// router relaying a shard, the verified bytes that shard sent; every
-// dispatch decision lives behind the interface.
+// shards through ShardClients. Handlers decode, delegate and write the
+// body the response is served as — a shard's verified bytes when the
+// backend is a router relaying one, a local CC answer's encoding cached
+// for its epoch — or else the struct's encoding (wire.go's append
+// encoder); every dispatch decision lives behind the interface.
 //
 // Endpoints:
 //
@@ -268,23 +269,41 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the connection owns delivery; nothing to do on failure
 }
 
+// answer is a query response: it appends its own encoding.
+type answer interface {
+	appendJSON(dst []byte) ([]byte, error)
+}
+
 // answerBufs holds the buffers query answers are encoded into, so the
 // length is known before the status line goes out.
-var answerBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeAnswer returns the encoding of v in a slice of its own, sized
+// to fit: a body to keep.
+func encodeAnswer(v answer) ([]byte, error) {
+	buf := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(buf)
+	wire, err := v.appendJSON((*buf)[:0])
+	if err != nil {
+		return nil, err
+	}
+	*buf = wire
+	return bytes.Clone(wire), nil
+}
 
 // writeAnswer sends a 200 query answer with its Content-Length, in one
-// Write: wire — the shard's verified body a routed response carries —
-// when there is one, the encoding of v otherwise.
-func writeAnswer(w http.ResponseWriter, wire []byte, v any) {
+// Write: wire — the body the response is served as — when there is
+// one, the encoding of v otherwise.
+func writeAnswer(w http.ResponseWriter, wire []byte, v answer) {
 	if wire == nil {
-		buf := answerBufs.Get().(*bytes.Buffer)
+		buf := answerBufs.Get().(*[]byte)
 		defer answerBufs.Put(buf)
-		buf.Reset()
-		if err := json.NewEncoder(buf).Encode(v); err != nil {
+		var err error
+		if *buf, err = v.appendJSON((*buf)[:0]); err != nil {
 			writeError(w, http.StatusInternalServerError, "encode answer: %v", err)
 			return
 		}
-		wire = buf.Bytes()
+		wire = *buf
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))

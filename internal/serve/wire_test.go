@@ -1,22 +1,28 @@
 package serve_test
 
-// The strict reader behind ShardClient: real answers decode to what
-// encoding/json makes of them, every damaged or merely unfamiliar body
-// is refused, and — the property the router's byte forwarding rests on
-// — nothing is ever accepted that encoding/json would refuse or read
-// differently (FuzzShardDecode).
+// The two halves of the answer wire format. The strict reader behind
+// ShardClient: real answers decode to what encoding/json makes of them,
+// every damaged or merely unfamiliar body is refused, and — the
+// property the router's byte forwarding rests on — nothing is ever
+// accepted that encoding/json would refuse or read differently
+// (FuzzShardDecode). The append encoder behind every served answer:
+// its bytes are encoding/json's, and the strict reader takes them back
+// to the answer they encode (FuzzAnswerEncode).
 
 import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
 	"testing"
 
+	"bagraph/internal/bfs"
 	"bagraph/internal/fault"
 	"bagraph/internal/serve"
+	"bagraph/internal/sssp"
 )
 
 var answerKinds = []string{"cc", "bfs", "sssp"}
@@ -161,6 +167,135 @@ func FuzzShardDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded %+v, encoding/json %+v, from %q", got, want, data)
+		}
+	})
+}
+
+// fuzzElems reads an answer array from fuzzer bytes: each byte picks a
+// boundary value, itself, or — with the eight bytes after it — any
+// 64-bit value. Narrower arrays truncate, so MaxUint64 reads as
+// MaxUint32 there. No bytes is a nil array unless empty is set.
+func fuzzElems(p []byte, empty bool) []uint64 {
+	var out []uint64
+	if empty {
+		out = []uint64{}
+	}
+	for len(p) > 0 {
+		sel := p[0]
+		p = p[1:]
+		switch sel % 8 {
+		case 0:
+			out = append(out, 0)
+		case 1:
+			out = append(out, uint64(bfs.Inf))
+		case 2:
+			out = append(out, sssp.Inf)
+		case 3:
+			out = append(out, math.MaxUint64)
+		case 4:
+			var v uint64
+			for i := 0; i < 8 && len(p) > 0; i++ {
+				v, p = v<<8|uint64(p[0]), p[1:]
+			}
+			out = append(out, v)
+		default:
+			out = append(out, uint64(sel))
+		}
+	}
+	return out
+}
+
+func narrow(v []uint64) []uint32 {
+	if v == nil {
+		return nil
+	}
+	out := make([]uint32, len(v))
+	for i, e := range v {
+		out[i] = uint32(e)
+	}
+	return out
+}
+
+// FuzzAnswerEncode is the encoder's proof: for any answer of any kind
+// its bytes equal what json.Encoder.Encode emits, and the strict
+// reader accepts them and decodes the answer back — the graph name as
+// encoding/json carries it (invalid UTF-8 becomes U+FFFD), an empty
+// labels array as the omitted member it encodes to.
+func FuzzAnswerEncode(f *testing.F) {
+	f.Add(uint8(0), "cm", uint64(1), uint64(12345), uint8(0), []byte{0, 5, 9, 200})
+	f.Add(uint8(0), "cm", uint64(2), uint64(7), uint8(0xff), []byte{})
+	f.Add(uint8(1), "<a href=\"x\">&</a>", uint64(3), uint64(1)<<40, uint8(1), []byte{1, 1, 0, 7})
+	f.Add(uint8(1), "\u2028\u2029\x00\x1f\x7f", uint64(0), uint64(0), uint8(0), []byte{})
+	f.Add(uint8(1), "g", uint64(9), uint64(3), uint8(1), []byte{})
+	f.Add(uint8(2), "bad\xff\xfeutf8", uint64(math.MaxUint64), uint64(math.MaxUint64), uint8(6), []byte{2, 3, 4, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(2), "", uint64(4), uint64(99), uint8(2), []byte{0})
+	// Arrays long enough to grow the buffer over several blocks.
+	f.Add(uint8(0), "big", uint64(5), uint64(11), uint8(0), bytes.Repeat([]byte{9, 1, 0}, 1500))
+	f.Add(uint8(2), "big", uint64(5), uint64(11), uint8(0), bytes.Repeat([]byte{3, 2, 200}, 1500))
+	f.Fuzz(func(t *testing.T, kind uint8, graph string, epoch, stat uint64, flags uint8, data []byte) {
+		graph = graph[:min(len(graph), 512)] // escaped, still within the reader's head room
+		// The graph name as encoding/json carries it.
+		quoted, _ := json.Marshal(graph) // a string always encodes
+		var name string
+		if err := json.Unmarshal(quoted, &name); err != nil {
+			t.Fatal(err)
+		}
+		elems := fuzzElems(data, flags&1 != 0)
+		zeroIf := func(bit uint8, v uint64) uint64 {
+			if flags&bit != 0 {
+				return 0
+			}
+			return v
+		}
+		stats := serve.QueryStats{
+			Passes:       int(stat % 1000),
+			LabelStores:  zeroIf(2, stat),
+			DistStores:   zeroIf(4, stat>>3),
+			Waves:        int(zeroIf(8, stat>>50)),
+			WordsScanned: zeroIf(16, stat*7),
+		}
+		var v, want any
+		switch kind % 3 {
+		case 0:
+			r := &serve.CCResponse{Graph: graph, Epoch: epoch, Algo: "par-hybrid", Components: int(stat >> 4),
+				Cached: flags&32 != 0, Stale: flags&64 != 0, Stats: stats, Labels: narrow(elems)}
+			w := *r
+			w.Graph = name
+			if len(w.Labels) == 0 {
+				w.Labels = nil // omitempty
+			}
+			v, want = r, &w
+		case 1:
+			r := &serve.BFSResponse{Graph: graph, Epoch: epoch, Algo: "ms", Root: uint32(stat), Batch: int(flags),
+				Reached: -int(stat >> 2), Stats: stats, Dist: narrow(elems)}
+			w := *r
+			w.Graph = name
+			v, want = r, &w
+		default:
+			r := &serve.SSSPResponse{Graph: graph, Epoch: epoch, Algo: "dijkstra", Root: uint32(stat >> 32), Batch: 1,
+				Reached: int(stat >> 1), Sum: stat, Stats: stats, Dist: elems}
+			w := *r
+			w.Graph = name
+			v, want = r, &w
+		}
+		got, err := serve.EncodeAnswer(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref bytes.Buffer
+		if err := json.NewEncoder(&ref).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref.Bytes()) {
+			t.Fatalf("encoder and encoding/json disagree\nencoder: %q\njson:    %q", got, ref.Bytes())
+		}
+
+		back, err := serve.DecodeAnswer(answerKinds[kind%3], got)
+		if err != nil {
+			t.Fatalf("strict reader refused the encoder's bytes (%v): %q", err, got)
+		}
+		if !reflect.DeepEqual(back, want) {
+			t.Fatalf("round trip changed the answer\ndecoded: %+v\nwant:    %+v", back, want)
 		}
 	})
 }
