@@ -386,6 +386,41 @@ func BenchmarkParallelSSSP(b *testing.B) {
 			reportEdges(b, g.NumArcs())
 		})
 	}
+	// The repo benchmark's kernels cell sssp.par-hybrid.social at seed
+	// 1: coAuthorsDBLP at scale 1, weights in [1, 31], the default
+	// bucket width, here from the lowest-id maximum-degree vertex.
+	b.Run("social", func(b *testing.B) {
+		sg, err := CorpusGraph("coAuthorsDBLP", 1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sw, err := graph.AttachWeights(sg, xrand.SymmetricWeights(31, xrand.Hash64(1^0x77)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		delta := sssp.DefaultDelta(sw)
+		root := uint32(0)
+		for v := 1; v < sg.NumVertices(); v++ {
+			if sg.Degree(uint32(v)) > sg.Degree(root) {
+				root = uint32(v)
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("par-hybrid/workers=%d", workers), func(b *testing.B) {
+				x := testutil.Exec(b, workers, par.Static)
+				dist := make([]uint64, sg.NumVertices())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dist, _, err = sssp.Parallel(x, sw, root, sssp.ParallelOptions{Variant: core.Hybrid, Delta: delta, Dist: dist})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportEdges(b, sg.NumArcs())
+			})
+		}
+	})
 }
 
 // --- chunk scheduling: stealing vs static on skewed frontiers -------------

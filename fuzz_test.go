@@ -3,10 +3,12 @@ package bagraph
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"bagraph/internal/cc"
 	"bagraph/internal/graph"
+	"bagraph/internal/sssp"
 	"bagraph/internal/testutil"
 )
 
@@ -107,6 +109,120 @@ func FuzzCC(f *testing.F) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						testutil.MustEqualLabels(t, name, res.Labels, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// fuzzWeight maps one fuzz byte to an edge weight: mostly small values
+// (0 included), with the top of the byte range reaching far beyond any
+// bucket width — 2^27..2^31, and 0xff for math.MaxUint32 itself.
+func fuzzWeight(b byte) uint32 {
+	switch {
+	case b == 0xff:
+		return math.MaxUint32
+	case b >= 0xf0:
+		return uint32(b&0x0f+1) << 27
+	default:
+		return uint32(b)
+	}
+}
+
+// fuzzWeighted decodes the same bytes as fuzzGraph into a weighted
+// graph, taking edge i's weight from ws[i mod len(ws)] (weight 1 when
+// ws is empty). Parallel edges collapse to their minimum weight and
+// self-loops are dropped, as in NewWeightedGraph.
+func fuzzWeighted(data, ws []byte) *WeightedGraph {
+	if len(data) == 0 {
+		return graph.MustBuildWeighted(0, nil, false, "")
+	}
+	n := int(data[0]) + 1
+	var edges []WeightedEdge
+	for i := 1; i+1 < len(data); i += 2 {
+		w := uint32(1)
+		if len(ws) > 0 {
+			w = fuzzWeight(ws[(i/2)%len(ws)])
+		}
+		edges = append(edges, WeightedEdge{U: uint32(int(data[i]) % n), V: uint32(int(data[i+1]) % n), W: w})
+	}
+	return graph.MustBuildWeighted(n, edges, false, "")
+}
+
+// FuzzSSSP is the shortest-paths slice of the differential Run fuzzer:
+// the three parallel delta-stepping variants, at every worker count
+// from 1 to 4, under both schedules, with and without the light/heavy
+// split, at the default bucket width, at width 1 and at a fuzz-chosen
+// power of two, plus the two sequential Bellman-Ford kernels — all must
+// return sssp.Dijkstra's distances from the fuzz-chosen source. Weights
+// span 0 to math.MaxUint32, so bucket ids range from a handful to about
+// 2^32 apart.
+func FuzzSSSP(f *testing.F) {
+	f.Add([]byte{0}, []byte{}, byte(0), byte(0)) // one vertex
+	f.Add(fuzzCCInput(9), []byte{1}, byte(3), byte(2))
+	f.Add(fuzzCCInput(4, [2]byte{0, 1}, [2]byte{1, 2}, [2]byte{0, 2}), []byte{0, 0, 5}, byte(0), byte(0))
+	// A path with one MaxUint32 edge in the middle: at width 1 the
+	// buckets on either side of it are about 2^32 apart.
+	f.Add(fuzzCCInput(8, fuzzPath(0, 7)...), []byte{1, 2, 3, 0xff, 1, 2, 3}, byte(0), byte(0))
+	f.Add(fuzzCCInput(8, fuzzPath(0, 7)...), []byte{0xf3, 0, 0xff, 7}, byte(5), byte(31))
+	// Parallel edges of different weights, a self-loop, two components.
+	f.Add(fuzzCCInput(6, [2]byte{0, 1}, [2]byte{0, 1}, [2]byte{1, 1}, [2]byte{1, 2}, [2]byte{4, 5}),
+		[]byte{9, 2, 0, 0xf8, 1}, byte(1), byte(4))
+	f.Add(fuzzCCInput(256, fuzzPath(0, 255)...), []byte{0xef, 0, 1, 0xfe}, byte(128), byte(8))
+
+	algos := []struct {
+		name     string
+		alg      SSSPAlgorithm
+		parallel bool
+	}{
+		{"par-bb", SSSPBellmanFord, true},
+		{"par-ba", SSSPBellmanFordBranchAvoiding, true},
+		{"par-hybrid", SSSPHybrid, true},
+		{"bb", SSSPBellmanFord, false},
+		{"ba", SSSPBellmanFordBranchAvoiding, false},
+	}
+	var pools []*WorkerPool
+	for workers := 1; workers <= 4; workers++ {
+		p := NewWorkerPool(workers)
+		f.Cleanup(p.Close)
+		pools = append(pools, p)
+	}
+	f.Fuzz(func(t *testing.T, data, ws []byte, root, deltaLog byte) {
+		// Every input runs 160 kernels, hundreds of passes each at width 1
+		// on a dense graph: past 1024 edges an input buys time, not
+		// shapes.
+		if len(data) > 1+2*1024 {
+			data = data[:1+2*1024]
+		}
+		g := fuzzWeighted(data, ws)
+		n := g.NumVertices()
+		if n == 0 {
+			return
+		}
+		src := uint32(int(root) % n)
+		want := sssp.Dijkstra(g, src)
+		deltas := []uint64{0, 1, uint64(1) << (deltaLog % 34)}
+		for _, a := range algos {
+			// The sequential kernels take no width or split: one run each.
+			splits, widths := []bool{false, true}, deltas
+			if !a.parallel {
+				splits, widths = splits[:1], widths[:1]
+			}
+			for _, pool := range pools {
+				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
+					for _, split := range splits {
+						for _, delta := range widths {
+							name := fmt.Sprintf("%s/w%d/%s/lightheavy=%v/delta=%d", a.name, pool.Workers(), sched, split, delta)
+							res, err := pool.Run(context.Background(), g, Request{
+								Kind: KindSSSP, SSSP: a.alg, Parallel: a.parallel, Root: src,
+								Schedule: sched, LightHeavy: split, Delta: delta,
+							})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							testutil.MustEqualDists(t, name, res.Dists, want)
+						}
 					}
 				}
 			}

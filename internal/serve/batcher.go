@@ -104,6 +104,11 @@ type Batcher struct {
 	// any handler whose deadline fired mid-kernel, so Close must wait
 	// for it before releasing the pool it is running on.
 	fills sync.WaitGroup
+	// timed tracks armed window timers the same way: a batch the timer
+	// dispatches runs its kernel on the timer's goroutine, which no
+	// handler waits for. A timer counts from when it is armed until
+	// flushTimed returns or Stop wins in takeLocked.
+	timed sync.WaitGroup
 
 	// metrics, when set, receives batch sizes, cache events and kernel
 	// counters; nil disables the plane (every observe is a nil no-op).
@@ -215,13 +220,26 @@ func kindLabel(key batchKey) string {
 	}
 }
 
-// Close releases the worker pool. In-flight dispatches must have
-// drained (the HTTP server's shutdown guarantees that); detached CC
-// cache fills may still be running — their cohorts' handlers are gone,
-// so they stop at their next pass barrier — and Close waits for them
-// before releasing the pool they run on.
+// errClosed answers the requests of a batch still pending at Close.
+var errClosed = errors.New("serve: batcher closed")
+
+// Close releases the worker pool. In-flight handlers must have drained
+// (the HTTP server's shutdown guarantees that), but kernels no handler
+// waits for may still be running: detached CC cache fills, and batches
+// the window timer dispatched after their waiters' contexts died. Both
+// stop at their next pass barrier, and Close waits for them before
+// releasing the pool they run on. A batch still waiting for its window
+// is claimed instead, its requests answered with an error.
 func (b *Batcher) Close() {
+	b.mu.Lock()
+	for _, pb := range b.pending {
+		for _, r := range b.takeLocked(pb) {
+			r.done <- Result{Err: errClosed}
+		}
+	}
+	b.mu.Unlock()
 	b.fills.Wait()
+	b.timed.Wait()
 	b.wp.Close()
 }
 
@@ -427,7 +445,11 @@ func (b *Batcher) Submit(ctx context.Context, e *Entry, k Kind, algo string, roo
 		pb = &pendingBatch{key: key}
 		b.pending[key] = pb
 		if b.window > 0 {
-			pb.timer = time.AfterFunc(b.window, func() { b.flushTimed(pb) })
+			b.timed.Add(1)
+			pb.timer = time.AfterFunc(b.window, func() {
+				defer b.timed.Done()
+				b.flushTimed(pb)
+			})
 		}
 	}
 	pb.reqs = append(pb.reqs, req)
@@ -457,8 +479,8 @@ func (b *Batcher) takeLocked(pb *pendingBatch) []*Request {
 		return nil
 	}
 	pb.flushed = true
-	if pb.timer != nil {
-		pb.timer.Stop()
+	if pb.timer != nil && pb.timer.Stop() {
+		b.timed.Done() // the timer will not run: release its count here
 	}
 	delete(b.pending, pb.key)
 	return pb.reqs

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -420,4 +421,87 @@ func TestReplaceInvalidatesCCCache(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCloseWaitsForTimerDispatchedBatch: Close must not release the
+// pool under a kernel the window timer dispatched — no handler waits on
+// the timer's goroutine, so only the batcher can. The query's client is
+// still waiting here, which keeps the par-hybrid kernel (hundreds of
+// passes on a 300x300 grid) mid-run when Close starts; a pool closed
+// under it would make its next pass send on a closed channel.
+func TestCloseWaitsForTimerDispatchedBatch(t *testing.T) {
+	reg := NewRegistry()
+	e, err := reg.Add("grid", gen.Grid2D(300, 300, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, Config{Workers: 2, BatchWindow: 20 * time.Millisecond})
+	type answer struct {
+		res *SSSPResponse
+		err error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		res, err := s.Backend().SSSP(context.Background(), "grid", 0, "par-hybrid")
+		got <- answer{res, err}
+	}()
+
+	// The batch is dispatched by its window timer once it leaves the
+	// pending table.
+	key := batchKey{entry: e, kind: KindSSSP, algo: "par-hybrid"}
+	deadline := time.Now().Add(10 * time.Second)
+	for seen := false; ; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the window timer never dispatched the batch")
+		}
+		n := s.Batcher().enqueuedLen(key)
+		if n > 0 {
+			seen = true
+		} else if seen {
+			break
+		}
+	}
+	s.Close()
+
+	a := <-got
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	w, err := e.Weighted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sssp.Dijkstra(w, 0)
+	for v := range want {
+		if a.res.Dist[v] != want[v] {
+			t.Fatalf("dist[%d] = %d, want %d", v, a.res.Dist[v], want[v])
+		}
+	}
+}
+
+// TestClosePendingBatch: a batch still waiting for its window at Close
+// is claimed — its timer stopped, its requests answered — so Close does
+// not wait out the window.
+func TestClosePendingBatch(t *testing.T) {
+	e := newTestEntry(t)
+	b := NewBatcher(2, 8, time.Hour, bagraph.ScheduleStatic)
+	key := batchKey{entry: e, kind: KindBFS, algo: "ba"}
+	res := make(chan Result, 1)
+	go func() { res <- b.BFS(context.Background(), e, "ba", 0) }()
+	for b.enqueuedLen(key) == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waited for an hour-long batch window")
+	}
+	if r := <-res; !errors.Is(r.Err, errClosed) {
+		t.Fatalf("pending request: Err = %v, want errClosed", r.Err)
+	}
 }

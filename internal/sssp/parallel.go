@@ -17,12 +17,16 @@ package sssp
 // The weight-class test folds into the relaxation mask, so the
 // branch-avoiding inner loop stays branch-free either way.
 //
-// Each pass is a scatter + merge, mirroring how the other engine
-// kernels stay race-free without per-element atomics:
+// The vertices are split once per query into one range per worker,
+// balanced on arcs plus vertices (ownerRanges) and 64-aligned so every
+// range holds whole bitset words. A range's owner is the only task that
+// writes its distances, its bitset words and its buckets.
+// Each pass is a scatter and an owner-computes barrier, so the kernel
+// stays race-free without atomics and without a serial merge:
 //
 //   - Scatter (parallel): the frontier is partitioned into
-//     degree-balanced ranges (par.Partition over the frontier's own arc
-//     prefix array). Every worker walks its range's out-edges against
+//     degree-balanced chunks (par.Partition over the frontier's own arc
+//     prefix array). Every worker walks its chunk's out-edges against
 //     the immutable distance array and emits improving candidates
 //     (vertex, proposed distance) into a private buffer. The relaxation
 //     test "cand < dist[u]" is the data-dependent branch the paper
@@ -31,16 +35,30 @@ package sssp
 //     performs the paper's Algorithm 5 trick — an unconditional store
 //     to the buffer tail plus a mask-computed tail increment — so the
 //     candidate buffer plays the role BFS's queue plays in §5.2, stores
-//     growing from O(improvements) to O(frontier arcs).
+//     growing from O(improvements) to O(frontier arcs). Every
+//     routeBatch rows a chunk routes its surviving candidates to
+//     per-(worker, owner) buffers.
 //
-//   - Merge (at the pass barrier): per-worker candidate buffers are
-//     folded into the distance array with a min, newly improved
-//     vertices are re-bucketed by their new distance, and the buffers
-//     reset. The merge is the barrier-time accumulator fold every
-//     engine kernel performs (cc merges change counts, parallel BFS
-//     concatenates queues); candidates are a small filtered subset of
-//     the scanned arcs, so the sequential fold is off the critical
-//     path.
+//   - Barrier (parallel, one task per owner): each owner folds the
+//     candidates routed to it into its distances with a min, in worker
+//     order; dedups the improved set; re-buckets it by the final
+//     post-pass distances; and compacts its share of the next frontier
+//     (stale entries and duplicates dropped, arc-count prefix built).
+//     The coordinator only concatenates the owners' frontiers and picks
+//     the next bucket. The fold is split by owner because it is not
+//     cheap: on a 299k-vertex collaboration graph one goroutine folding
+//     and re-bucketing for the whole graph spent about 40 % of a query.
+//
+// Buckets need no map and no heap. Candidates produced while processing
+// bucket b have distance in [b·delta, (b+1)·delta + maxWeight), so every
+// queued bucket id lies in a window of (maxWeight>>shift) + 2 ids from
+// the current bucket up; each owner keeps one vertex list per window
+// slot, indexed by bucket id modulo the (power-of-two) window length.
+// The window grows on demand to that width, so no query sweeps the
+// weights to size it, and it is capped, so one huge weight or a tiny
+// delta cannot allocate a table of 2^32 slots: ids past the cap wait in
+// the owner's far list and move into the window when the current
+// bucket comes within a window of them.
 //
 // Correctness does not depend on delta: any improvement re-activates
 // its vertex, so the kernel terminates only at the relaxation fixed
@@ -48,9 +66,18 @@ package sssp
 // much wasted re-relaxation the schedule admits. Candidates produced
 // while processing bucket b have distance >= b*delta (weights are
 // non-negative), so buckets are visited in nondecreasing order.
+//
+// At one worker there is one owner and one chunk, so candidates fold in
+// exactly the order they were produced; every counter is deterministic
+// there. All per-query scratch (candidate buffers, owner state, bitsets,
+// frontier arrays) is recycled across queries of the same shape, so a
+// warm query allocates little beyond its distance array.
 
 import (
 	"math/bits"
+	"slices"
+	"sort"
+	"sync"
 	"time"
 
 	"bagraph/internal/bitset"
@@ -147,13 +174,356 @@ func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([
 	if n == 0 || int(src) >= n {
 		return dist, st, nil
 	}
-	adj := g.Adjacency()
-	ws := g.ArcWeights()
+	q := newQuery(x.Pool.Workers(), g, dist, opt)
+	defer q.release()
+	chunkTarget := par.ChunkCount(x.Pool.Workers(), x.Schedule)
+	scatter, settle, open := q.scatter, q.settle, q.open
+
+	// relaxPass is one scatter + barrier over l: scatter the wanted
+	// weight class of every vertex's arcs against the immutable distance
+	// array into per-worker candidate buffers, routed by owner, then let
+	// every owner fold, re-bucket and compact its share. Chunks are
+	// degree-balanced; under par.Stealing idle workers take whole chunks
+	// from stragglers (an RMAT hub's chunk can no longer stall the pass
+	// barrier behind it).
+	relaxPass := func(l *vertexList, heavy bool) error {
+		start := time.Now()
+		scanned := l.arcs[len(l.arcs)-1]
+		q.verts, q.heavy = l.verts, heavy
+		//ba:atomic-free
+		if err := x.Pass(&st, par.Partition(l.arcs, chunkTarget, 1), scatter); err != nil {
+			return err
+		}
+		//ba:atomic-free
+		x.Pool.Run(len(q.owners), settle)
+
+		changed, relaxed := 0, uint64(0)
+		for t := range q.s.workers {
+			st.CandStores += q.s.workers[t].stores
+			q.s.workers[t].stores = 0
+		}
+		for o := range q.owners {
+			ow := &q.owners[o]
+			st.DistStores += ow.distStores
+			relaxed += ow.relaxed
+			changed += len(ow.changed)
+			ow.distStores, ow.relaxed = 0, 0
+		}
+		if heavy {
+			st.HeavyRelaxed += relaxed
+		} else {
+			st.LightRelaxed += relaxed
+		}
+		st.PassDurations = append(st.PassDurations, time.Since(start))
+		st.PassChanges = append(st.PassChanges, changed)
+		st.Passes++
+		if opt.Variant == core.Hybrid && q.avoiding && scanned > 0 &&
+			float64(changed) < hybridChangeFraction*float64(scanned) {
+			q.avoiding = false
+		}
+		return nil
+	}
+
+	src0 := &q.owners[q.s.ownerOf[src/64]]
+	src0.push(src, 0, 0)
+	src0.next = 0
+	for {
+		// The lowest queued bucket; candidate distances never fall below
+		// the current bucket floor, so this advances monotonically.
+		q.cur = noBucket
+		for o := range q.owners {
+			q.cur = min(q.cur, q.owners[o].next)
+		}
+		if q.cur == noBucket {
+			break
+		}
+		st.Buckets++
+		//ba:atomic-free
+		x.Pool.Run(len(q.owners), open)
+
+		// In-bucket passes: light arcs only (they alone can re-fill the
+		// current bucket; without the split, all arcs), until no owner
+		// has a live vertex left in it.
+		for f := q.gather(&q.s.frontier, frontOf); len(f.verts) > 0; f = q.gather(&q.s.frontier, frontOf) {
+			if err := relaxPass(f, false); err != nil {
+				return dist, st, err
+			}
+		}
+
+		// Bucket close: the settled vertices' distances are final (heavy
+		// arcs reach strictly later buckets, later buckets never improve
+		// earlier ones), so each vertex's heavy arcs relax exactly once.
+		if !q.split {
+			continue
+		}
+		if s := q.gather(&q.s.settledAll, settledOf); len(s.verts) > 0 {
+			if err := relaxPass(s, true); err != nil {
+				return dist, st, err
+			}
+		}
+	}
+	return dist, st, nil
+}
+
+// noBucket is the "no queued vertex" bucket id.
+const noBucket = ^uint64(0)
+
+// maxWindow caps an owner's bucket window: ids further than this past
+// the current bucket wait in the far list instead of growing the table.
+const maxWindow = 1 << 12
+
+// vertexList is a vertex list with its arc-count prefix: arcs[i] is the
+// total degree of verts[:i], so len(arcs) == len(verts)+1 and the list
+// feeds par.Partition directly.
+type vertexList struct {
+	verts []uint32
+	arcs  []int64
+}
+
+func (l *vertexList) reset() {
+	l.verts = l.verts[:0]
+	l.arcs = append(l.arcs[:0], 0)
+}
+
+func (l *vertexList) push(v uint32, deg int64) {
+	l.verts = append(l.verts, v)
+	l.arcs = append(l.arcs, l.arcs[len(l.arcs)-1]+deg)
+}
+
+// concat appends src to l, rebasing src's prefix onto l's total.
+func (l *vertexList) concat(src *vertexList) {
+	base := l.arcs[len(l.arcs)-1]
+	l.verts = append(l.verts, src.verts...)
+	for _, a := range src.arcs[1:] {
+		l.arcs = append(l.arcs, base+a)
+	}
+}
+
+// farEntry is a queued vertex whose bucket id lay past its owner's
+// window when it was queued.
+type farEntry struct {
+	v uint32
+	b uint64
+}
+
+// worker is one scatter worker's private state, padded so neighbours'
+// counters do not share a cache line.
+type worker struct {
+	buf    []candidate   // the current batch's surviving candidates
+	out    [][]candidate // routed candidates, one buffer per owner
+	stores uint64        // candidate stores this pass
+	sink   uint64        // prefetch accumulator, published so the early loads stay live
+	_      [64]byte
+}
+
+// owner is the state of one owned vertex range between passes. Only the
+// owner's own tasks touch it, and they touch only the range's distances
+// and bitset words.
+type owner struct {
+	// window[b & (len(window)-1)] holds the vertices queued for bucket b,
+	// for b in [cur, cur+len(window)). Entries go stale when a vertex
+	// improves again; staleness is filtered when the bucket is compacted
+	// into a frontier, so duplicates are harmless. The window starts at
+	// two slots and doubles on demand up to maxSlots; it is recycled
+	// with the scratch at the width it reached.
+	window   [][]uint32
+	maxSlots int
+	far      []farEntry // queued vertices with b >= cur+len(window) when queued
+	farMin   uint64     // lowest bucket id in far, noBucket if far is empty
+	next     uint64     // lowest queued bucket id, noBucket if none
+
+	changed []uint32   // vertices this pass improved
+	front   vertexList // this owner's share of the next frontier
+	// settled collects the current bucket's processed vertices for the
+	// heavy close pass (light/heavy only).
+	settled vertexList
+
+	distStores, relaxed uint64
+	_                   [64]byte
+}
+
+// push queues v for bucket b while cur is the current bucket, growing
+// the window up to maxSlots to take b.
+func (o *owner) push(v uint32, b, cur uint64) {
+	for b-cur >= uint64(len(o.window)) && len(o.window) < o.maxSlots {
+		o.grow(cur)
+	}
+	if b-cur < uint64(len(o.window)) {
+		i := b & uint64(len(o.window)-1)
+		o.window[i] = append(o.window[i], v)
+		return
+	}
+	o.far = append(o.far, farEntry{v, b})
+	o.farMin = min(o.farMin, b)
+}
+
+// grow doubles the window, moving every list to its bucket's slot in
+// the wider window. Far entries exist only once the window is at its
+// cap, so growing never leaves one inside the window.
+func (o *owner) grow(cur uint64) {
+	w := make([][]uint32, 2*len(o.window))
+	for b := cur; b-cur < uint64(len(o.window)); b++ {
+		w[b&uint64(len(w)-1)] = o.window[b&uint64(len(o.window)-1)]
+	}
+	o.window = w
+}
+
+// rebase moves the far entries a window starting at cur now covers into
+// the window. cur never exceeds farMin: far ids are candidates for the
+// next bucket like any other.
+func (o *owner) rebase(cur uint64) {
+	if o.farMin-cur >= uint64(len(o.window)) {
+		return
+	}
+	kept := o.far[:0]
+	o.farMin = noBucket
+	for _, e := range o.far {
+		if e.b-cur < uint64(len(o.window)) {
+			i := e.b & uint64(len(o.window)-1)
+			o.window[i] = append(o.window[i], e.v)
+			continue
+		}
+		kept = append(kept, e)
+		o.farMin = min(o.farMin, e.b)
+	}
+	o.far = kept
+}
+
+// nextBucket returns the lowest queued bucket id at or after cur. Far
+// ids all lie past the window, so a window hit is the answer.
+func (o *owner) nextBucket(cur uint64) uint64 {
+	mask := uint64(len(o.window) - 1)
+	for b := cur; b-cur < uint64(len(o.window)); b++ {
+		if len(o.window[b&mask]) > 0 {
+			return b
+		}
+	}
+	return o.farMin
+}
+
+// ownerRanges splits [0, n) into at most parts 64-aligned ranges of
+// near-equal owner work. An owner folds the candidates aimed at its
+// vertices, about one per arc, and re-buckets and compacts per improved
+// vertex, so a vertex costs its degree plus the mean degree: arcs and
+// vertices weigh half each. Balancing on arcs alone (par.Partition)
+// left the owner of a collaboration graph's low-degree tail about three
+// times the barrier work of the hubs' owner.
+func ownerRanges(offs []int64, parts int) []par.Range {
+	n := len(offs) - 1
+	perVertex := max(offs[n]/int64(n), 1)
+	cost := func(v int) int64 { return offs[v] + perVertex*int64(v) }
+	ranges := make([]par.Range, 0, parts)
+	lo := 0
+	for k := 1; k <= parts && lo < n; k++ {
+		hi := n
+		if k < parts {
+			target := cost(n) * int64(k) / int64(parts)
+			hi = sort.Search(n, func(v int) bool { return cost(v) >= target }) / 64 * 64
+		}
+		if hi > lo {
+			ranges = append(ranges, par.Range{Lo: lo, Hi: hi})
+			lo = hi
+		}
+	}
+	return ranges
+}
+
+// scratchKey identifies the queries that can share one scratch: the
+// owner ranges and bitsets are sized by the vertex count, the worker
+// and owner state by the pool size.
+type scratchKey struct {
+	n, workers int
+}
+
+// scratchPools holds one *sync.Pool of *scratch per scratchKey. The
+// pools empty themselves across garbage collections; the keys stay, one
+// small Pool per (vertex count, worker count) ever queried.
+var scratchPools sync.Map
+
+// scratch is everything a query allocates besides its distance array.
+// It is recycled across queries and returned clean: empty lists and
+// buffers, cleared bitsets.
+type scratch struct {
+	key     scratchKey
+	ownerOf []int32 // owner index of every 64-vertex bitset word
+	workers []worker
+	owners  []owner
+	// inFrontier dedups a frontier under construction, changed a pass's
+	// improved set, settled the current bucket's settled set.
+	inFrontier, changed, settled *bitset.Set
+	// The coordinator's concatenations of the owners' lists when there
+	// are several owners.
+	frontier, settledAll vertexList
+}
+
+func getScratch(n, workers int) *scratch {
+	key := scratchKey{n, workers}
+	p, ok := scratchPools.Load(key)
+	if !ok {
+		p, _ = scratchPools.LoadOrStore(key, new(sync.Pool))
+	}
+	if s, ok := p.(*sync.Pool).Get().(*scratch); ok {
+		return s
+	}
+	s := &scratch{
+		key:        key,
+		ownerOf:    make([]int32, (n+63)/64),
+		workers:    make([]worker, workers),
+		owners:     make([]owner, workers),
+		inFrontier: bitset.New(n),
+		changed:    bitset.New(n),
+		settled:    bitset.New(n),
+	}
+	for t := range s.workers {
+		s.workers[t].out = make([][]candidate, workers)
+	}
+	for o := range s.owners {
+		s.owners[o].window = make([][]uint32, 2)
+		s.owners[o].farMin = noBucket
+		s.owners[o].front.reset()
+		s.owners[o].settled.reset()
+	}
+	s.frontier.reset()
+	s.settledAll.reset()
+	return s
+}
+
+func putScratch(s *scratch) {
+	p, _ := scratchPools.Load(s.key)
+	p.(*sync.Pool).Put(s)
+}
+
+// query is one Parallel call's state: the graph, the scratch, the
+// fixed parameters and the per-pass ones the tasks read.
+type query struct {
+	s      *scratch
+	owners []owner // s.owners[:ranges]
+
+	dist     []uint64
+	offs     []int64
+	adj, ws  []uint32
+	shift    uint
+	split    bool
+	lightCut uint64 // weights below it are light
+
+	avoiding bool     // the current pass runs the branch-avoiding loops
+	cur      uint64   // the current bucket
+	verts    []uint32 // the current pass's vertices
+	heavy    bool     // the current pass relaxes heavy arcs
+}
+
+func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions) *query {
 	offs := g.Offsets()
-	shift := deltaShift(opt.Delta, g)
-
-	avoiding := opt.Variant == core.BranchAvoiding || opt.Variant == core.Hybrid
-
+	q := &query{
+		s:        getScratch(len(dist), workers),
+		dist:     dist,
+		offs:     offs,
+		adj:      g.Adjacency(),
+		ws:       g.ArcWeights(),
+		shift:    deltaShift(opt.Delta, g),
+		split:    opt.LightHeavy,
+		avoiding: opt.Variant == core.BranchAvoiding || opt.Variant == core.Hybrid,
+	}
 	// The light/heavy split: arcs with weight < lightCut relax in the
 	// in-bucket passes, the rest wait for the one heavy pass at bucket
 	// close. Without the split every arc is "light". The cut stays in
@@ -161,379 +531,378 @@ func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([
 	// weight when the split is off or delta already exceeds all
 	// weights — 2^33 does both.
 	const allLight = uint64(1) << 33
-	delta := uint64(1) << shift
-	split := opt.LightHeavy
-	lightCut := allLight
-	if split && delta < allLight-1 {
-		lightCut = delta + 1
+	delta := uint64(1) << q.shift
+	q.lightCut = allLight
+	if q.split && delta < allLight-1 {
+		q.lightCut = delta + 1
 	}
 
-	// buckets[b] holds vertices pending relaxation whose distance fell
-	// into [b<<shift, (b+1)<<shift) when they improved. Entries go
-	// stale when a vertex improves again; staleness is filtered at pop
-	// time against the vertex's current bucket, so duplicates are
-	// harmless. order is a lazy min-heap of bucket ids (pushed when a
-	// key first appears, stale ids skipped at pop), so finding the next
-	// bucket costs O(log B) instead of a full key scan per activation.
-	buckets := map[uint64][]uint32{0: {src}}
-	order := bucketHeap{0}
-
-	nw := x.Pool.Workers()
-	chunkTarget := par.ChunkCount(nw, x.Schedule)
-	cands := make([][]candidate, nw)
-	candStores := make([]uint64, nw) // per-worker, merged at the barrier
-	// sink publishes each worker's prefetch-lookahead accumulator (see
-	// the scatter loops) so the early loads stay live; written once per
-	// chunk, never read.
-	sink := make([]uint64, nw)
-	frontier := make([]uint32, 0, 64)
-	// fronOffs is the frontier's private arc-count prefix array; feeding
-	// it to par.Partition degree-balances the scatter chunks exactly as
-	// the whole-graph kernels balance vertex ranges.
-	fronOffs := make([]int64, 1, 65)
-	inFrontier := bitset.New(n)
-	changed := make([]uint32, 0, 64) // vertices improved this pass
-	changedBits := bitset.New(n)
-
-	// settled collects the current bucket's processed vertices for the
-	// heavy close pass; settledBits dedupes re-activations within the
-	// bucket (a vertex's heavy arcs relax once, at its final in-bucket
-	// distance).
-	var settled []uint32
-	var setOffs []int64
-	var settledBits *bitset.Set
-	if split {
-		settled = make([]uint32, 0, 64)
-		setOffs = make([]int64, 1, 65)
-		settledBits = bitset.New(n)
+	ranges := ownerRanges(offs, workers)
+	q.owners = q.s.owners[:len(ranges)]
+	// The window cap also scales with |V|, so a small graph's scratch
+	// stays O(|V|) whatever its weights; the far list holds the rest.
+	maxSlots := min(maxWindow, 1<<bits.Len(uint(len(dist)-1)))
+	for o, r := range ranges {
+		for w := r.Lo / 64; w < (r.Hi+63)/64; w++ {
+			q.s.ownerOf[w] = int32(o)
+		}
+		q.owners[o].maxSlots = maxSlots
+		q.owners[o].next = noBucket
 	}
+	return q
+}
 
-	// relaxPass is one scatter + merge over verts (with its arc-count
-	// prefix vOffs): scatter the wanted weight class of every vert's
-	// arcs against the immutable distance array into per-worker
-	// candidate buffers, fold them in at the barrier, and re-bucket the
-	// improved set. Chunks are degree-balanced; under par.Stealing idle
-	// workers take whole chunks from stragglers (an RMAT hub's chunk
-	// can no longer stall the pass barrier behind it).
-	relaxPass := func(verts []uint32, vOffs []int64, heavy bool) (int, error) {
-		start := time.Now()
-		scanned := vOffs[len(vOffs)-1]
-		chunks := par.Partition(vOffs, chunkTarget, 1)
-		// Workers fill private candidate buffers; all folding happens at
-		// the pass barrier below.
-		//ba:atomic-free
-		err := x.Pass(&st, chunks, func(t int, r par.Range) {
-			buf := cands[t]
-			stores := candStores[t]
-			if avoiding {
-				pf := uint64(0)
-				for _, v := range verts[r.Lo:r.Hi] {
-					dv := dist[v]
-					lo, hi := offs[v], offs[v+1]
-					// Room for the unconditional tail stores: every
-					// edge writes a slot, the mask decides whether
-					// the tail keeps it.
-					need := len(buf) + int(hi-lo)
-					if cap(buf) < need {
-						nb := make([]candidate, len(buf), need+need/2)
-						copy(nb, buf)
-						buf = nb
-					}
-					buf = buf[:need]
-					tail := need - int(hi-lo)
-					// The weight-class selection is per vertex and
-					// loop-invariant: without the split the inner loop
-					// is exactly the paper's op mix, with it the class
-					// test folds into the relaxation mask. Each case
-					// runs software-prefetch shaped: the scatter's miss
-					// is the dependent dist[adj[j]] load, so the main
-					// loop issues the load core.Lookahead arcs ahead
-					// into an accumulator before consuming arc j, with
-					// a mask-free tail loop finishing the row — no
-					// data-dependent branch appears either way.
-					la := hi - core.Lookahead
-					switch {
-					case !split:
-						j := lo
-						//ba:branch-free
-						for ; j < la; j++ {
-							pf ^= dist[adj[j+core.Lookahead]]
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							m := core.MaskLess64(c, dist[u])
-							buf[tail] = candidate{u, c}
-							tail += int(core.Bit64(m))
-						}
-						//ba:branch-free
-						for ; j < hi; j++ {
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							m := core.MaskLess64(c, dist[u])
-							buf[tail] = candidate{u, c}
-							tail += int(core.Bit64(m))
-						}
-					case heavy:
-						j := lo
-						//ba:branch-free
-						for ; j < la; j++ {
-							pf ^= dist[adj[j+core.Lookahead]]
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							m := core.MaskLess64(c, dist[u]) &^ core.MaskLess64(uint64(ws[j]), lightCut)
-							buf[tail] = candidate{u, c}
-							tail += int(core.Bit64(m))
-						}
-						//ba:branch-free
-						for ; j < hi; j++ {
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							m := core.MaskLess64(c, dist[u]) &^ core.MaskLess64(uint64(ws[j]), lightCut)
-							buf[tail] = candidate{u, c}
-							tail += int(core.Bit64(m))
-						}
-					default:
-						j := lo
-						//ba:branch-free
-						for ; j < la; j++ {
-							pf ^= dist[adj[j+core.Lookahead]]
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							m := core.MaskLess64(c, dist[u]) & core.MaskLess64(uint64(ws[j]), lightCut)
-							buf[tail] = candidate{u, c}
-							tail += int(core.Bit64(m))
-						}
-						//ba:branch-free
-						for ; j < hi; j++ {
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							m := core.MaskLess64(c, dist[u]) & core.MaskLess64(uint64(ws[j]), lightCut)
-							buf[tail] = candidate{u, c}
-							tail += int(core.Bit64(m))
-						}
-					}
-					stores += uint64(hi - lo)
-					buf = buf[:tail]
-				}
-				sink[t] ^= pf
-			} else {
-				for _, v := range verts[r.Lo:r.Hi] {
-					dv := dist[v]
-					switch {
-					case !split:
-						for j := offs[v]; j < offs[v+1]; j++ {
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							if c < dist[u] {
-								buf = append(buf, candidate{u, c})
-								stores++
-							}
-						}
-					case heavy:
-						for j := offs[v]; j < offs[v+1]; j++ {
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							if uint64(ws[j]) >= lightCut && c < dist[u] {
-								buf = append(buf, candidate{u, c})
-								stores++
-							}
-						}
-					default:
-						for j := offs[v]; j < offs[v+1]; j++ {
-							u := adj[j]
-							c := dv + uint64(ws[j])
-							if uint64(ws[j]) < lightCut && c < dist[u] {
-								buf = append(buf, candidate{u, c})
-								stores++
-							}
-						}
-					}
+// release empties every list and bitset the query may have left
+// non-empty (a cancelled query stops between passes with vertices
+// queued) and returns the scratch to its pool.
+func (q *query) release() {
+	s := q.s
+	for o := range q.owners {
+		ow := &q.owners[o]
+		for i := range ow.window {
+			ow.window[i] = ow.window[i][:0]
+		}
+		ow.far, ow.farMin = ow.far[:0], noBucket
+		for _, v := range ow.settled.verts {
+			s.settled.Clear(int(v))
+		}
+		ow.settled.reset()
+		ow.front.reset()
+		ow.changed = ow.changed[:0]
+		ow.distStores, ow.relaxed = 0, 0
+	}
+	for t := range s.workers {
+		w := &s.workers[t]
+		w.buf = w.buf[:0]
+		for o := range w.out {
+			w.out[o] = w.out[o][:0]
+		}
+		w.stores = 0
+	}
+	putScratch(s)
+}
+
+func frontOf(o *owner) *vertexList   { return &o.front }
+func settledOf(o *owner) *vertexList { return &o.settled }
+
+// gather returns the concatenation, in owner order, of the list pick
+// selects from every owner — the owner's own list when there is one
+// owner, else dst refilled.
+func (q *query) gather(dst *vertexList, pick func(*owner) *vertexList) *vertexList {
+	if len(q.owners) == 1 {
+		return pick(&q.owners[0])
+	}
+	total := 0
+	for o := range q.owners {
+		total += len(pick(&q.owners[o]).verts)
+	}
+	dst.verts = slices.Grow(dst.verts[:0], total)
+	dst.arcs = slices.Grow(dst.arcs[:0], total+1)
+	dst.reset()
+	for o := range q.owners {
+		dst.concat(pick(&q.owners[o]))
+	}
+	return dst
+}
+
+// routeBatch is how many frontier vertices a chunk relaxes between two
+// routings: few enough that the candidates are routed from cache, and
+// that the scratch buffer stays small whatever the chunk's size.
+const routeBatch = 512
+
+// scatter is the pass's chunk body: relax chunk r of the pass's vertices
+// into worker t's buffers. With one owner the candidates go straight to
+// its buffer; otherwise every routeBatch vertices' survivors are routed
+// to their owners.
+func (q *query) scatter(t int, r par.Range) {
+	w := &q.s.workers[t]
+	verts := q.verts[r.Lo:r.Hi]
+	if len(q.owners) == 1 {
+		w.out[0] = q.relax(w, w.out[0], verts)
+		return
+	}
+	for len(verts) > 0 {
+		k := min(routeBatch, len(verts))
+		w.buf = q.relax(w, w.buf[:0], verts[:k])
+		route(w.out[:len(q.owners)], w.buf, q.s.ownerOf)
+		verts = verts[k:]
+	}
+}
+
+// relax appends the surviving candidates of verts' rows to buf with the
+// pass's loop and weight class, counting the stores on w.
+func (q *query) relax(w *worker, buf []candidate, verts []uint32) []candidate {
+	var stores uint64
+	if q.avoiding {
+		var pf uint64
+		buf, stores, pf = scatterAvoiding(buf, verts, q.offs, q.adj, q.ws, q.dist, q.split, q.heavy, q.lightCut)
+		w.sink ^= pf
+	} else {
+		buf, stores = scatterBased(buf, verts, q.offs, q.adj, q.ws, q.dist, q.split, q.heavy, q.lightCut)
+	}
+	w.stores += stores
+	return buf
+}
+
+// route appends every candidate to its owner's buffer. The buffer
+// headers are copied into a stack array for the loop: headers that sit
+// next to each other in shared memory would false-share with the
+// workers routing beside this one.
+func route(out [][]candidate, cands []candidate, ownerOf []int32) {
+	var local [8][]candidate
+	l := out
+	if len(out) <= len(local) {
+		l = local[:len(out)]
+		copy(l, out)
+	}
+	// Room for the whole batch in every buffer, grown by doubling:
+	// append's quarter-size steps would copy a large buffer five times
+	// over while a cold scratch fills.
+	for o := range l {
+		if cap(l[o])-len(l[o]) < len(cands) {
+			l[o] = slices.Grow(l[o], max(len(cands), cap(l[o])))
+		}
+	}
+	for _, c := range cands {
+		o := ownerOf[c.v/64]
+		l[o] = append(l[o], c)
+	}
+	copy(out, l)
+}
+
+// scatterAvoiding is the branch-avoiding scatter over verts' rows: every
+// arc of the wanted weight class stores a candidate at the buffer tail,
+// and the relaxation mask decides whether the tail keeps it. It returns
+// the buffer, the stores made and the prefetch accumulator.
+func scatterAvoiding(buf []candidate, verts []uint32, offs []int64, adj, ws []uint32, dist []uint64,
+	split, heavy bool, lightCut uint64) ([]candidate, uint64, uint64) {
+	stores, pf := uint64(0), uint64(0)
+	for _, v := range verts {
+		dv := dist[v]
+		lo, hi := offs[v], offs[v+1]
+		// Room for the unconditional tail stores: every edge writes a
+		// slot, the mask decides whether the tail keeps it.
+		need := len(buf) + int(hi-lo)
+		if cap(buf) < need {
+			nb := make([]candidate, len(buf), need+need/2)
+			copy(nb, buf)
+			buf = nb
+		}
+		buf = buf[:need]
+		tail := need - int(hi-lo)
+		// The weight-class selection is per vertex and loop-invariant:
+		// without the split the inner loop is exactly the paper's op
+		// mix, with it the class test folds into the relaxation mask.
+		// Each case runs software-prefetch shaped: the scatter's miss is
+		// the dependent dist[adj[j]] load, so the main loop issues the
+		// load core.Lookahead arcs ahead into an accumulator before
+		// consuming arc j, with a mask-free tail loop finishing the row —
+		// no data-dependent branch appears either way.
+		la := hi - core.Lookahead
+		switch {
+		case !split:
+			j := lo
+			//ba:branch-free
+			for ; j < la; j++ {
+				pf ^= dist[adj[j+core.Lookahead]]
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				m := core.MaskLess64(c, dist[u])
+				buf[tail] = candidate{u, c}
+				tail += int(core.Bit64(m))
+			}
+			//ba:branch-free
+			for ; j < hi; j++ {
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				m := core.MaskLess64(c, dist[u])
+				buf[tail] = candidate{u, c}
+				tail += int(core.Bit64(m))
+			}
+		case heavy:
+			j := lo
+			//ba:branch-free
+			for ; j < la; j++ {
+				pf ^= dist[adj[j+core.Lookahead]]
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				m := core.MaskLess64(c, dist[u]) &^ core.MaskLess64(uint64(ws[j]), lightCut)
+				buf[tail] = candidate{u, c}
+				tail += int(core.Bit64(m))
+			}
+			//ba:branch-free
+			for ; j < hi; j++ {
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				m := core.MaskLess64(c, dist[u]) &^ core.MaskLess64(uint64(ws[j]), lightCut)
+				buf[tail] = candidate{u, c}
+				tail += int(core.Bit64(m))
+			}
+		default:
+			j := lo
+			//ba:branch-free
+			for ; j < la; j++ {
+				pf ^= dist[adj[j+core.Lookahead]]
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				m := core.MaskLess64(c, dist[u]) & core.MaskLess64(uint64(ws[j]), lightCut)
+				buf[tail] = candidate{u, c}
+				tail += int(core.Bit64(m))
+			}
+			//ba:branch-free
+			for ; j < hi; j++ {
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				m := core.MaskLess64(c, dist[u]) & core.MaskLess64(uint64(ws[j]), lightCut)
+				buf[tail] = candidate{u, c}
+				tail += int(core.Bit64(m))
+			}
+		}
+		stores += uint64(hi - lo)
+		buf = buf[:tail]
+	}
+	return buf, stores, pf
+}
+
+// scatterBased is the branch-based scatter over verts' rows: a
+// candidate is appended behind the relaxation test. It returns the
+// buffer and the stores made.
+func scatterBased(buf []candidate, verts []uint32, offs []int64, adj, ws []uint32, dist []uint64,
+	split, heavy bool, lightCut uint64) ([]candidate, uint64) {
+	stores := uint64(0)
+	for _, v := range verts {
+		dv := dist[v]
+		switch {
+		case !split:
+			for j := offs[v]; j < offs[v+1]; j++ {
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				if c < dist[u] {
+					buf = append(buf, candidate{u, c})
+					stores++
 				}
 			}
-			cands[t] = buf
-			candStores[t] = stores
-		})
-		if err != nil {
-			return 0, err
-		}
-
-		// Merge at the barrier: fold candidates into the distance
-		// array (min), collect the improved set, re-bucket it by
-		// its final post-pass distances.
-		relaxed := uint64(0)
-		changed = changed[:0]
-		for t := range cands {
-			st.CandStores += candStores[t]
-			candStores[t] = 0
-			if avoiding {
-				for _, c := range cands[t] {
-					dv := dist[c.v]
-					m := core.MaskLess64(c.d, dv)
-					dist[c.v] = core.Select64(m, c.d, dv)
-					st.DistStores++
-					if m != 0 {
-						relaxed++
-						if !changedBits.TestAndSet(int(c.v)) {
-							changed = append(changed, c.v)
-						}
-					}
-				}
-			} else {
-				for _, c := range cands[t] {
-					if c.d < dist[c.v] {
-						dist[c.v] = c.d
-						st.DistStores++
-						relaxed++
-						if !changedBits.TestAndSet(int(c.v)) {
-							changed = append(changed, c.v)
-						}
-					}
+		case heavy:
+			for j := offs[v]; j < offs[v+1]; j++ {
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				if uint64(ws[j]) >= lightCut && c < dist[u] {
+					buf = append(buf, candidate{u, c})
+					stores++
 				}
 			}
-			cands[t] = cands[t][:0]
+		default:
+			for j := offs[v]; j < offs[v+1]; j++ {
+				u := adj[j]
+				c := dv + uint64(ws[j])
+				if uint64(ws[j]) < lightCut && c < dist[u] {
+					buf = append(buf, candidate{u, c})
+					stores++
+				}
+			}
 		}
-		if heavy {
-			st.HeavyRelaxed += relaxed
+	}
+	return buf, stores
+}
+
+// settle is owner o's barrier task: fold the candidates routed to it,
+// re-bucket the improved vertices, close the bucket's settled set after
+// a heavy pass, and compact the owner's share of the next frontier.
+func (q *query) settle(o int) {
+	ow := &q.owners[o]
+	ow.changed = ow.changed[:0]
+	for t := range q.s.workers {
+		out := q.s.workers[t].out
+		var relaxed uint64
+		if q.avoiding {
+			ow.changed, relaxed = foldAvoiding(q.dist, out[o], ow.changed, q.s.changed)
+			ow.distStores += uint64(len(out[o]))
 		} else {
-			st.LightRelaxed += relaxed
+			ow.changed, relaxed = foldBased(q.dist, out[o], ow.changed, q.s.changed)
+			ow.distStores += relaxed
 		}
-		for _, v := range changed {
-			changedBits.Clear(int(v))
-			b := dist[v] >> shift
-			if _, live := buckets[b]; !live {
-				order.push(b)
-			}
-			buckets[b] = append(buckets[b], v)
-		}
-		st.PassDurations = append(st.PassDurations, time.Since(start))
-		st.PassChanges = append(st.PassChanges, len(changed))
-		st.Passes++
-		if opt.Variant == core.Hybrid && avoiding && scanned > 0 &&
-			float64(len(changed)) < hybridChangeFraction*float64(scanned) {
-			avoiding = false
-		}
-		return len(changed), nil
+		ow.relaxed += relaxed
+		out[o] = out[o][:0]
 	}
-
-	for len(buckets) > 0 {
-		// The lowest pending bucket; candidate distances never fall
-		// below the current bucket floor, so this advances
-		// monotonically.
-		cur, ok := order.popLive(buckets)
-		if !ok {
-			break // unreachable: every map key has a heap id
-		}
-		st.Buckets++
-
-		for {
-			pending := buckets[cur]
-			delete(buckets, cur)
-			frontier = frontier[:0]
-			fronOffs = fronOffs[:1]
-			for _, v := range pending {
-				if dist[v]>>shift != cur || inFrontier.Test(int(v)) {
-					continue
-				}
-				inFrontier.Set(int(v))
-				frontier = append(frontier, v)
-				fronOffs = append(fronOffs, fronOffs[len(fronOffs)-1]+offs[v+1]-offs[v])
-			}
-			if len(frontier) == 0 {
-				break
-			}
-			for _, v := range frontier {
-				inFrontier.Clear(int(v))
-			}
-			if split {
-				for _, v := range frontier {
-					if !settledBits.TestAndSet(int(v)) {
-						settled = append(settled, v)
-					}
-				}
-			}
-
-			// In-bucket pass: light arcs only (they alone can re-fill
-			// the current bucket; without the split, all arcs).
-			if _, err := relaxPass(frontier, fronOffs, false); err != nil {
-				return dist, st, err
-			}
-			// Improvements may have re-filled the current bucket
-			// (short edges); drain it before moving on.
-			if _, again := buckets[cur]; !again {
-				break
-			}
-		}
-
-		// Bucket close: the settled vertices' distances are final (heavy
-		// arcs reach strictly later buckets, later buckets never improve
-		// earlier ones), so each vertex's heavy arcs relax exactly once.
-		if split && len(settled) > 0 {
-			setOffs = setOffs[:1]
-			for _, v := range settled {
-				setOffs = append(setOffs, setOffs[len(setOffs)-1]+offs[v+1]-offs[v])
-			}
-			if _, err := relaxPass(settled, setOffs, true); err != nil {
-				return dist, st, err
-			}
-			for _, v := range settled {
-				settledBits.Clear(int(v))
-			}
-			settled = settled[:0]
-		}
+	for _, v := range ow.changed {
+		q.s.changed.Clear(int(v))
+		ow.push(v, q.dist[v]>>q.shift, q.cur)
 	}
-	return dist, st, nil
+	if q.heavy {
+		for _, v := range ow.settled.verts {
+			q.s.settled.Clear(int(v))
+		}
+		ow.settled.reset()
+	}
+	q.compact(ow)
 }
 
-// bucketHeap is a binary min-heap of bucket ids. It is lazy: an id is
-// pushed whenever its bucket key is (re)created, so after a bucket is
-// drained and re-filled the heap can hold stale duplicates — popLive
-// discards ids with no live bucket instead of keeping the heap exact.
-type bucketHeap []uint64
-
-func (h *bucketHeap) push(b uint64) {
-	q := *h
-	q = append(q, b)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent] <= q[i] {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-	*h = q
+// open is owner o's bucket-open task: move far entries the new window
+// covers into it, then compact the owner's share of the frontier.
+func (q *query) open(o int) {
+	ow := &q.owners[o]
+	ow.rebase(q.cur)
+	q.compact(ow)
 }
 
-// popLive removes and returns the smallest id that is a live key of
-// buckets, discarding stale entries along the way.
-func (h *bucketHeap) popLive(buckets map[uint64][]uint32) (uint64, bool) {
-	q := *h
-	for len(q) > 0 {
-		top := q[0]
-		last := len(q) - 1
-		q[0] = q[last]
-		q = q[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < len(q) && q[l] < q[smallest] {
-				smallest = l
-			}
-			if r < len(q) && q[r] < q[smallest] {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			q[i], q[smallest] = q[smallest], q[i]
-			i = smallest
+// compact drains the owner's list for the current bucket into its
+// frontier share — entries whose vertex has since moved to another
+// bucket are stale and dropped, duplicates dropped — marks the new
+// frontier settled for the heavy close pass, and records the owner's
+// next queued bucket.
+func (q *query) compact(ow *owner) {
+	ow.front.reset()
+	i := q.cur & uint64(len(ow.window)-1)
+	pending := ow.window[i]
+	for _, v := range pending {
+		if q.dist[v]>>q.shift != q.cur || q.s.inFrontier.TestAndSet(int(v)) {
+			continue
 		}
-		if _, live := buckets[top]; live {
-			*h = q
-			return top, true
+		ow.front.push(v, q.offs[v+1]-q.offs[v])
+	}
+	ow.window[i] = pending[:0]
+	for k, v := range ow.front.verts {
+		q.s.inFrontier.Clear(int(v))
+		// A vertex's heavy arcs relax once, at its final in-bucket
+		// distance: re-activations within the bucket are not re-added.
+		if q.split && !q.s.settled.TestAndSet(int(v)) {
+			ow.settled.push(v, ow.front.arcs[k+1]-ow.front.arcs[k])
 		}
 	}
-	*h = q
-	return 0, false
+	ow.next = ow.nextBucket(q.cur)
+}
+
+// foldAvoiding folds cands into dist with a mask-select min — one store
+// per candidate — and appends every vertex it improves for the first
+// time this pass to changed. It returns changed and the improvements.
+func foldAvoiding(dist []uint64, cands []candidate, changed []uint32, seen *bitset.Set) ([]uint32, uint64) {
+	relaxed := uint64(0)
+	for _, c := range cands {
+		dv := dist[c.v]
+		m := core.MaskLess64(c.d, dv)
+		dist[c.v] = core.Select64(m, c.d, dv)
+		if m != 0 {
+			relaxed++
+			if !seen.TestAndSet(int(c.v)) {
+				changed = append(changed, c.v)
+			}
+		}
+	}
+	return changed, relaxed
+}
+
+// foldBased is foldAvoiding with the min behind a branch: only
+// improvements store.
+func foldBased(dist []uint64, cands []candidate, changed []uint32, seen *bitset.Set) ([]uint32, uint64) {
+	relaxed := uint64(0)
+	for _, c := range cands {
+		if c.d < dist[c.v] {
+			dist[c.v] = c.d
+			relaxed++
+			if !seen.TestAndSet(int(c.v)) {
+				changed = append(changed, c.v)
+			}
+		}
+	}
+	return changed, relaxed
 }

@@ -1,7 +1,10 @@
 package sssp
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bagraph/internal/core"
@@ -184,6 +187,117 @@ func TestVariantString(t *testing.T) {
 	} {
 		if got := v.String(); got != want {
 			t.Errorf("Variant(%d).String() = %q, want %q", int(v), got, want)
+		}
+	}
+}
+
+// TestParallelFarBuckets: one MaxUint32 edge on a unit-weight path at
+// delta 1 puts the buckets on its two sides about 2^32 ids apart. Every
+// variant must still return Dijkstra's distances, and a query must
+// allocate O(|V|) — the bucket window is capped, the far side waits in
+// the far list — not O(largest bucket id). The bound covers a fresh
+// scratch plus the per-pass records (pass times and change counts, the
+// chunk lists) of the ~2|V| passes a one-vertex-per-bucket path takes.
+func TestParallelFarBuckets(t *testing.T) {
+	const n = 3001 // a vertex count no other test uses: the first query builds its scratch
+	edges := make([]graph.WeightedEdge, 0, n-1)
+	for v := uint32(0); v+1 < n; v++ {
+		w := uint32(1)
+		if v == n/2 {
+			w = ^uint32(0)
+		}
+		edges = append(edges, graph.WeightedEdge{U: v, V: v + 1, W: w})
+	}
+	g := graph.MustBuildWeighted(n, edges, false, "far-path")
+	want := Dijkstra(g, 0)
+	for _, workers := range []int{1, 4} {
+		x := testutil.Exec(t, workers, par.Static)
+		for _, split := range []bool{false, true} {
+			for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
+				name := fmt.Sprintf("%s/w%d/lightheavy=%v", variant, workers, split)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				dist, _, err := Parallel(x, g, 0, ParallelOptions{Variant: variant, Delta: 1, LightHeavy: split})
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				testutil.MustEqualDists(t, name, dist, want)
+				if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1024*n {
+					t.Fatalf("%s: allocated %d bytes for %d vertices", name, bytes, n)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelWarmQueryAllocatesLittle: with the result buffer supplied,
+// a repeat query recycles every scratch array of the previous one and
+// allocates less than one more distance array. The schedule is static,
+// so every buffer is already at its size after the first run; the
+// least of eight runs is taken because a sync.Pool may miss a scratch
+// parked on another P, and under the race detector drops a quarter of
+// what it is given on purpose.
+func TestParallelWarmQueryAllocatesLittle(t *testing.T) {
+	g := testutil.RandomWeighted(20000, 80000, 40, 23)
+	n := g.NumVertices()
+	want := Dijkstra(g, 5)
+	for _, workers := range []int{1, 3} {
+		x := testutil.Exec(t, workers, par.Static)
+		opt := ParallelOptions{Variant: core.Hybrid, LightHeavy: true, Dist: make([]uint64, n)}
+		Parallel(x, g, 5, opt) // warm the scratch
+		least := ^uint64(0)
+		for run := 0; run < 8; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			dist, _, _ := Parallel(x, g, 5, opt)
+			runtime.ReadMemStats(&after)
+			testutil.MustEqualDists(t, fmt.Sprintf("w%d/run%d", workers, run), dist, want)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= uint64(8*n) {
+			t.Fatalf("w%d: a warm query allocated %d bytes, a distance array is %d", workers, least, 8*n)
+		}
+	}
+}
+
+// passBudget is an Err-only context that reports cancellation once its
+// budget of Err calls is spent — one call per relaxation pass.
+type passBudget struct {
+	context.Context
+	left int
+}
+
+func (p *passBudget) Err() error {
+	if p.left <= 0 {
+		return context.Canceled
+	}
+	p.left--
+	return nil
+}
+
+// TestParallelCancelledQueryLeavesCleanScratch: a query cancelled
+// between passes stops with vertices queued, frontiers built and
+// settled bits set; the scratch it returns must be clean, so the next
+// query on the same shape still returns Dijkstra's distances.
+func TestParallelCancelledQueryLeavesCleanScratch(t *testing.T) {
+	g := testutil.RandomWeighted(500, 2000, 60, 29)
+	want := Dijkstra(g, 0)
+	for _, workers := range []int{1, 3} {
+		pool := par.NewPool(workers)
+		t.Cleanup(pool.Close)
+		for budget := 0; budget < 12; budget++ {
+			opt := ParallelOptions{Variant: core.Hybrid, Delta: 4, LightHeavy: budget%2 == 1}
+			cut := par.Exec{Ctx: &passBudget{Context: context.Background(), left: budget}, Pool: pool}
+			if _, _, err := Parallel(cut, g, 0, opt); !errors.Is(err, context.Canceled) {
+				t.Fatalf("w%d budget %d: err = %v, want context.Canceled", workers, budget, err)
+			}
+			x := par.Exec{Ctx: context.Background(), Pool: pool}
+			dist, _, err := Parallel(x, g, 0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.MustEqualDists(t, fmt.Sprintf("w%d/after-cancel-%d", workers, budget), dist, want)
 		}
 	}
 }

@@ -137,11 +137,12 @@ const dijkstraCancelStride = 4096
 // DijkstraCtx is Dijkstra writing into dist when it has length |V| (the
 // returned slice aliases it; any other length allocates), with
 // cooperative cancellation observed every dijkstraCancelStride settled
-// vertices.
+// vertices. An out-of-range source reaches nothing: every distance is
+// Inf, as in BellmanFord and Parallel.
 func DijkstraCtx(ctx context.Context, g *graph.Weighted, src uint32, dist []uint64) ([]uint64, error) {
 	n := g.NumVertices()
 	dist = initDist(dist, n, src)
-	if n == 0 {
+	if int(src) >= n {
 		return dist, ctx.Err()
 	}
 	h := heap.NewMin(n)

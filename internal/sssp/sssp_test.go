@@ -136,6 +136,45 @@ func TestEmptyAndSingleton(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeSourceIsAllInf: every kernel answers a source past the
+// last vertex with an all-Inf labeling — none panics, none reaches a
+// vertex.
+func TestOutOfRangeSourceIsAllInf(t *testing.T) {
+	g := testutil.RandomWeighted(40, 90, 9, 5)
+	n := g.NumVertices()
+	x := testutil.Exec(t, 2, par.Static)
+	kernels := []struct {
+		name string
+		run  func(src uint32) []uint64
+	}{
+		{"dijkstra", func(src uint32) []uint64 {
+			dist, _ := DijkstraCtx(context.Background(), g, src, nil)
+			return dist
+		}},
+		{"bellman-ford", func(src uint32) []uint64 {
+			dist, _ := bellmanFord(g, src, core.BranchBased)
+			return dist
+		}},
+		{"parallel", func(src uint32) []uint64 {
+			dist, _, _ := Parallel(x, g, src, ParallelOptions{Variant: core.Hybrid})
+			return dist
+		}},
+	}
+	for _, k := range kernels {
+		for _, src := range []uint32{uint32(n), uint32(n) + 7, ^uint32(0)} {
+			dist := k.run(src)
+			if len(dist) != n {
+				t.Fatalf("%s src=%d: %d distances for %d vertices", k.name, src, len(dist), n)
+			}
+			for v, d := range dist {
+				if d != Inf {
+					t.Fatalf("%s src=%d: dist[%d] = %d, want Inf", k.name, src, v, d)
+				}
+			}
+		}
+	}
+}
+
 // TestMaxWeightNoOverflow pins the overflow contract: path sums of
 // maximal uint32 weights stay far below the 2^62 Inf sentinel, so the
 // branchless 64-bit comparisons stay in their safe range and every
