@@ -568,49 +568,6 @@ func BenchmarkRelabelSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSSSPLightHeavy pairs delta-stepping with and
-// without the Meyer & Sanders light/heavy split on weights that dwarf
-// the default bucket width, so heavy arcs are re-scanned by every
-// in-bucket pass unless deferred. The light/heavy relaxation metrics
-// record how much work the split reroutes; wall clock is reported, not
-// asserted.
-func BenchmarkParallelSSSPLightHeavy(b *testing.B) {
-	g := benchRMAT(b)
-	w, err := graph.AttachWeights(g, xrand.SymmetricWeights(256, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := stealWorkers()
-	// A deliberately narrow bucket makes most arcs heavy — the regime
-	// the split exists for.
-	const delta = 16
-	for _, tc := range []struct {
-		name  string
-		split bool
-	}{{"unified", false}, {"light-heavy", true}} {
-		b.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(b *testing.B) {
-			x := testutil.Exec(b, workers, par.Static)
-			dist := make([]uint64, g.NumVertices())
-			var light, heavy uint64
-			for i := 0; i < b.N; i++ {
-				var st Stats
-				dist, st, err = sssp.Parallel(x, w, 0, sssp.ParallelOptions{
-					Variant: core.Hybrid, Delta: delta,
-					LightHeavy: tc.split, Dist: dist,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				light += st.LightRelaxed
-				heavy += st.HeavyRelaxed
-			}
-			b.ReportMetric(float64(light)/float64(b.N), "light-relax/op")
-			b.ReportMetric(float64(heavy)/float64(b.N), "heavy-relax/op")
-			reportEdges(b, g.NumArcs())
-		})
-	}
-}
-
 // --- simulated kernels (events per run, one platform) --------------------
 
 func BenchmarkSimulatedSV(b *testing.B) {

@@ -49,7 +49,7 @@
 // GET /metrics exposes the daemon's aggregation plane in the
 // Prometheus text format: query counts and latency by kind, batch
 // sizes, multi-source wave occupancy, CC cache hit/miss/retry counts,
-// per-kind kernel counters (passes, steals, words scanned, light/heavy
+// per-kind kernel counters (passes, steals, words scanned, applied
 // relaxations) and — with -autotune — the controller's knob picks. A
 // router additionally exposes the fleet plane: per-shard request
 // counts, retries, failovers, health checks and per-shard up gauges.

@@ -41,8 +41,6 @@ func main() {
 	workers := flag.Int("workers", 0, "workers for par-* kernels (0 = GOMAXPROCS)")
 	delta := flag.Uint64("delta", 0, "bucket width for par-* kernels (0 = auto)")
 	schedule := flag.String("schedule", "static", "chunk schedule for par-* kernels: static | steal")
-	lightHeavy := flag.Bool("lightheavy", false,
-		"split relaxation by edge class: light (weight <= delta) in-bucket, heavy once at bucket close")
 	relabelOn := flag.Bool("relabel", false, "run on a degree-ordered copy (results stay in original ids)")
 	flag.Parse()
 
@@ -88,7 +86,6 @@ func main() {
 	}
 	req.Workers = *workers
 	req.Schedule = sched
-	req.LightHeavy = *lightHeavy
 	res, err := bagraph.Run(ctx, tgt, req)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -132,10 +129,9 @@ func main() {
 			fmt.Printf("schedule: %d chunks, %d stolen (%d steal passes)\n",
 				st.Chunks, st.Steals, st.StealPasses)
 		}
-		// The split exists only in the parallel kernel; sequential
-		// variants ignore -lightheavy and report nothing here.
-		if st.LightRelaxed+st.HeavyRelaxed > 0 {
-			fmt.Printf("relaxations: %d light, %d heavy\n", st.LightRelaxed, st.HeavyRelaxed)
+		// Only the parallel kernel counts applied relaxations.
+		if st.LightRelaxed > 0 {
+			fmt.Printf("relaxations: %d\n", st.LightRelaxed)
 		}
 	}
 }

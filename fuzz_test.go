@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"bagraph/internal/bfs"
 	"bagraph/internal/cc"
 	"bagraph/internal/graph"
 	"bagraph/internal/sssp"
@@ -116,6 +117,106 @@ func FuzzCC(f *testing.F) {
 	})
 }
 
+// FuzzBFS is the breadth-first slice of the differential Run fuzzer:
+// the three sequential BFS variants and the parallel
+// direction-optimizing kernel from a fuzz-chosen root, and the
+// multi-source batch kernel from fuzz-chosen roots, at every worker
+// count from 1 to 4, under both schedules, with and without degree
+// relabeling, must return bfs.TopDownBranchBased's hop distances. On
+// the empty graph no root is in range, so every single-source run must
+// fail and the batch runs with no roots.
+func FuzzBFS(f *testing.F) {
+	f.Add([]byte{}, byte(0), []byte{})              // empty
+	f.Add(fuzzCCInput(9), byte(4), []byte{0, 8, 8}) // all isolated: max degree 0
+	// A vertex whose only edge is a self-loop.
+	f.Add(fuzzCCInput(4, [2]byte{1, 1}, [2]byte{2, 3}), byte(1), []byte{1, 2})
+	// A path: maximum diameter.
+	f.Add(fuzzCCInput(256, fuzzPath(0, 255)...), byte(0), []byte{0, 255, 128})
+	// Two components; 70 roots fill one 64-search wave group and spill
+	// into a second.
+	twoRoots := make([]byte, 70)
+	for i := range twoRoots {
+		twoRoots[i] = byte(i)
+	}
+	f.Add(fuzzCCInput(9, [2]byte{2, 0}, [2]byte{2, 1}, [2]byte{2, 3},
+		[2]byte{6, 4}, [2]byte{6, 5}, [2]byte{6, 7}, [2]byte{7, 8}), byte(6), twoRoots)
+
+	variants := []struct {
+		name string
+		req  Request
+	}{
+		{"bb", Request{Kind: KindBFS, BFS: BFSBranchBased}},
+		{"ba", Request{Kind: KindBFS, BFS: BFSBranchAvoiding}},
+		{"dir-opt", Request{Kind: KindBFS, BFS: BFSDirectionOptimizing}},
+		{"par-do", Request{Kind: KindBFS, Parallel: true}},
+		{"ms", Request{Kind: KindBFSBatch}},
+	}
+	var pools []*WorkerPool
+	for workers := 1; workers <= 4; workers++ {
+		p := NewWorkerPool(workers)
+		f.Cleanup(p.Close)
+		pools = append(pools, p)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, root byte, rootBytes []byte) {
+		// Past 1024 edges an input buys time, not shapes; past three wave
+		// groups a batch adds no new one.
+		if len(data) > 1+2*1024 {
+			data = data[:1+2*1024]
+		}
+		if len(rootBytes) > 3*64 {
+			rootBytes = rootBytes[:3*64]
+		}
+		g := fuzzGraph(data)
+		n := g.NumVertices()
+		var src uint32
+		var roots []uint32
+		want := map[uint32][]uint32{}
+		if n > 0 {
+			src = uint32(int(root) % n)
+			roots = make([]uint32, len(rootBytes))
+			for i, b := range rootBytes {
+				roots[i] = uint32(int(b) % n)
+			}
+			for _, r := range append([]uint32{src}, roots...) {
+				if want[r] == nil {
+					want[r], _ = bfs.TopDownBranchBased(g, r)
+				}
+			}
+		}
+		for _, v := range variants {
+			for _, pool := range pools {
+				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
+					for _, relabel := range []bool{false, true} {
+						name := fmt.Sprintf("%s/w%d/%s/relabel=%v", v.name, pool.Workers(), sched, relabel)
+						req := v.req
+						req.Root, req.Roots, req.Schedule, req.Relabel = src, roots, sched, relabel
+						res, err := pool.Run(context.Background(), g, req)
+						if req.Kind == KindBFS && n == 0 {
+							if err == nil {
+								t.Fatalf("%s: root 0 of the empty graph accepted", name)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if req.Kind == KindBFS {
+							testutil.MustEqualDists(t, name, res.Hops, want[src])
+							continue
+						}
+						if len(res.HopsBatch) != len(roots) {
+							t.Fatalf("%s: %d arrays for %d roots", name, len(res.HopsBatch), len(roots))
+						}
+						for i, r := range roots {
+							testutil.MustEqualDists(t, fmt.Sprintf("%s/root%d=%d", name, i, r), res.HopsBatch[i], want[r])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // fuzzWeight maps one fuzz byte to an edge weight: mostly small values
 // (0 included), with the top of the byte range reaching far beyond any
 // bucket width — 2^27..2^31, and 0xff for math.MaxUint32 itself.
@@ -152,12 +253,11 @@ func fuzzWeighted(data, ws []byte) *WeightedGraph {
 
 // FuzzSSSP is the shortest-paths slice of the differential Run fuzzer:
 // the three parallel delta-stepping variants, at every worker count
-// from 1 to 4, under both schedules, with and without the light/heavy
-// split, at the default bucket width, at width 1 and at a fuzz-chosen
-// power of two, plus the two sequential Bellman-Ford kernels — all must
-// return sssp.Dijkstra's distances from the fuzz-chosen source. Weights
-// span 0 to math.MaxUint32, so bucket ids range from a handful to about
-// 2^32 apart.
+// from 1 to 4, under both schedules, at the default bucket width, at
+// width 1 and at a fuzz-chosen power of two, plus the two sequential
+// Bellman-Ford kernels — all must return sssp.Dijkstra's distances
+// from the fuzz-chosen source. Weights span 0 to math.MaxUint32, so
+// bucket ids range from a handful to about 2^32 apart.
 func FuzzSSSP(f *testing.F) {
 	f.Add([]byte{0}, []byte{}, byte(0), byte(0)) // one vertex
 	f.Add(fuzzCCInput(9), []byte{1}, byte(3), byte(2))
@@ -189,7 +289,7 @@ func FuzzSSSP(f *testing.F) {
 		pools = append(pools, p)
 	}
 	f.Fuzz(func(t *testing.T, data, ws []byte, root, deltaLog byte) {
-		// Every input runs 160 kernels, hundreds of passes each at width 1
+		// Every input runs 88 kernels, hundreds of passes each at width 1
 		// on a dense graph: past 1024 edges an input buys time, not
 		// shapes.
 		if len(data) > 1+2*1024 {
@@ -204,25 +304,23 @@ func FuzzSSSP(f *testing.F) {
 		want := sssp.Dijkstra(g, src)
 		deltas := []uint64{0, 1, uint64(1) << (deltaLog % 34)}
 		for _, a := range algos {
-			// The sequential kernels take no width or split: one run each.
-			splits, widths := []bool{false, true}, deltas
+			// The sequential kernels take no width: one run each.
+			widths := deltas
 			if !a.parallel {
-				splits, widths = splits[:1], widths[:1]
+				widths = widths[:1]
 			}
 			for _, pool := range pools {
 				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
-					for _, split := range splits {
-						for _, delta := range widths {
-							name := fmt.Sprintf("%s/w%d/%s/lightheavy=%v/delta=%d", a.name, pool.Workers(), sched, split, delta)
-							res, err := pool.Run(context.Background(), g, Request{
-								Kind: KindSSSP, SSSP: a.alg, Parallel: a.parallel, Root: src,
-								Schedule: sched, LightHeavy: split, Delta: delta,
-							})
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							testutil.MustEqualDists(t, name, res.Dists, want)
+					for _, delta := range widths {
+						name := fmt.Sprintf("%s/w%d/%s/delta=%d", a.name, pool.Workers(), sched, delta)
+						res, err := pool.Run(context.Background(), g, Request{
+							Kind: KindSSSP, SSSP: a.alg, Parallel: a.parallel, Root: src,
+							Schedule: sched, Delta: delta,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
 						}
+						testutil.MustEqualDists(t, name, res.Dists, want)
 					}
 				}
 			}

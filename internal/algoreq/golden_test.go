@@ -55,9 +55,6 @@ func TestRunStatsGolden(t *testing.T) {
 		req, err := SSSP(a, root, 0)
 		add("sssp/"+a, req, err)
 	}
-	lh, err := SSSP("par-hybrid", root, 0)
-	lh.LightHeavy = true
-	add("sssp/par-hybrid+lightheavy", lh, err)
 	batch := make([]uint32, 70) // two waves: 64 + 6
 	for i := range batch {
 		batch[i] = uint32(i * 7)
@@ -73,10 +70,10 @@ func TestRunStatsGolden(t *testing.T) {
 		st := res.Stats
 		fmt.Fprintf(&got, "%s passes=%d topdown=%d bottomup=%d waves=%d reached=%d buckets=%d"+
 			" label_stores=%d dist_stores=%d queue_stores=%d cand_stores=%d"+
-			" words_scanned=%d light_relaxed=%d heavy_relaxed=%d pass_changes=%v level_sizes=%v\n",
+			" words_scanned=%d light_relaxed=%d pass_changes=%v level_sizes=%v\n",
 			c.name, st.Passes, st.TopDownLevels, st.BottomUpLevels, st.Waves, st.Reached, st.Buckets,
 			st.LabelStores, st.DistStores, st.QueueStores, st.CandStores,
-			st.WordsScanned, st.LightRelaxed, st.HeavyRelaxed, st.PassChanges, st.LevelSizes)
+			st.WordsScanned, st.LightRelaxed, st.PassChanges, st.LevelSizes)
 	}
 
 	want, err := os.ReadFile("testdata/run_stats.golden")

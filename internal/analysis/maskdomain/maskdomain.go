@@ -5,8 +5,8 @@
 // <= 2^62 (the documented contract; distances are capped by
 // core.MaxDist64 and the Inf sentinel is exactly 2^62). Feed it
 // ^uint64(0) as a "disabled" threshold and every comparison against it
-// silently inverts — the footgun PR 5's light/heavy cut hit, where the
-// disabled cut had to be 2^33 rather than MaxUint64.
+// silently inverts: a disabled cut above every uint32 weight has to be
+// a value like 2^33, not MaxUint64.
 //
 // For every call to a domain-limited primitive (MaskLess64,
 // MaskGreater64, Min64) the analyzer flags:

@@ -55,10 +55,11 @@ type Stats struct {
 	Chunks      int
 	Steals      uint64
 	StealPasses uint64
-	// LightRelaxed and HeavyRelaxed split the parallel SSSP kernel's
-	// applied relaxations by arc class (weight <= delta vs above);
-	// without the light/heavy split everything counts as light.
-	LightRelaxed, HeavyRelaxed uint64
+	// LightRelaxed counts the parallel SSSP kernel's applied
+	// relaxations: every candidate that lowered a distance when folded.
+	// The name survives from a removed split of arcs into light and
+	// heavy classes, where it counted the light class only.
+	LightRelaxed uint64
 	// WordsScanned counts the succinct-bitset words the parallel BFS
 	// kernels loaded while sweeping for candidates (bottom-up levels of
 	// single-source BFS, including the parallel CC seed, and shared

@@ -124,7 +124,6 @@ type QueryStats struct {
 	StealPasses    uint64 `json:"steal_passes,omitempty"`
 	WordsScanned   uint64 `json:"words_scanned,omitempty"`
 	LightRelaxed   uint64 `json:"light_relaxed,omitempty"`
-	HeavyRelaxed   uint64 `json:"heavy_relaxed,omitempty"`
 }
 
 // statsPayload projects the facade's Stats onto the response object.
@@ -144,7 +143,6 @@ func statsPayload(st bagraph.Stats) QueryStats {
 		StealPasses:    st.StealPasses,
 		WordsScanned:   st.WordsScanned,
 		LightRelaxed:   st.LightRelaxed,
-		HeavyRelaxed:   st.HeavyRelaxed,
 	}
 }
 

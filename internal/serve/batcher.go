@@ -113,8 +113,8 @@ type Batcher struct {
 	// metrics, when set, receives batch sizes, cache events and kernel
 	// counters; nil disables the plane (every observe is a nil no-op).
 	metrics *Metrics
-	// tuner, when set, overrides the static schedule/delta/light-heavy
-	// knobs per dispatch and is fed each run's counters back. Both are
+	// tuner, when set, overrides the static schedule and delta knobs
+	// per dispatch and is fed each run's counters back. Both are
 	// fixed before traffic (Server.New wires them); dispatches read
 	// them without locks.
 	tuner *tune.Controller
@@ -175,10 +175,10 @@ func (b *Batcher) workload(e *Entry, kind string) tune.Workload {
 
 // tunedRun is the batcher's one kernel run path: the static schedule —
 // or, with a tuner attached, the cell's current decision for the
-// result-invariant knobs (schedule; for SSSP also delta and light/heavy)
-// — one run on the resident pool under ctx, and the run's counters fed
-// back to the tuner and the metrics plane. kind is the tune.Kind* label
-// of the cell.
+// result-invariant knobs (schedule; for SSSP also delta) — one run on
+// the resident pool under ctx, and the run's counters fed back to the
+// tuner and the metrics plane. kind is the tune.Kind* label of the
+// cell.
 func (b *Batcher) tunedRun(ctx context.Context, e *Entry, tgt bagraph.Target, kind string, req bagraph.Request) (*bagraph.Result, error) {
 	req.Schedule = b.schedule
 	var w tune.Workload
@@ -188,7 +188,6 @@ func (b *Batcher) tunedRun(ctx context.Context, e *Entry, tgt bagraph.Target, ki
 		req.Schedule = d.Schedule
 		b.metrics.ObserveAutotune(kind, "schedule", d.Schedule.String())
 		if kind == tune.KindSSSP {
-			req.LightHeavy = d.LightHeavy
 			if d.Delta != 0 {
 				req.Delta = d.Delta
 			}
@@ -595,9 +594,9 @@ func (b *Batcher) dispatch(key batchKey, reqs []*Request) {
 
 // runOne executes a single traversal under its request's context. With
 // a tuner attached, the dispatch's result-invariant knobs (schedule,
-// delta, light/heavy) come from the cell's current decision and the
-// run's counters are fed back; the algorithm itself is part of the
-// batch key and never changes here.
+// delta) come from the cell's current decision and the run's counters
+// are fed back; the algorithm itself is part of the batch key and
+// never changes here.
 func (b *Batcher) runOne(r *Request) Result {
 	switch r.kind {
 	case KindSSSP:

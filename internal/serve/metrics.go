@@ -37,7 +37,6 @@ type Metrics struct {
 	steals        *metrics.CounterVec
 	words         *metrics.CounterVec
 	light         *metrics.CounterVec
-	heavy         *metrics.CounterVec
 	cand          *metrics.CounterVec
 	dist          *metrics.CounterVec
 
@@ -75,9 +74,7 @@ func NewMetrics() *Metrics {
 		words: r.CounterVec("baserved_kernel_words_scanned_total",
 			"Succinct frontier-bitset words scanned by BFS sweeps, by kind.", "kind"),
 		light: r.CounterVec("baserved_kernel_light_relaxed_total",
-			"Light-arc relaxations applied by SSSP kernels, by kind.", "kind"),
-		heavy: r.CounterVec("baserved_kernel_heavy_relaxed_total",
-			"Heavy-arc relaxations applied by SSSP kernels, by kind.", "kind"),
+			"Relaxations applied by SSSP kernels, by kind.", "kind"),
 		cand: r.CounterVec("baserved_kernel_cand_stores_total",
 			"Delta-stepping candidate stores, by kind.", "kind"),
 		dist: r.CounterVec("baserved_kernel_dist_stores_total",
@@ -151,9 +148,6 @@ func (m *Metrics) ObserveRun(kind string, st bagraph.Stats) {
 	}
 	if st.LightRelaxed > 0 {
 		m.light.With(kind).Add(st.LightRelaxed)
-	}
-	if st.HeavyRelaxed > 0 {
-		m.heavy.With(kind).Add(st.HeavyRelaxed)
 	}
 	if st.CandStores > 0 {
 		m.cand.With(kind).Add(st.CandStores)

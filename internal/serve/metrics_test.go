@@ -206,7 +206,7 @@ func TestAutotuneAuto(t *testing.T) {
 }
 
 // TestServerStatsRoundTrip: the per-query "stats" object carries the
-// scheduler and light/heavy counters end-to-end for every family, and
+// scheduler and relaxation counters end-to-end for every family, and
 // the cached-CC replay repeats the fill's stats verbatim.
 func TestServerStatsRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t)
@@ -256,7 +256,7 @@ func TestServerStatsRoundTrip(t *testing.T) {
 		t.Fatalf("sssp stats missing delta counters: %+v", st)
 	}
 	if st.LightRelaxed == 0 {
-		t.Fatalf("sssp stats missing light/heavy counters: %+v", st)
+		t.Fatalf("sssp stats missing relaxation counter: %+v", st)
 	}
 	if st.Chunks == 0 {
 		t.Fatalf("parallel sssp reported no scheduler chunks: %+v", st)

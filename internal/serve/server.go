@@ -83,11 +83,11 @@ type Config struct {
 	// bagraph.ScheduleStealing for skew-heavy graphs.
 	Schedule bagraph.Schedule
 	// Autotune turns on the adaptive controller (internal/tune): the
-	// schedule, delta-stepping width and light/heavy split of each
-	// dispatch come from the per-(graph, kernel) cell's live counters
-	// instead of the static flags above, queries may name algorithm
-	// "auto" to let the cell pick the bb/ba/hybrid form, and an empty
-	// algorithm defaults to "auto" instead of the static default. Every
+	// schedule and delta-stepping width of each dispatch come from the
+	// per-(graph, kernel) cell's live counters instead of the static
+	// flags above, queries may name algorithm "auto" to let the cell
+	// pick the bb/ba/hybrid form, and an empty algorithm defaults to
+	// "auto" instead of the static default. Every
 	// knob the controller turns is result-invariant: responses stay
 	// byte-identical to the static configuration.
 	Autotune bool

@@ -73,7 +73,6 @@ type statsResp struct {
 	StealPasses    uint64 `json:"steal_passes"`
 	WordsScanned   uint64 `json:"words_scanned"`
 	LightRelaxed   uint64 `json:"light_relaxed"`
-	HeavyRelaxed   uint64 `json:"heavy_relaxed"`
 }
 
 type ccResp struct {

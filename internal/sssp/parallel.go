@@ -8,14 +8,10 @@ package sssp
 // every pass. The parallel kernel instead keeps the classic
 // delta-stepping shape: tentative distances bucket vertices by
 // dist/delta, buckets are processed in nondecreasing order, and each
-// relaxation pass pushes only the current bucket's frontier. The
-// light/heavy edge split of Meyer & Sanders is available behind
-// ParallelOptions.LightHeavy: in-bucket passes then relax only light
-// arcs (weight <= delta, the only ones that can re-fill the current
-// bucket) and each settled vertex's heavy arcs relax exactly once at
-// bucket close, instead of being re-scanned by every in-bucket pass.
-// The weight-class test folds into the relaxation mask, so the
-// branch-avoiding inner loop stays branch-free either way.
+// relaxation pass pushes only the current bucket's frontier and relaxes
+// every arc of it. Meyer & Sanders' split of arcs into light and heavy
+// is not used: it cut candidate stores 6x on a mesh, yet queries ran
+// slower with it there and on RMAT.
 //
 // The vertices are split once per query into one range per worker,
 // balanced on arcs plus vertices (ownerRanges) and 64-aligned so every
@@ -105,15 +101,6 @@ type ParallelOptions struct {
 	// level (BFS-like) and keeps re-relaxation bounded on weighted
 	// inputs.
 	Delta uint64
-	// LightHeavy enables the Meyer & Sanders light/heavy edge split:
-	// in-bucket passes relax only light arcs (weight <= delta, the only
-	// ones that can re-fill the current bucket), and each vertex's
-	// heavy arcs are relaxed exactly once when its bucket closes —
-	// instead of every inner pass re-scanning them. The distances are
-	// byte-identical either way; what changes is the wasted
-	// re-relaxation volume, visible in Stats.HeavyRelaxed vs the
-	// repeated scans it replaces.
-	LightHeavy bool
 	// Dist, when of length |V|, receives the distances and suppresses
 	// the per-call result allocation; its prior contents are
 	// overwritten. The returned slice aliases it. Long-lived callers
@@ -179,17 +166,16 @@ func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([
 	chunkTarget := par.ChunkCount(x.Pool.Workers(), x.Schedule)
 	scatter, settle, open := q.scatter, q.settle, q.open
 
-	// relaxPass is one scatter + barrier over l: scatter the wanted
-	// weight class of every vertex's arcs against the immutable distance
-	// array into per-worker candidate buffers, routed by owner, then let
-	// every owner fold, re-bucket and compact its share. Chunks are
-	// degree-balanced; under par.Stealing idle workers take whole chunks
-	// from stragglers (an RMAT hub's chunk can no longer stall the pass
-	// barrier behind it).
-	relaxPass := func(l *vertexList, heavy bool) error {
+	// relaxPass is one scatter + barrier over l: scatter every vertex's
+	// arcs against the immutable distance array into per-worker
+	// candidate buffers, routed by owner, then let every owner fold,
+	// re-bucket and compact its share. Chunks are degree-balanced; under
+	// par.Stealing idle workers take whole chunks from stragglers (an
+	// RMAT hub's chunk can no longer stall the pass barrier behind it).
+	relaxPass := func(l *vertexList) error {
 		start := time.Now()
 		scanned := l.arcs[len(l.arcs)-1]
-		q.verts, q.heavy = l.verts, heavy
+		q.verts = l.verts
 		//ba:atomic-free
 		if err := x.Pass(&st, par.Partition(l.arcs, chunkTarget, 1), scatter); err != nil {
 			return err
@@ -197,7 +183,7 @@ func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([
 		//ba:atomic-free
 		x.Pool.Run(len(q.owners), settle)
 
-		changed, relaxed := 0, uint64(0)
+		changed := 0
 		for t := range q.s.workers {
 			st.CandStores += q.s.workers[t].stores
 			q.s.workers[t].stores = 0
@@ -205,14 +191,9 @@ func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([
 		for o := range q.owners {
 			ow := &q.owners[o]
 			st.DistStores += ow.distStores
-			relaxed += ow.relaxed
+			st.LightRelaxed += ow.relaxed
 			changed += len(ow.changed)
 			ow.distStores, ow.relaxed = 0, 0
-		}
-		if heavy {
-			st.HeavyRelaxed += relaxed
-		} else {
-			st.LightRelaxed += relaxed
 		}
 		st.PassDurations = append(st.PassDurations, time.Since(start))
 		st.PassChanges = append(st.PassChanges, changed)
@@ -241,23 +222,10 @@ func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([
 		//ba:atomic-free
 		x.Pool.Run(len(q.owners), open)
 
-		// In-bucket passes: light arcs only (they alone can re-fill the
-		// current bucket; without the split, all arcs), until no owner
-		// has a live vertex left in it.
-		for f := q.gather(&q.s.frontier, frontOf); len(f.verts) > 0; f = q.gather(&q.s.frontier, frontOf) {
-			if err := relaxPass(f, false); err != nil {
-				return dist, st, err
-			}
-		}
-
-		// Bucket close: the settled vertices' distances are final (heavy
-		// arcs reach strictly later buckets, later buckets never improve
-		// earlier ones), so each vertex's heavy arcs relax exactly once.
-		if !q.split {
-			continue
-		}
-		if s := q.gather(&q.s.settledAll, settledOf); len(s.verts) > 0 {
-			if err := relaxPass(s, true); err != nil {
+		// In-bucket passes until no owner has a live vertex left in the
+		// current bucket.
+		for f := q.gather(); len(f.verts) > 0; f = q.gather() {
+			if err := relaxPass(f); err != nil {
 				return dist, st, err
 			}
 		}
@@ -334,9 +302,6 @@ type owner struct {
 
 	changed []uint32   // vertices this pass improved
 	front   vertexList // this owner's share of the next frontier
-	// settled collects the current bucket's processed vertices for the
-	// heavy close pass (light/heavy only).
-	settled vertexList
 
 	distStores, relaxed uint64
 	_                   [64]byte
@@ -449,11 +414,11 @@ type scratch struct {
 	workers []worker
 	owners  []owner
 	// inFrontier dedups a frontier under construction, changed a pass's
-	// improved set, settled the current bucket's settled set.
-	inFrontier, changed, settled *bitset.Set
-	// The coordinator's concatenations of the owners' lists when there
-	// are several owners.
-	frontier, settledAll vertexList
+	// improved set.
+	inFrontier, changed *bitset.Set
+	// frontier is the coordinator's concatenation of the owners'
+	// frontier shares when there are several owners.
+	frontier vertexList
 }
 
 func getScratch(n, workers int) *scratch {
@@ -472,7 +437,6 @@ func getScratch(n, workers int) *scratch {
 		owners:     make([]owner, workers),
 		inFrontier: bitset.New(n),
 		changed:    bitset.New(n),
-		settled:    bitset.New(n),
 	}
 	for t := range s.workers {
 		s.workers[t].out = make([][]candidate, workers)
@@ -481,10 +445,8 @@ func getScratch(n, workers int) *scratch {
 		s.owners[o].window = make([][]uint32, 2)
 		s.owners[o].farMin = noBucket
 		s.owners[o].front.reset()
-		s.owners[o].settled.reset()
 	}
 	s.frontier.reset()
-	s.settledAll.reset()
 	return s
 }
 
@@ -499,17 +461,14 @@ type query struct {
 	s      *scratch
 	owners []owner // s.owners[:ranges]
 
-	dist     []uint64
-	offs     []int64
-	adj, ws  []uint32
-	shift    uint
-	split    bool
-	lightCut uint64 // weights below it are light
+	dist    []uint64
+	offs    []int64
+	adj, ws []uint32
+	shift   uint
 
 	avoiding bool     // the current pass runs the branch-avoiding loops
 	cur      uint64   // the current bucket
 	verts    []uint32 // the current pass's vertices
-	heavy    bool     // the current pass relaxes heavy arcs
 }
 
 func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions) *query {
@@ -521,22 +480,8 @@ func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions
 		adj:      g.Adjacency(),
 		ws:       g.ArcWeights(),
 		shift:    deltaShift(opt.Delta, g),
-		split:    opt.LightHeavy,
 		avoiding: opt.Variant == core.BranchAvoiding || opt.Variant == core.Hybrid,
 	}
-	// The light/heavy split: arcs with weight < lightCut relax in the
-	// in-bucket passes, the rest wait for the one heavy pass at bucket
-	// close. Without the split every arc is "light". The cut stays in
-	// MaskLess64's domain (operands <= 2^62) and above any uint32
-	// weight when the split is off or delta already exceeds all
-	// weights — 2^33 does both.
-	const allLight = uint64(1) << 33
-	delta := uint64(1) << q.shift
-	q.lightCut = allLight
-	if q.split && delta < allLight-1 {
-		q.lightCut = delta + 1
-	}
-
 	ranges := ownerRanges(offs, workers)
 	q.owners = q.s.owners[:len(ranges)]
 	// The window cap also scales with |V|, so a small graph's scratch
@@ -563,10 +508,6 @@ func (q *query) release() {
 			ow.window[i] = ow.window[i][:0]
 		}
 		ow.far, ow.farMin = ow.far[:0], noBucket
-		for _, v := range ow.settled.verts {
-			s.settled.Clear(int(v))
-		}
-		ow.settled.reset()
 		ow.front.reset()
 		ow.changed = ow.changed[:0]
 		ow.distStores, ow.relaxed = 0, 0
@@ -582,25 +523,23 @@ func (q *query) release() {
 	putScratch(s)
 }
 
-func frontOf(o *owner) *vertexList   { return &o.front }
-func settledOf(o *owner) *vertexList { return &o.settled }
-
-// gather returns the concatenation, in owner order, of the list pick
-// selects from every owner — the owner's own list when there is one
-// owner, else dst refilled.
-func (q *query) gather(dst *vertexList, pick func(*owner) *vertexList) *vertexList {
+// gather returns the next frontier: the concatenation, in owner order,
+// of the owners' frontier shares — the owner's own share when there is
+// one owner, else the scratch frontier refilled.
+func (q *query) gather() *vertexList {
 	if len(q.owners) == 1 {
-		return pick(&q.owners[0])
+		return &q.owners[0].front
 	}
 	total := 0
 	for o := range q.owners {
-		total += len(pick(&q.owners[o]).verts)
+		total += len(q.owners[o].front.verts)
 	}
+	dst := &q.s.frontier
 	dst.verts = slices.Grow(dst.verts[:0], total)
 	dst.arcs = slices.Grow(dst.arcs[:0], total+1)
 	dst.reset()
 	for o := range q.owners {
-		dst.concat(pick(&q.owners[o]))
+		dst.concat(&q.owners[o].front)
 	}
 	return dst
 }
@@ -630,15 +569,15 @@ func (q *query) scatter(t int, r par.Range) {
 }
 
 // relax appends the surviving candidates of verts' rows to buf with the
-// pass's loop and weight class, counting the stores on w.
+// pass's loop, counting the stores on w.
 func (q *query) relax(w *worker, buf []candidate, verts []uint32) []candidate {
 	var stores uint64
 	if q.avoiding {
 		var pf uint64
-		buf, stores, pf = scatterAvoiding(buf, verts, q.offs, q.adj, q.ws, q.dist, q.split, q.heavy, q.lightCut)
+		buf, stores, pf = scatterAvoiding(buf, verts, q.offs, q.adj, q.ws, q.dist)
 		w.sink ^= pf
 	} else {
-		buf, stores = scatterBased(buf, verts, q.offs, q.adj, q.ws, q.dist, q.split, q.heavy, q.lightCut)
+		buf, stores = scatterBased(buf, verts, q.offs, q.adj, q.ws, q.dist)
 	}
 	w.stores += stores
 	return buf
@@ -671,11 +610,10 @@ func route(out [][]candidate, cands []candidate, ownerOf []int32) {
 }
 
 // scatterAvoiding is the branch-avoiding scatter over verts' rows: every
-// arc of the wanted weight class stores a candidate at the buffer tail,
-// and the relaxation mask decides whether the tail keeps it. It returns
-// the buffer, the stores made and the prefetch accumulator.
-func scatterAvoiding(buf []candidate, verts []uint32, offs []int64, adj, ws []uint32, dist []uint64,
-	split, heavy bool, lightCut uint64) ([]candidate, uint64, uint64) {
+// arc stores a candidate at the buffer tail, and the relaxation mask
+// decides whether the tail keeps it. It returns the buffer, the stores
+// made and the prefetch accumulator.
+func scatterAvoiding(buf []candidate, verts []uint32, offs []int64, adj, ws []uint32, dist []uint64) ([]candidate, uint64, uint64) {
 	stores, pf := uint64(0), uint64(0)
 	for _, v := range verts {
 		dv := dist[v]
@@ -690,73 +628,29 @@ func scatterAvoiding(buf []candidate, verts []uint32, offs []int64, adj, ws []ui
 		}
 		buf = buf[:need]
 		tail := need - int(hi-lo)
-		// The weight-class selection is per vertex and loop-invariant:
-		// without the split the inner loop is exactly the paper's op
-		// mix, with it the class test folds into the relaxation mask.
-		// Each case runs software-prefetch shaped: the scatter's miss is
-		// the dependent dist[adj[j]] load, so the main loop issues the
-		// load core.Lookahead arcs ahead into an accumulator before
-		// consuming arc j, with a mask-free tail loop finishing the row —
-		// no data-dependent branch appears either way.
+		// The row runs software-prefetch shaped: the scatter's miss is the
+		// dependent dist[adj[j]] load, so the main loop issues the load
+		// core.Lookahead arcs ahead into an accumulator before consuming
+		// arc j, with a mask-free tail loop finishing the row — no
+		// data-dependent branch appears in either.
 		la := hi - core.Lookahead
-		switch {
-		case !split:
-			j := lo
-			//ba:branch-free
-			for ; j < la; j++ {
-				pf ^= dist[adj[j+core.Lookahead]]
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				m := core.MaskLess64(c, dist[u])
-				buf[tail] = candidate{u, c}
-				tail += int(core.Bit64(m))
-			}
-			//ba:branch-free
-			for ; j < hi; j++ {
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				m := core.MaskLess64(c, dist[u])
-				buf[tail] = candidate{u, c}
-				tail += int(core.Bit64(m))
-			}
-		case heavy:
-			j := lo
-			//ba:branch-free
-			for ; j < la; j++ {
-				pf ^= dist[adj[j+core.Lookahead]]
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				m := core.MaskLess64(c, dist[u]) &^ core.MaskLess64(uint64(ws[j]), lightCut)
-				buf[tail] = candidate{u, c}
-				tail += int(core.Bit64(m))
-			}
-			//ba:branch-free
-			for ; j < hi; j++ {
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				m := core.MaskLess64(c, dist[u]) &^ core.MaskLess64(uint64(ws[j]), lightCut)
-				buf[tail] = candidate{u, c}
-				tail += int(core.Bit64(m))
-			}
-		default:
-			j := lo
-			//ba:branch-free
-			for ; j < la; j++ {
-				pf ^= dist[adj[j+core.Lookahead]]
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				m := core.MaskLess64(c, dist[u]) & core.MaskLess64(uint64(ws[j]), lightCut)
-				buf[tail] = candidate{u, c}
-				tail += int(core.Bit64(m))
-			}
-			//ba:branch-free
-			for ; j < hi; j++ {
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				m := core.MaskLess64(c, dist[u]) & core.MaskLess64(uint64(ws[j]), lightCut)
-				buf[tail] = candidate{u, c}
-				tail += int(core.Bit64(m))
-			}
+		j := lo
+		//ba:branch-free
+		for ; j < la; j++ {
+			pf ^= dist[adj[j+core.Lookahead]]
+			u := adj[j]
+			c := dv + uint64(ws[j])
+			m := core.MaskLess64(c, dist[u])
+			buf[tail] = candidate{u, c}
+			tail += int(core.Bit64(m))
+		}
+		//ba:branch-free
+		for ; j < hi; j++ {
+			u := adj[j]
+			c := dv + uint64(ws[j])
+			m := core.MaskLess64(c, dist[u])
+			buf[tail] = candidate{u, c}
+			tail += int(core.Bit64(m))
 		}
 		stores += uint64(hi - lo)
 		buf = buf[:tail]
@@ -767,38 +661,16 @@ func scatterAvoiding(buf []candidate, verts []uint32, offs []int64, adj, ws []ui
 // scatterBased is the branch-based scatter over verts' rows: a
 // candidate is appended behind the relaxation test. It returns the
 // buffer and the stores made.
-func scatterBased(buf []candidate, verts []uint32, offs []int64, adj, ws []uint32, dist []uint64,
-	split, heavy bool, lightCut uint64) ([]candidate, uint64) {
+func scatterBased(buf []candidate, verts []uint32, offs []int64, adj, ws []uint32, dist []uint64) ([]candidate, uint64) {
 	stores := uint64(0)
 	for _, v := range verts {
 		dv := dist[v]
-		switch {
-		case !split:
-			for j := offs[v]; j < offs[v+1]; j++ {
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				if c < dist[u] {
-					buf = append(buf, candidate{u, c})
-					stores++
-				}
-			}
-		case heavy:
-			for j := offs[v]; j < offs[v+1]; j++ {
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				if uint64(ws[j]) >= lightCut && c < dist[u] {
-					buf = append(buf, candidate{u, c})
-					stores++
-				}
-			}
-		default:
-			for j := offs[v]; j < offs[v+1]; j++ {
-				u := adj[j]
-				c := dv + uint64(ws[j])
-				if uint64(ws[j]) < lightCut && c < dist[u] {
-					buf = append(buf, candidate{u, c})
-					stores++
-				}
+		for j := offs[v]; j < offs[v+1]; j++ {
+			u := adj[j]
+			c := dv + uint64(ws[j])
+			if c < dist[u] {
+				buf = append(buf, candidate{u, c})
+				stores++
 			}
 		}
 	}
@@ -806,8 +678,8 @@ func scatterBased(buf []candidate, verts []uint32, offs []int64, adj, ws []uint3
 }
 
 // settle is owner o's barrier task: fold the candidates routed to it,
-// re-bucket the improved vertices, close the bucket's settled set after
-// a heavy pass, and compact the owner's share of the next frontier.
+// re-bucket the improved vertices, and compact the owner's share of the
+// next frontier.
 func (q *query) settle(o int) {
 	ow := &q.owners[o]
 	ow.changed = ow.changed[:0]
@@ -828,12 +700,6 @@ func (q *query) settle(o int) {
 		q.s.changed.Clear(int(v))
 		ow.push(v, q.dist[v]>>q.shift, q.cur)
 	}
-	if q.heavy {
-		for _, v := range ow.settled.verts {
-			q.s.settled.Clear(int(v))
-		}
-		ow.settled.reset()
-	}
 	q.compact(ow)
 }
 
@@ -847,9 +713,8 @@ func (q *query) open(o int) {
 
 // compact drains the owner's list for the current bucket into its
 // frontier share — entries whose vertex has since moved to another
-// bucket are stale and dropped, duplicates dropped — marks the new
-// frontier settled for the heavy close pass, and records the owner's
-// next queued bucket.
+// bucket are stale and dropped, duplicates dropped — and records the
+// owner's next queued bucket.
 func (q *query) compact(ow *owner) {
 	ow.front.reset()
 	i := q.cur & uint64(len(ow.window)-1)
@@ -861,13 +726,8 @@ func (q *query) compact(ow *owner) {
 		ow.front.push(v, q.offs[v+1]-q.offs[v])
 	}
 	ow.window[i] = pending[:0]
-	for k, v := range ow.front.verts {
+	for _, v := range ow.front.verts {
 		q.s.inFrontier.Clear(int(v))
-		// A vertex's heavy arcs relax once, at its final in-bucket
-		// distance: re-activations within the bucket are not re-added.
-		if q.split && !q.s.settled.TestAndSet(int(v)) {
-			ow.settled.push(v, ow.front.arcs[k+1]-ow.front.arcs[k])
-		}
 	}
 	ow.next = ow.nextBucket(q.cur)
 }

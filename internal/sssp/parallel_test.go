@@ -59,56 +59,6 @@ func TestParallelDeltaSweep(t *testing.T) {
 	}
 }
 
-// TestParallelLightHeavyMatchesDijkstra: the light/heavy split must
-// not change a single distance, for every variant, schedule, worker
-// count and bucket width — only the relaxation schedule moves.
-func TestParallelLightHeavyMatchesDijkstra(t *testing.T) {
-	testutil.ForEachWeighted(t, nil, func(t *testing.T, g *graph.Weighted) {
-		want := Dijkstra(g, 0)
-		for _, sched := range []par.Schedule{par.Static, par.Stealing} {
-			for _, workers := range []int{1, 4} {
-				x := testutil.Exec(t, workers, sched)
-				for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
-					name := fmt.Sprintf("%s/%v/w%d", variant, sched, workers)
-					dist, _, _ := Parallel(x, g, 0, ParallelOptions{Variant: variant, LightHeavy: true})
-					testutil.MustEqualDists(t, name, dist, want)
-				}
-			}
-		}
-	})
-}
-
-// TestParallelLightHeavySplitsWork pins that the split actually
-// reroutes relaxations: with weights well above the bucket width, the
-// heavy pass must apply a non-trivial share of them, and the unsplit
-// run must count everything as light.
-func TestParallelLightHeavySplitsWork(t *testing.T) {
-	g := testutil.RandomWeighted(300, 1200, 100, 17)
-	want := Dijkstra(g, 0)
-	x := testutil.Exec(t, 2, par.Static)
-	dist, split, _ := Parallel(x, g, 0, ParallelOptions{LightHeavy: true, Delta: 8})
-	testutil.MustEqualDists(t, "light-heavy delta=8", dist, want)
-	if split.HeavyRelaxed == 0 {
-		t.Fatal("no heavy relaxations despite weights far above delta")
-	}
-	if split.LightRelaxed == 0 {
-		t.Fatal("no light relaxations")
-	}
-	_, unsplit, _ := Parallel(x, g, 0, ParallelOptions{Delta: 8})
-	if unsplit.HeavyRelaxed != 0 {
-		t.Fatalf("unsplit run counted %d heavy relaxations", unsplit.HeavyRelaxed)
-	}
-	if unsplit.LightRelaxed == 0 {
-		t.Fatal("unsplit run counted no relaxations")
-	}
-	// Deferring heavy arcs to one bucket-close pass must not do MORE
-	// relaxation work than re-scanning them every in-bucket pass.
-	if split.LightRelaxed+split.HeavyRelaxed > unsplit.LightRelaxed {
-		t.Fatalf("split applied %d+%d relaxations, unsplit %d",
-			split.LightRelaxed, split.HeavyRelaxed, unsplit.LightRelaxed)
-	}
-}
-
 // TestParallelNonZeroSourceAndBuffer covers non-zero sources and the
 // Dist reuse contract: a |V|-length buffer is aliased, anything else
 // allocates.
@@ -212,20 +162,18 @@ func TestParallelFarBuckets(t *testing.T) {
 	want := Dijkstra(g, 0)
 	for _, workers := range []int{1, 4} {
 		x := testutil.Exec(t, workers, par.Static)
-		for _, split := range []bool{false, true} {
-			for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
-				name := fmt.Sprintf("%s/w%d/lightheavy=%v", variant, workers, split)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				dist, _, err := Parallel(x, g, 0, ParallelOptions{Variant: variant, Delta: 1, LightHeavy: split})
-				runtime.ReadMemStats(&after)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				testutil.MustEqualDists(t, name, dist, want)
-				if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1024*n {
-					t.Fatalf("%s: allocated %d bytes for %d vertices", name, bytes, n)
-				}
+		for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
+			name := fmt.Sprintf("%s/w%d", variant, workers)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			dist, _, err := Parallel(x, g, 0, ParallelOptions{Variant: variant, Delta: 1})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			testutil.MustEqualDists(t, name, dist, want)
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1024*n {
+				t.Fatalf("%s: allocated %d bytes for %d vertices", name, bytes, n)
 			}
 		}
 	}
@@ -244,7 +192,7 @@ func TestParallelWarmQueryAllocatesLittle(t *testing.T) {
 	want := Dijkstra(g, 5)
 	for _, workers := range []int{1, 3} {
 		x := testutil.Exec(t, workers, par.Static)
-		opt := ParallelOptions{Variant: core.Hybrid, LightHeavy: true, Dist: make([]uint64, n)}
+		opt := ParallelOptions{Variant: core.Hybrid, Dist: make([]uint64, n)}
 		Parallel(x, g, 5, opt) // warm the scratch
 		least := ^uint64(0)
 		for run := 0; run < 8; run++ {
@@ -277,8 +225,8 @@ func (p *passBudget) Err() error {
 }
 
 // TestParallelCancelledQueryLeavesCleanScratch: a query cancelled
-// between passes stops with vertices queued, frontiers built and
-// settled bits set; the scratch it returns must be clean, so the next
+// between passes stops with vertices queued and frontiers built; the
+// scratch it returns must be clean, so the next
 // query on the same shape still returns Dijkstra's distances.
 func TestParallelCancelledQueryLeavesCleanScratch(t *testing.T) {
 	g := testutil.RandomWeighted(500, 2000, 60, 29)
@@ -287,7 +235,7 @@ func TestParallelCancelledQueryLeavesCleanScratch(t *testing.T) {
 		pool := par.NewPool(workers)
 		t.Cleanup(pool.Close)
 		for budget := 0; budget < 12; budget++ {
-			opt := ParallelOptions{Variant: core.Hybrid, Delta: 4, LightHeavy: budget%2 == 1}
+			opt := ParallelOptions{Variant: core.Hybrid, Delta: 4}
 			cut := par.Exec{Ctx: &passBudget{Context: context.Background(), left: budget}, Pool: pool}
 			if _, _, err := Parallel(cut, g, 0, opt); !errors.Is(err, context.Canceled) {
 				t.Fatalf("w%d budget %d: err = %v, want context.Canceled", workers, budget, err)

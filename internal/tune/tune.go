@@ -8,10 +8,9 @@
 // Every knob the controller turns is result-invariant by construction:
 // bb/ba/hybrid are the same algorithm with different branch structure
 // (the paper's premise), schedule and chunking only redistribute the
-// same work, delta only re-buckets the same relaxations, and the
-// light/heavy split reorders them. A Decision can therefore never
-// change an answer, only its latency — the byte-identity property
-// tests pin exactly that across the corpus.
+// same work, and delta only re-buckets the same relaxations. A
+// Decision can therefore never change an answer, only its latency —
+// the byte-identity property tests pin exactly that across the corpus.
 //
 // The bb/ba cutover is seeded from internal/predictor, the seed's
 // model of the paper's §3: a 2-bit saturating counter is simulated
@@ -70,9 +69,6 @@ type Decision struct {
 	// Delta is the delta-stepping bucket width (KindSSSP; 0 keeps the
 	// kernel default).
 	Delta uint64
-	// LightHeavy enables the Meyer & Sanders light/heavy arc split
-	// (KindSSSP).
-	LightHeavy bool
 }
 
 // Controller tuning constants. Exported so tests and docs state the
@@ -98,9 +94,9 @@ const (
 	bucketsHigh = 128
 	bucketsLow  = 8
 	// blowupHigh is the candidate-store amplification (CandStores per
-	// applied distance store) above which the cell turns on the
-	// light/heavy split and considers a finer delta: work is being
-	// re-relaxed, the signature of over-wide buckets.
+	// applied distance store) above which the cell considers a finer
+	// delta: work is being re-relaxed, the signature of over-wide
+	// buckets.
 	blowupHigh = 2.0
 	// deltaShiftMin/Max clamp the delta scaling to 2^-4 .. 2^8 of the
 	// graph default.
@@ -155,7 +151,6 @@ type cell struct {
 	sinceDeltaChange int
 	buckets          ewma
 	blowup           ewma
-	lightHeavy       bool
 }
 
 // Controller holds the adaptive cells. All methods are safe for
@@ -224,11 +219,7 @@ func (c *Controller) Decide(w Workload) Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cl := c.cellFor(w)
-	d := Decision{
-		Algo:       cl.algo,
-		Schedule:   cl.schedule,
-		LightHeavy: cl.lightHeavy,
-	}
+	d := Decision{Algo: cl.algo, Schedule: cl.schedule}
 	if w.Kind == KindSSSP {
 		d.Delta = shiftDelta(w.DefaultDelta, cl.deltaShift)
 	}
@@ -265,10 +256,8 @@ func shiftDelta(delta uint64, shift int) uint64 {
 //     the predictor-seeded cutover; a cell whose passes are all on one
 //     side settles on the pure kernel for that side, mixed cells stay
 //     hybrid;
-//   - delta and light/heavy (KindSSSP): bucket-count and
-//     candidate-blow-up EWMAs widen or narrow the bucket width one
-//     power of two per SettleRuns, and persistent blow-up turns on the
-//     light/heavy split.
+//   - delta (KindSSSP): bucket-count and candidate-blow-up EWMAs widen
+//     or narrow the bucket width one power of two per SettleRuns.
 func (c *Controller) Observe(w Workload, st bagraph.Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -315,7 +304,7 @@ func (c *Controller) Observe(w Workload, st bagraph.Stats) {
 		}
 	}
 
-	// Delta and light/heavy: SSSP only.
+	// Delta: SSSP only.
 	if w.Kind == KindSSSP {
 		if st.Buckets > 0 {
 			cl.buckets.add(float64(st.Buckets))
@@ -324,9 +313,6 @@ func (c *Controller) Observe(w Workload, st bagraph.Stats) {
 			cl.blowup.add(float64(st.CandStores) / float64(st.DistStores))
 		}
 		cl.sinceDeltaChange++
-		if cl.blowup.primed && cl.blowup.v > blowupHigh {
-			cl.lightHeavy = true
-		}
 		if cl.sinceDeltaChange >= SettleRuns && cl.buckets.primed {
 			switch {
 			case cl.buckets.v > bucketsHigh && cl.deltaShift < deltaShiftMax:

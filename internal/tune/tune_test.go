@@ -184,8 +184,7 @@ func TestDeltaAdaptation(t *testing.T) {
 		t.Fatalf("second settle period: delta = %d, want 128", d.Delta)
 	}
 
-	// Few buckets + heavy blow-up: the width halves and the
-	// light/heavy split turns on.
+	// Few buckets + heavy blow-up: the width halves.
 	w2 := tune.Workload{Graph: "other", Epoch: 1, Kind: tune.KindSSSP,
 		Vertices: 1000, Arcs: 2000, MaxDegree: 2, Workers: 2, DefaultDelta: 32}
 	for i := 0; i < 2*tune.SettleRuns; i++ {
@@ -194,9 +193,6 @@ func TestDeltaAdaptation(t *testing.T) {
 	d := c.Decide(w2)
 	if d.Delta >= 32 {
 		t.Fatalf("blown-up cell: delta = %d, want narrower than 32", d.Delta)
-	}
-	if !d.LightHeavy {
-		t.Fatal("blown-up cell: light/heavy split not enabled")
 	}
 
 	// The shift clamps: pile on bucket-heavy observations and the
@@ -242,7 +238,6 @@ func decidedRequest(t *testing.T, kind string, d tune.Decision, root uint32) bag
 		req, err = algoreq.BFS(d.Algo, root)
 	case tune.KindSSSP:
 		req, err = algoreq.SSSP(d.Algo, root, d.Delta)
-		req.LightHeavy = d.LightHeavy
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}

@@ -74,13 +74,11 @@ func TestRelabeledWeightedEquivalence(t *testing.T) {
 			roots := pickRoots(w.NumVertices())
 			for _, workers := range testutil.WorkerCounts {
 				for _, root := range roots {
-					for _, lh := range []bool{false, true} {
-						req := Request{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true,
-							Root: root, Workers: workers, LightHeavy: lh}
-						want := runOK(t, w, req)
-						got := runOK(t, rl, req)
-						testutil.MustEqualDists(t, "sssp", got.Dists, want.Dists)
-					}
+					req := Request{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true,
+						Root: root, Workers: workers}
+					want := runOK(t, w, req)
+					got := runOK(t, rl, req)
+					testutil.MustEqualDists(t, "sssp", got.Dists, want.Dists)
 				}
 			}
 			// The unweighted kinds run on a weighted wrapper's structure.

@@ -145,12 +145,6 @@ type Request struct {
 	// SSSP kernel; 0 picks the kernel default. Long-lived callers cache
 	// it per graph to skip the per-query weight sweep.
 	Delta uint64
-	// LightHeavy enables the Meyer & Sanders light/heavy edge split in
-	// the parallel SSSP kernel: in-bucket passes relax only light arcs
-	// (weight <= delta) and each vertex's heavy arcs relax once at
-	// bucket close. Distances are byte-identical either way; ignored by
-	// every other kind.
-	LightHeavy bool
 	// Relabel runs the request against a degree-ordered view of the
 	// graph (see RelabelDegree): the kernels see the hub-clustered
 	// layout, the results come back in the original vertex ids,
@@ -494,10 +488,9 @@ func runSSSPRequest(x par.Exec, g *WeightedGraph, req Request) (*Result, error) 
 	switch {
 	case req.Parallel:
 		dist, st, err = sssp.Parallel(x, g, req.Root, sssp.ParallelOptions{
-			Variant:    variant,
-			Delta:      req.Delta,
-			LightHeavy: req.LightHeavy,
-			Dist:       distBuf,
+			Variant: variant,
+			Delta:   req.Delta,
+			Dist:    distBuf,
 		})
 	case req.SSSP == SSSPDijkstra:
 		dist, err = sssp.DijkstraCtx(x.Ctx, g, req.Root, distBuf)

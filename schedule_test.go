@@ -84,14 +84,11 @@ func TestScheduleEquivalenceSSSP(t *testing.T) {
 			return
 		}
 		for _, workers := range testutil.WorkerCounts {
-			for _, lightHeavy := range []bool{false, true} {
-				steal, static := runPair(t, g, Request{
-					Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true,
-					Root: 0, Workers: workers, LightHeavy: lightHeavy,
-				})
-				testutil.MustEqualDists(t, fmt.Sprintf("w%d/lh=%v", workers, lightHeavy),
-					steal.Dists, static.Dists)
-			}
+			steal, static := runPair(t, g, Request{
+				Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true,
+				Root: 0, Workers: workers,
+			})
+			testutil.MustEqualDists(t, fmt.Sprintf("w%d", workers), steal.Dists, static.Dists)
 		}
 	})
 }
