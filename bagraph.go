@@ -51,22 +51,16 @@ import (
 // or ReadMETIS.
 type Graph = graph.Graph
 
-// Edge is an undirected (or directed, see NewDigraph) vertex pair.
+// Edge is an undirected vertex pair.
 type Edge = graph.Edge
 
 // Unreached marks vertices not reached by a traversal.
 const Unreached = ^uint32(0)
 
-// NewGraph builds an undirected graph over n vertices; self-loops and
-// duplicate edges are dropped.
+// NewGraph builds an undirected graph over n ≤ graph.MaxVertices
+// vertices; self-loops and duplicate edges are dropped.
 func NewGraph(n int, edges []Edge) (*Graph, error) {
 	return graph.Build(n, edges, graph.Options{})
-}
-
-// NewDigraph builds a directed graph over n vertices. The kernels
-// assume symmetric adjacency: Run rejects a digraph with ErrDirected.
-func NewDigraph(n int, edges []Edge) (*Graph, error) {
-	return graph.Build(n, edges, graph.Options{Directed: true})
 }
 
 // CCAlgorithm selects a connected-components kernel.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"bagraph/internal/graph"
 	"bagraph/internal/testutil"
 )
 
@@ -28,18 +30,18 @@ func TestNewGraphAndDigraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Directed() || g.NumEdges() != 1 {
+	if g.NumEdges() != 1 || !g.HasEdge(1, 0) {
 		t.Fatal("NewGraph produced wrong graph")
-	}
-	d, err := NewDigraph(3, []Edge{{U: 0, V: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Directed() {
-		t.Fatal("NewDigraph not directed")
 	}
 	if _, err := NewGraph(1, []Edge{{U: 0, V: 5}}); err == nil {
 		t.Fatal("out-of-range edge accepted")
+	}
+	// The vertex bound is checked before the offsets are allocated.
+	if strconv.IntSize == 64 {
+		limit := int64(graph.MaxVertices)
+		if _, err := NewGraph(int(limit+1), nil); err == nil {
+			t.Fatal("MaxVertices+1 vertices accepted")
+		}
 	}
 }
 

@@ -26,12 +26,13 @@ const InfDistance = sssp.Inf
 // NewWeightedGraph builds an undirected weighted graph; parallel edges
 // collapse to the minimum weight and self-loops are dropped.
 func NewWeightedGraph(n int, edges []WeightedEdge) (*WeightedGraph, error) {
-	return graph.BuildWeighted(n, edges, false, "")
+	return graph.BuildWeighted(n, edges, "")
 }
 
 // AttachWeights derives a weighted view of g, assigning every arc the
 // weight weight(u, v). The view shares g's CSR arrays; weight must be
-// symmetric for undirected graphs and positive for the SSSP kernels. Use
+// symmetric (an asymmetric one is an error) and positive for the SSSP
+// kernels. Use
 // it to run weighted kernels over graphs loaded from unweighted formats
 // (METIS, the corpus) — e.g. unit weights: AttachWeights(g, func(u, v
 // uint32) uint32 { return 1 }).

@@ -172,7 +172,7 @@ func TestShortestPathsIntoAndAttachWeights(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("wrong-size buffer: len=%d", len(got))
 	}
-	// Asymmetric weight functions are rejected on undirected graphs.
+	// Asymmetric weight functions are rejected.
 	if _, err := AttachWeights(g, func(u, v uint32) uint32 { return u + 1 }); err == nil {
 		t.Fatal("asymmetric weights accepted")
 	}

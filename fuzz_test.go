@@ -237,7 +237,7 @@ func fuzzWeight(b byte) uint32 {
 // self-loops are dropped, as in NewWeightedGraph.
 func fuzzWeighted(data, ws []byte) *WeightedGraph {
 	if len(data) == 0 {
-		return graph.MustBuildWeighted(0, nil, false, "")
+		return graph.MustBuildWeighted(0, nil, "")
 	}
 	n := int(data[0]) + 1
 	var edges []WeightedEdge
@@ -248,7 +248,7 @@ func fuzzWeighted(data, ws []byte) *WeightedGraph {
 		}
 		edges = append(edges, WeightedEdge{U: uint32(int(data[i]) % n), V: uint32(int(data[i+1]) % n), W: w})
 	}
-	return graph.MustBuildWeighted(n, edges, false, "")
+	return graph.MustBuildWeighted(n, edges, "")
 }
 
 // FuzzSSSP is the shortest-paths slice of the differential Run fuzzer:

@@ -88,11 +88,9 @@ func brandes(g *graph.Graph, forward func(*graph.Graph, uint32, *state, *Stats))
 		accumulate(g, uint32(s), scratch, bc)
 		st.Sources++
 	}
-	// Undirected: each pair counted from both endpoints.
-	if !g.Directed() {
-		for i := range bc {
-			bc[i] /= 2
-		}
+	// Each pair is counted from both endpoints.
+	for i := range bc {
+		bc[i] /= 2
 	}
 	return bc, st
 }
@@ -243,7 +241,7 @@ func Reference(g *graph.Graph) []float64 {
 			}
 		}
 	}
-	// Ordered pairs double-count for undirected graphs.
+	// Ordered pairs count each unordered pair twice.
 	for i := range bc {
 		bc[i] /= 2
 	}

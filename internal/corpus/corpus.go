@@ -100,7 +100,7 @@ func blockShuffled(g *graph.Graph, seed uint64, window int) *graph.Graph {
 		blk := perm[base:end]
 		r.Shuffle(len(blk), func(i, j int) { blk[i], blk[j] = blk[j], blk[i] })
 	}
-	h, err := g.Relabel(perm)
+	h, err := g.Permute(perm)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -127,5 +129,41 @@ func TestSocialStandInsAreSkewed(t *testing.T) {
 	mst := mg.Degrees()
 	if float64(mst.Max) > 2*mst.Mean {
 		t.Errorf("ldoor stand-in too skewed for a mesh: max=%d mean=%.1f", mst.Max, mst.Mean)
+	}
+}
+
+// csrDigest is FNV-64a over the CSR arrays in little-endian order:
+// every offset as 8 bytes, then every adjacency entry as 4.
+func csrDigest(offs []int64, adj []uint32) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, o := range offs {
+		binary.LittleEndian.PutUint64(b[:], uint64(o))
+		h.Write(b[:])
+	}
+	for _, w := range adj {
+		binary.LittleEndian.PutUint32(b[:4], w)
+		h.Write(b[:4])
+	}
+	return h.Sum64()
+}
+
+// TestCorpusCSRDigest pins the exact CSR bytes of every stand-in at a
+// small scale, so a change to a generator or to the relabel pass that
+// moves a single arc fails here rather than silently shifting every
+// experiment built on the corpus.
+func TestCorpusCSRDigest(t *testing.T) {
+	want := map[string]uint64{
+		"audikw1":       0x15a5991d4221c7f3,
+		"auto":          0xfb9e9e8d461c8b8e,
+		"coAuthorsDBLP": 0x701dbfb252fe55e2,
+		"cond-mat-2005": 0xa731c9caa86f47c6,
+		"ldoor":         0x8a444d0a6e715a61,
+	}
+	for _, d := range All() {
+		g := d.Generate(0.005, 7)
+		if got := csrDigest(g.Offsets(), g.Adjacency()); got != want[d.Name] {
+			t.Errorf("%s: CSR digest %#x, want %#x", d.Name, got, want[d.Name])
+		}
 	}
 }

@@ -318,5 +318,5 @@ func Disconnected(g *graph.Graph, k int) *graph.Graph {
 		}
 	}
 	name := fmt.Sprintf("%s-x%d", g.Name(), k)
-	return graph.MustBuild(n*k, edges, graph.Options{Name: name, Directed: g.Directed()})
+	return graph.MustBuild(n*k, edges, graph.Options{Name: name})
 }

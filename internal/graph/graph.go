@@ -5,7 +5,11 @@
 // adjacency list (Algorithms 2–5). CSR makes both loops contiguous array
 // scans, matching the memory behaviour the paper's assembly kernels were
 // written against: an offsets array of |V|+1 indices and a flat adjacency
-// array of |E| (directed) or 2|E| (undirected) vertex ids.
+// array of 2|E| vertex ids.
+//
+// Every graph is undirected: each edge is stored as two arcs, so a
+// vertex's adjacency list is both its in-arcs and its out-arcs, which is
+// how the paper's Shiloach–Vishkin and BFS kernels read it.
 //
 // Vertex ids are uint32, which covers every graph in the paper's Table 2
 // with 4-byte labels — the same element width the paper's conditional-move
@@ -18,8 +22,7 @@ import (
 	"sort"
 )
 
-// Edge is a directed (u, v) pair. For undirected graphs an Edge represents
-// both directions; Build symmetrizes it.
+// Edge is an undirected (u, v) pair; Build stores it as both arcs.
 type Edge struct {
 	U, V uint32
 }
@@ -27,30 +30,25 @@ type Edge struct {
 // Graph is an immutable CSR graph. Use Build or the generators in
 // internal/gen to construct one.
 type Graph struct {
-	offs     []int64  // len n+1; offs[v]..offs[v+1] bounds v's adjacency
-	adj      []uint32 // flat adjacency array
-	directed bool
-	name     string
+	offs []int64  // len n+1; offs[v]..offs[v+1] bounds v's adjacency
+	adj  []uint32 // flat adjacency array
+	name string
 }
+
+// MaxVertices is the largest vertex count a graph may have. Vertex ids
+// are uint32, and the limit leaves the top bit of every id clear. Build
+// and BuildWeighted refuse a larger n before allocating anything, and
+// Validate refuses a larger CSR.
+const MaxVertices = 1 << 31
 
 // NumVertices returns |V|.
 func (g *Graph) NumVertices() int { return len(g.offs) - 1 }
 
-// NumArcs returns the number of directed adjacency entries (2|E| for an
-// undirected graph).
+// NumArcs returns the number of adjacency entries, 2|E|.
 func (g *Graph) NumArcs() int64 { return g.offs[len(g.offs)-1] }
 
-// NumEdges returns the number of logical edges: arcs for a directed graph,
-// arcs/2 for an undirected one.
-func (g *Graph) NumEdges() int64 {
-	if g.directed {
-		return g.NumArcs()
-	}
-	return g.NumArcs() / 2
-}
-
-// Directed reports whether the graph was built as a directed graph.
-func (g *Graph) Directed() bool { return g.directed }
+// NumEdges returns the number of logical edges, |E| = arcs/2.
+func (g *Graph) NumEdges() int64 { return g.NumArcs() / 2 }
 
 // Name returns the label attached at build time ("" if none).
 func (g *Graph) Name() string { return g.name }
@@ -58,7 +56,7 @@ func (g *Graph) Name() string { return g.name }
 // SetName attaches a human-readable label used in reports.
 func (g *Graph) SetName(name string) { g.name = name }
 
-// Degree returns the out-degree of v.
+// Degree returns the degree of v.
 func (g *Graph) Degree(v uint32) int {
 	return int(g.offs[v+1] - g.offs[v])
 }
@@ -80,10 +78,6 @@ func (g *Graph) Adjacency() []uint32 { return g.adj }
 
 // Options configures Build.
 type Options struct {
-	// Directed, when true, keeps the edges exactly as given. When false
-	// (the default, matching the paper's undirected inputs) every edge is
-	// inserted in both directions.
-	Directed bool
 	// KeepSelfLoops retains u→u edges; by default they are dropped, as
 	// they contribute nothing to connectivity or BFS and the DIMACS-10
 	// inputs have none.
@@ -95,12 +89,13 @@ type Options struct {
 	Name string
 }
 
-// Build constructs a CSR graph over n vertices from an edge list.
-// Neighbor lists are sorted ascending. It returns an error if any endpoint
-// is out of range.
+// Build constructs a CSR graph over n vertices from an edge list,
+// inserting every edge in both directions. Neighbor lists are sorted
+// ascending. It returns an error if n is out of [0, MaxVertices] or any
+// endpoint is out of range.
 func Build(n int, edges []Edge, opt Options) (*Graph, error) {
-	if n < 0 {
-		return nil, errors.New("graph: negative vertex count")
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
 	}
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
@@ -108,14 +103,13 @@ func Build(n int, edges []Edge, opt Options) (*Graph, error) {
 		}
 	}
 
-	// Arc list: one direction for directed, both for undirected.
 	arcs := make([]Edge, 0, len(edges)*2)
 	for _, e := range edges {
 		if e.U == e.V && !opt.KeepSelfLoops {
 			continue
 		}
 		arcs = append(arcs, e)
-		if !opt.Directed && e.U != e.V {
+		if e.U != e.V {
 			arcs = append(arcs, Edge{e.V, e.U})
 		}
 	}
@@ -132,10 +126,9 @@ func Build(n int, edges []Edge, opt Options) (*Graph, error) {
 	}
 
 	g := &Graph{
-		offs:     make([]int64, n+1),
-		adj:      make([]uint32, len(arcs)),
-		directed: opt.Directed,
-		name:     opt.Name,
+		offs: make([]int64, n+1),
+		adj:  make([]uint32, len(arcs)),
+		name: opt.Name,
 	}
 	for i, a := range arcs {
 		g.offs[a.U+1]++
@@ -157,6 +150,17 @@ func MustBuild(n int, edges []Edge, opt Options) *Graph {
 	return g
 }
 
+// checkVertexCount rejects a vertex count outside [0, MaxVertices].
+func checkVertexCount(n int) error {
+	if n < 0 {
+		return errors.New("graph: negative vertex count")
+	}
+	if int64(n) > MaxVertices {
+		return fmt.Errorf("graph: vertex count %d exceeds the 2^31 limit", n)
+	}
+	return nil
+}
+
 func dedupArcs(arcs []Edge) []Edge {
 	out := arcs[:0]
 	for i, a := range arcs {
@@ -170,9 +174,9 @@ func dedupArcs(arcs []Edge) []Edge {
 
 // FromCSR wraps pre-built CSR arrays without copying. offs must have length
 // n+1, be non-decreasing, start at 0, and end at len(adj); every adjacency
-// entry must be < n. Used by file readers that already produce CSR.
-func FromCSR(offs []int64, adj []uint32, directed bool, name string) (*Graph, error) {
-	g := &Graph{offs: offs, adj: adj, directed: directed, name: name}
+// entry must be < n, and every arc must have its reverse.
+func FromCSR(offs []int64, adj []uint32, name string) (*Graph, error) {
+	g := &Graph{offs: offs, adj: adj, name: name}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -188,6 +192,9 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offs[0])
 	}
 	n := len(g.offs) - 1
+	if err := checkVertexCount(n); err != nil {
+		return err
+	}
 	for v := 0; v < n; v++ {
 		if g.offs[v+1] < g.offs[v] {
 			return fmt.Errorf("graph: offsets decrease at vertex %d", v)
@@ -201,19 +208,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: adjacency entry %d = %d out of range (n=%d)", i, w, n)
 		}
 	}
-	if !g.directed {
-		if err := g.checkSymmetric(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkSymmetric verifies that every arc has its reverse, required of
-// undirected CSR. Neighbor lists are sorted by construction, so each
-// reverse lookup is a binary search.
-func (g *Graph) checkSymmetric() error {
-	n := g.NumVertices()
+	// Every arc needs its reverse. Neighbor lists are sorted by
+	// construction, so each reverse lookup is a binary search.
 	for u := 0; u < n; u++ {
 		for _, v := range g.Neighbors(uint32(u)) {
 			if !g.HasEdge(v, uint32(u)) {
@@ -304,9 +300,7 @@ func (g *Graph) Reached(root uint32) int {
 	return r
 }
 
-// IsConnected reports whether the undirected graph is connected. For
-// directed graphs it reports whether every vertex is reachable from vertex
-// 0 (a weaker property, documented rather than hidden).
+// IsConnected reports whether the graph is connected.
 func (g *Graph) IsConnected() bool {
 	n := g.NumVertices()
 	if n == 0 {
@@ -330,41 +324,14 @@ func (g *Graph) PseudoDiameter() int {
 	return int(ecc)
 }
 
-// Relabel returns a new graph in which vertex v of the receiver becomes
-// perm[v]. perm must be a permutation of [0, n). Relabeling changes memory
-// access order, which the branch-prediction experiments use to decouple
-// structure from layout.
-func (g *Graph) Relabel(perm []uint32) (*Graph, error) {
-	n := g.NumVertices()
-	if len(perm) != n {
-		return nil, fmt.Errorf("graph: perm has %d entries, want %d", len(perm), n)
-	}
-	seen := make([]bool, n)
-	for _, p := range perm {
-		if int(p) >= n || seen[p] {
-			return nil, errors.New("graph: perm is not a permutation")
-		}
-		seen[p] = true
-	}
-	edges := make([]Edge, 0, g.NumArcs())
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(uint32(u)) {
-			if g.directed || perm[u] <= perm[v] {
-				edges = append(edges, Edge{perm[u], perm[v]})
-			}
-		}
-	}
-	return Build(n, edges, Options{Directed: g.directed, Name: g.name, KeepSelfLoops: true})
-}
-
-// EdgeList materializes the logical edge list: all arcs for a directed
-// graph, one (u ≤ v) representative per edge for an undirected one.
+// EdgeList materializes the logical edge list, one (u ≤ v)
+// representative per edge.
 func (g *Graph) EdgeList() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
 	n := g.NumVertices()
 	for u := 0; u < n; u++ {
 		for _, v := range g.Neighbors(uint32(u)) {
-			if g.directed || uint32(u) <= v {
+			if uint32(u) <= v {
 				out = append(out, Edge{uint32(u), v})
 			}
 		}
@@ -374,13 +341,9 @@ func (g *Graph) EdgeList() []Edge {
 
 // String implements fmt.Stringer with a compact summary.
 func (g *Graph) String() string {
-	kind := "undirected"
-	if g.directed {
-		kind = "directed"
-	}
 	name := g.name
 	if name == "" {
 		name = "graph"
 	}
-	return fmt.Sprintf("%s{%s, |V|=%d, |E|=%d}", name, kind, g.NumVertices(), g.NumEdges())
+	return fmt.Sprintf("%s{undirected, |V|=%d, |E|=%d}", name, g.NumVertices(), g.NumEdges())
 }

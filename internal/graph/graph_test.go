@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -24,22 +25,28 @@ func TestBuildUndirectedSymmetrizes(t *testing.T) {
 	}
 }
 
-func TestBuildDirected(t *testing.T) {
-	g := MustBuild(3, []Edge{{0, 1}, {1, 2}}, Options{Directed: true})
-	if g.NumEdges() != 2 || g.NumArcs() != 2 {
-		t.Fatalf("directed: E=%d arcs=%d", g.NumEdges(), g.NumArcs())
-	}
-	if g.HasEdge(1, 0) {
-		t.Fatal("directed build created reverse arc")
-	}
-}
-
 func TestBuildRejectsOutOfRange(t *testing.T) {
 	if _, err := Build(3, []Edge{{0, 3}}, Options{}); err == nil {
 		t.Fatal("Build accepted out-of-range endpoint")
 	}
 	if _, err := Build(-1, nil, Options{}); err == nil {
 		t.Fatal("Build accepted negative n")
+	}
+}
+
+// TestBuildRejectsTooManyVertices: a count past MaxVertices is refused
+// before the offsets array (8 bytes per vertex) is allocated.
+func TestBuildRejectsTooManyVertices(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot exceed MaxVertices")
+	}
+	limit := int64(MaxVertices)
+	tooMany := int(limit + 1)
+	if _, err := Build(tooMany, nil, Options{}); err == nil {
+		t.Fatal("Build accepted MaxVertices+1 vertices")
+	}
+	if _, err := BuildWeighted(tooMany, nil, ""); err == nil {
+		t.Fatal("BuildWeighted accepted MaxVertices+1 vertices")
 	}
 }
 
@@ -62,7 +69,7 @@ func TestBuildKeepsSelfLoopsWhenAsked(t *testing.T) {
 }
 
 func TestBuildKeepsParallelEdgesWhenAsked(t *testing.T) {
-	g := MustBuild(2, []Edge{{0, 1}, {0, 1}}, Options{KeepParallelEdges: true, Directed: true})
+	g := MustBuild(2, []Edge{{0, 1}, {0, 1}}, Options{KeepParallelEdges: true})
 	if g.Degree(0) != 2 {
 		t.Fatalf("Degree(0) = %d, want 2 parallel arcs", g.Degree(0))
 	}
@@ -124,7 +131,7 @@ func TestIsConnected(t *testing.T) {
 
 func TestFromCSRValidates(t *testing.T) {
 	// Valid 2-cycle.
-	g, err := FromCSR([]int64{0, 1, 2}, []uint32{1, 0}, false, "tiny")
+	g, err := FromCSR([]int64{0, 1, 2}, []uint32{1, 0}, "tiny")
 	if err != nil {
 		t.Fatalf("FromCSR valid input: %v", err)
 	}
@@ -144,7 +151,7 @@ func TestFromCSRValidates(t *testing.T) {
 		{"asymmetric", []int64{0, 1, 1}, []uint32{1}},
 	}
 	for _, c := range cases {
-		if _, err := FromCSR(c.offs, c.adj, false, c.name); err == nil {
+		if _, err := FromCSR(c.offs, c.adj, c.name); err == nil {
 			t.Errorf("FromCSR accepted %s", c.name)
 		}
 	}
@@ -153,9 +160,9 @@ func TestFromCSRValidates(t *testing.T) {
 func TestRelabelPreservesStructure(t *testing.T) {
 	g := path5()
 	perm := []uint32{4, 3, 2, 1, 0}
-	h, err := g.Relabel(perm)
+	h, err := g.Permute(perm)
 	if err != nil {
-		t.Fatalf("Relabel: %v", err)
+		t.Fatalf("Permute: %v", err)
 	}
 	if h.NumEdges() != g.NumEdges() {
 		t.Fatalf("edge count changed: %d vs %d", h.NumEdges(), g.NumEdges())
@@ -167,14 +174,20 @@ func TestRelabelPreservesStructure(t *testing.T) {
 	if h.PseudoDiameter() != 4 {
 		t.Fatalf("relabeled diameter = %d", h.PseudoDiameter())
 	}
+	if h.Name() != g.Name() {
+		t.Fatalf("relabeled name = %q, want %q", h.Name(), g.Name())
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatalf("relabeled graph invalid: %v", err)
+	}
 }
 
 func TestRelabelRejectsBadPerm(t *testing.T) {
 	g := path5()
-	if _, err := g.Relabel([]uint32{0, 1, 2}); err == nil {
+	if _, err := g.Permute([]uint32{0, 1, 2}); err == nil {
 		t.Fatal("accepted short perm")
 	}
-	if _, err := g.Relabel([]uint32{0, 0, 1, 2, 3}); err == nil {
+	if _, err := g.Permute([]uint32{0, 0, 1, 2, 3}); err == nil {
 		t.Fatal("accepted non-permutation")
 	}
 }
@@ -218,16 +231,16 @@ func TestStringSummary(t *testing.T) {
 	if s == "" {
 		t.Fatal("empty String()")
 	}
-	g := MustBuild(1, nil, Options{Directed: true})
+	g := MustBuild(1, nil, Options{})
 	if g.String() == "" {
 		t.Fatal("empty String() for unnamed graph")
 	}
 }
 
 func TestValidateSymmetryEnforced(t *testing.T) {
-	// Directly-constructed asymmetric undirected graph must fail Validate.
-	g := &Graph{offs: []int64{0, 1, 1}, adj: []uint32{1}, directed: false}
+	// A directly-constructed asymmetric CSR must fail Validate.
+	g := &Graph{offs: []int64{0, 1, 1}, adj: []uint32{1}}
 	if err := g.Validate(); err == nil {
-		t.Fatal("asymmetric undirected graph passed Validate")
+		t.Fatal("asymmetric graph passed Validate")
 	}
 }

@@ -1,12 +1,10 @@
 package graph
 
-// Layout permutation. Unlike Relabel, which round-trips through Build
-// and therefore applies its dedup/self-loop collapse rules, Permute is a
-// pure CSR rewrite: the permuted graph has exactly the arcs of the
-// original — self-loops and parallel arcs included — just stored under
-// new vertex ids. The layout pass relies on this so relabeled kernel
-// results can be byte-identical to unrelabeled ones on every corpus
-// graph, including the multigraph adversaries.
+// Layout permutation. Permute is a pure CSR rewrite: the permuted graph
+// has exactly the arcs of the original — self-loops and parallel arcs
+// included — just stored under new vertex ids. The layout pass relies on
+// this so relabeled kernel results can be byte-identical to unrelabeled
+// ones on every corpus graph, including the multigraph adversaries.
 
 import (
 	"errors"
@@ -56,7 +54,7 @@ func (g *Graph) Permute(perm []uint32) (*Graph, error) {
 		}
 		slices.Sort(dst)
 	}
-	return &Graph{offs: offs, adj: adj, directed: g.directed, name: g.name}, nil
+	return &Graph{offs: offs, adj: adj, name: g.name}, nil
 }
 
 // Permute returns a new weighted graph in which vertex v becomes
@@ -89,7 +87,7 @@ func (g *Weighted) Permute(perm []uint32) (*Weighted, error) {
 		// keep the lighter arc first for determinism.
 		sort.Sort(&arcWeightSort{dstA, dstW})
 	}
-	pg := &Graph{offs: offs, adj: adj, directed: g.Directed(), name: g.Name()}
+	pg := &Graph{offs: offs, adj: adj, name: g.Name()}
 	return &Weighted{Graph: pg, weights: weights}, nil
 }
 

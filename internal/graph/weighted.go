@@ -7,7 +7,6 @@ package graph
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 )
@@ -35,13 +34,13 @@ func (g *Weighted) NeighborWeights(v uint32) ([]uint32, []uint32) {
 	return g.Adjacency()[offs[v]:offs[v+1]], g.weights[offs[v]:offs[v+1]]
 }
 
-// BuildWeighted constructs a weighted CSR graph. For undirected graphs
-// each edge contributes both arcs with the same weight. Parallel edges
-// collapse to the minimum weight (the only sensible choice for
-// shortest-path kernels); self-loops are dropped.
-func BuildWeighted(n int, edges []WeightedEdge, directed bool, name string) (*Weighted, error) {
-	if n < 0 {
-		return nil, errors.New("graph: negative vertex count")
+// BuildWeighted constructs a weighted CSR graph. Each edge contributes
+// both arcs with the same weight. Parallel edges collapse to the minimum
+// weight (the only sensible choice for shortest-path kernels); self-loops
+// are dropped. n must be in [0, MaxVertices].
+func BuildWeighted(n int, edges []WeightedEdge, name string) (*Weighted, error) {
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
 	}
 	// Place the arcs by source (a counting sort), then order each list
 	// by (target, weight): the order one sort of all arcs by (source,
@@ -55,9 +54,7 @@ func BuildWeighted(n int, edges []WeightedEdge, directed bool, name string) (*We
 			continue
 		}
 		offs[e.U+1]++
-		if !directed {
-			offs[e.V+1]++
-		}
+		offs[e.V+1]++
 	}
 	for v := 0; v < n; v++ {
 		offs[v+1] += offs[v]
@@ -73,10 +70,8 @@ func BuildWeighted(n int, edges []WeightedEdge, directed bool, name string) (*We
 		}
 		arcs[next[e.U]] = warc{e.V, e.W}
 		next[e.U]++
-		if !directed {
-			arcs[next[e.V]] = warc{e.U, e.W}
-			next[e.V]++
-		}
+		arcs[next[e.V]] = warc{e.U, e.W}
+		next[e.V]++
 	}
 	byTarget := func(a, b warc) int {
 		if c := cmp.Compare(a.v, b.v); c != 0 {
@@ -103,10 +98,9 @@ func BuildWeighted(n int, edges []WeightedEdge, directed bool, name string) (*We
 	offs[n] = kept
 
 	g := &Graph{
-		offs:     offs,
-		adj:      make([]uint32, kept),
-		directed: directed,
-		name:     name,
+		offs: offs,
+		adj:  make([]uint32, kept),
+		name: name,
 	}
 	weights := make([]uint32, kept)
 	for i, a := range arcs[:kept] {
@@ -117,8 +111,8 @@ func BuildWeighted(n int, edges []WeightedEdge, directed bool, name string) (*We
 }
 
 // MustBuildWeighted is BuildWeighted that panics on error.
-func MustBuildWeighted(n int, edges []WeightedEdge, directed bool, name string) *Weighted {
-	g, err := BuildWeighted(n, edges, directed, name)
+func MustBuildWeighted(n int, edges []WeightedEdge, name string) *Weighted {
+	g, err := BuildWeighted(n, edges, name)
 	if err != nil {
 		panic(err)
 	}
@@ -126,9 +120,8 @@ func MustBuildWeighted(n int, edges []WeightedEdge, directed bool, name string) 
 }
 
 // AttachWeights wraps an existing graph with per-arc weights produced by
-// fn(u, v). fn must be symmetric for undirected graphs (fn(u,v) ==
-// fn(v,u)) so both arcs of an edge carry the same weight; this is the
-// caller's responsibility and is checked for undirected inputs.
+// fn(u, v). fn must be symmetric (fn(u,v) == fn(v,u)) so both arcs of
+// an edge carry the same weight; an asymmetric fn is an error.
 func AttachWeights(g *Graph, fn func(u, v uint32) uint32) (*Weighted, error) {
 	weights := make([]uint32, g.NumArcs())
 	n := g.NumVertices()
@@ -139,13 +132,11 @@ func AttachWeights(g *Graph, fn func(u, v uint32) uint32) (*Weighted, error) {
 		}
 	}
 	w := &Weighted{Graph: g, weights: weights}
-	if !g.Directed() {
-		for u := 0; u < n; u++ {
-			adj, ws := w.NeighborWeights(uint32(u))
-			for i, v := range adj {
-				if fn(v, uint32(u)) != ws[i] {
-					return nil, fmt.Errorf("graph: asymmetric weight for edge (%d,%d)", u, v)
-				}
+	for u := 0; u < n; u++ {
+		adj, ws := w.NeighborWeights(uint32(u))
+		for i, v := range adj {
+			if fn(v, uint32(u)) != ws[i] {
+				return nil, fmt.Errorf("graph: asymmetric weight for edge (%d,%d)", u, v)
 			}
 		}
 	}

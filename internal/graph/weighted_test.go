@@ -7,7 +7,7 @@ import (
 )
 
 func TestBuildWeightedBasics(t *testing.T) {
-	g := MustBuildWeighted(3, []WeightedEdge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 7}}, false, "w3")
+	g := MustBuildWeighted(3, []WeightedEdge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 7}}, "w3")
 	if g.NumVertices() != 3 || g.NumArcs() != 4 {
 		t.Fatalf("V=%d arcs=%d", g.NumVertices(), g.NumArcs())
 	}
@@ -25,7 +25,7 @@ func TestBuildWeightedBasics(t *testing.T) {
 }
 
 func TestBuildWeightedSymmetricWeights(t *testing.T) {
-	g := MustBuildWeighted(4, []WeightedEdge{{U: 2, V: 0, W: 9}}, false, "")
+	g := MustBuildWeighted(4, []WeightedEdge{{U: 2, V: 0, W: 9}}, "")
 	a1, w1 := g.NeighborWeights(0)
 	a2, w2 := g.NeighborWeights(2)
 	if a1[0] != 2 || a2[0] != 0 || w1[0] != 9 || w2[0] != 9 {
@@ -34,34 +34,24 @@ func TestBuildWeightedSymmetricWeights(t *testing.T) {
 }
 
 func TestBuildWeightedParallelKeepsMin(t *testing.T) {
-	g := MustBuildWeighted(2, []WeightedEdge{{U: 0, V: 1, W: 9}, {U: 0, V: 1, W: 3}, {U: 1, V: 0, W: 5}}, false, "")
+	g := MustBuildWeighted(2, []WeightedEdge{{U: 0, V: 1, W: 9}, {U: 0, V: 1, W: 3}, {U: 1, V: 0, W: 5}}, "")
 	_, w := g.NeighborWeights(0)
 	if len(w) != 1 || w[0] != 3 {
 		t.Fatalf("parallel edges: weights %v, want [3]", w)
 	}
 }
 
-func TestBuildWeightedDirected(t *testing.T) {
-	g := MustBuildWeighted(2, []WeightedEdge{{U: 0, V: 1, W: 4}}, true, "")
-	if g.NumArcs() != 1 || !g.Directed() {
-		t.Fatal("directed weighted build wrong")
-	}
-	if g.Degree(1) != 0 {
-		t.Fatal("reverse arc created for directed graph")
-	}
-}
-
 func TestBuildWeightedErrors(t *testing.T) {
-	if _, err := BuildWeighted(2, []WeightedEdge{{U: 0, V: 5, W: 1}}, false, ""); err == nil {
+	if _, err := BuildWeighted(2, []WeightedEdge{{U: 0, V: 5, W: 1}}, ""); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
-	if _, err := BuildWeighted(-1, nil, false, ""); err == nil {
+	if _, err := BuildWeighted(-1, nil, ""); err == nil {
 		t.Fatal("negative n accepted")
 	}
 }
 
 func TestBuildWeightedDropsSelfLoops(t *testing.T) {
-	g := MustBuildWeighted(2, []WeightedEdge{{U: 0, V: 0, W: 1}, {U: 0, V: 1, W: 2}}, false, "")
+	g := MustBuildWeighted(2, []WeightedEdge{{U: 0, V: 0, W: 1}, {U: 0, V: 1, W: 2}}, "")
 	if g.NumArcs() != 2 {
 		t.Fatalf("arcs = %d", g.NumArcs())
 	}
@@ -78,9 +68,9 @@ func TestAttachWeights(t *testing.T) {
 	if ws[0] != 1 || ws[1] != 3 {
 		t.Fatalf("attached weights wrong: %v", ws)
 	}
-	// Asymmetric function must be rejected for undirected graphs.
+	// An asymmetric function must be rejected.
 	if _, err := AttachWeights(g, func(u, v uint32) uint32 { return u }); err == nil {
-		t.Fatal("asymmetric weights accepted on undirected graph")
+		t.Fatal("asymmetric weights accepted")
 	}
 }
 

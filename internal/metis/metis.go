@@ -44,9 +44,9 @@ func parseHeader(line string) (header, error) {
 	if err != nil || n < 0 {
 		return header{}, fmt.Errorf("metis: bad vertex count %q", fields[0])
 	}
-	// Vertex ids are uint32 throughout the CSR layer; a larger count
-	// could never be referenced, only truncated.
-	if int64(n) > 1<<31 {
+	// Checked here too, before the body is read; graph.Build would
+	// refuse the count only after parsing every edge.
+	if int64(n) > graph.MaxVertices {
 		return header{}, fmt.Errorf("metis: vertex count %d exceeds the 2^31 limit", n)
 	}
 	m, err := strconv.ParseInt(fields[1], 10, 64)
@@ -185,7 +185,7 @@ func ReadWeighted(r io.Reader) (*Weighted, error) {
 			}
 		}
 	}
-	g, err := graph.BuildWeighted(h.n, edges, false, "")
+	g, err := graph.BuildWeighted(h.n, edges, "")
 	if err != nil {
 		return nil, fmt.Errorf("metis: %w", err)
 	}
@@ -259,13 +259,13 @@ func nextDataLine(sc *bufio.Scanner) (string, error) {
 	return "", io.ErrUnexpectedEOF
 }
 
-// Write serializes g in METIS format. The graph must be undirected.
+// Write serializes g in METIS format.
 func Write(w io.Writer, g *graph.Graph) error {
 	return write(w, g, nil)
 }
 
 // WriteWeighted serializes g with its per-edge weights (format code
-// "001"). The graph must be undirected.
+// "001").
 func WriteWeighted(w io.Writer, g *graph.Weighted) error {
 	return write(w, g.Graph, g.ArcWeights())
 }
@@ -273,9 +273,6 @@ func WriteWeighted(w io.Writer, g *graph.Weighted) error {
 // write emits the shared format; a non-nil weights array (aligned with
 // the adjacency array) selects the edge-weighted variant.
 func write(w io.Writer, g *graph.Graph, weights []uint32) error {
-	if g.Directed() {
-		return fmt.Errorf("metis: directed graphs are not representable")
-	}
 	bw := bufio.NewWriter(w)
 	if g.Name() != "" {
 		fmt.Fprintf(bw, "%% %s\n", g.Name())

@@ -143,8 +143,8 @@ func TestWeightedRoundTrip(t *testing.T) {
 		testutil.RandomWeighted(40, 90, 9, 3),
 		testutil.RandomWeighted(120, 500, 1000, 4),
 		testutil.AttachHashWeights(t, gen.Grid2D(6, 7, true), 50, 5),
-		graph.MustBuildWeighted(5, []graph.WeightedEdge{{U: 0, V: 1, W: 7}}, false, "mostly-isolated"),
-		graph.MustBuildWeighted(3, nil, false, "edgeless"),
+		graph.MustBuildWeighted(5, []graph.WeightedEdge{{U: 0, V: 1, W: 7}}, "mostly-isolated"),
+		graph.MustBuildWeighted(3, nil, "edgeless"),
 	}
 	for _, g := range graphs {
 		var buf bytes.Buffer
@@ -230,13 +230,6 @@ func TestRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestWriteRejectsDirected(t *testing.T) {
-	g := graph.MustBuild(2, []graph.Edge{{U: 0, V: 1}}, graph.Options{Directed: true})
-	if err := Write(&bytes.Buffer{}, g); err == nil {
-		t.Fatal("directed graph accepted")
 	}
 }
 

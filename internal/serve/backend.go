@@ -98,7 +98,6 @@ type GraphInfo struct {
 	Name      string `json:"name"`
 	Vertices  int    `json:"vertices"`
 	Edges     int64  `json:"edges"`
-	Directed  bool   `json:"directed"`
 	Weighted  bool   `json:"weighted"`
 	Relabeled bool   `json:"relabeled"`
 	Epoch     uint64 `json:"epoch"`

@@ -72,6 +72,25 @@ func TestShardClientRefusesOversizedAnswer(t *testing.T) {
 	}
 }
 
+// TestShardClientReadsOlderListing: a shard from before the listing
+// lost its "directed" key still lists; the reader skips keys it does
+// not know.
+func TestShardClientReadsOlderListing(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"graphs":[{"name":"g","vertices":4,"edges":3,"directed":false,"weighted":true,"epoch":2}]}`)
+	}))
+	defer ts.Close()
+	infos, err := serve.NewShardClient(ts.URL, nil).Graphs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serve.GraphInfo{Name: "g", Vertices: 4, Edges: 3, Weighted: true, Epoch: 2}
+	if len(infos) != 1 || infos[0] != want {
+		t.Fatalf("listing = %+v, want [%+v]", infos, want)
+	}
+}
+
 // TestShardClientFollowsReplacedGraph: a graph replaced on the shard by
 // a larger one, behind the client's back, leaves the client's listing
 // stale; the next answer overruns the stale cap, and the client must

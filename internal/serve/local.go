@@ -211,7 +211,6 @@ func (l *Local) Graphs(ctx context.Context) ([]GraphInfo, error) {
 			Name:      e.Name(),
 			Vertices:  g.NumVertices(),
 			Edges:     g.NumEdges(),
-			Directed:  g.Directed(),
 			Weighted:  e.HasEdgeWeights(),
 			Relabeled: e.Relabeled(),
 			Epoch:     e.Epoch(),

@@ -212,11 +212,6 @@ func (r *Registry) publish(name string, g *graph.Graph, w *graph.Weighted, repla
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty graph name")
 	}
-	if g.Directed() {
-		// Every query would fail with the same error; refuse at load so
-		// the daemon never holds a graph it cannot serve.
-		return nil, fmt.Errorf("serve: graph %q: %w", name, bagraph.ErrDirected)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	epoch := uint64(1)

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"bagraph"
 	"bagraph/internal/gen"
-	"bagraph/internal/graph"
 	"bagraph/internal/metis"
 	"bagraph/internal/testutil"
 )
@@ -36,30 +33,6 @@ func TestRegistryAddAndGet(t *testing.T) {
 	got, ok := r.Get("p")
 	if !ok || got != e {
 		t.Fatal("lookup returned wrong entry")
-	}
-}
-
-// TestRegistryRefusesDirected: the kernels answer digraphs wrongly, so
-// no load path may publish one — and a refused Replace leaves the
-// served entry untouched.
-func TestRegistryRefusesDirected(t *testing.T) {
-	r := NewRegistry()
-	d := graph.MustBuild(3, []graph.Edge{{U: 1, V: 0}, {U: 1, V: 2}}, graph.Options{Directed: true})
-	if _, err := r.Add("d", d); !errors.Is(err, bagraph.ErrDirected) {
-		t.Fatalf("Add(digraph): err = %v, want ErrDirected", err)
-	}
-	if _, ok := r.Get("d"); ok || len(r.Entries()) != 0 {
-		t.Fatal("refused digraph left a registry entry")
-	}
-	e, err := r.Add("g", gen.Path(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Replace("g", d); !errors.Is(err, bagraph.ErrDirected) {
-		t.Fatalf("Replace(digraph): err = %v, want ErrDirected", err)
-	}
-	if got, _ := r.Get("g"); got != e || got.Epoch() != 1 {
-		t.Fatal("refused Replace disturbed the served entry")
 	}
 }
 

@@ -521,3 +521,85 @@ func equalU32(a, b []uint32) bool {
 	}
 	return true
 }
+
+// FuzzQuery throws arbitrary bodies at the three query routes of a
+// daemon over a small weighted graph. Every answer is either a 200
+// whose body the strict shard reader accepts and which names the
+// queried graph, or a 4xx carrying a JSON error; no body may produce a
+// 5xx or a panic.
+func FuzzQuery(f *testing.F) {
+	const maxBody = 256
+	g, err := bagraph.NewWeightedGraph(8, []bagraph.WeightedEdge{
+		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 7}, {U: 3, V: 4, W: 2}, {U: 5, V: 6, W: 9},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	if _, err := reg.AddWeighted("w", g); err != nil {
+		f.Fatal(err)
+	}
+	core := serve.New(reg, serve.Config{Workers: 2, BatchWindow: -1, MaxBodyBytes: maxBody})
+	f.Cleanup(core.Close)
+	kinds := []string{"cc", "bfs", "sssp"}
+
+	for k := range kinds {
+		for _, body := range []string{
+			`{"graph":"w"}`,
+			`{"graph":"w","root":3}`,
+			`{"graph":"w","algo":"par-hybrid","labels":true}`,
+			`{"graph":"w","root":2,"algo":"ba"}`,
+			`{"graph":"w","root":7}`,
+			`{"graph":"nope"}`,
+			`{"graph":"w","algo":"auto"}`,
+			`{"graph":"w","algo":"zzz"}`,
+			`{"graph":"w","bogus":1}`,
+			`{"graph":"w"} {}`,
+			`{"graph":"w"}x`,
+			`{"graph":"w","root":8}`,
+			`{"graph":"w","root":4294967295}`,
+			`{"graph":"w","root":4294967296}`,
+			`{"graph":"w","root":1e400}`,
+			`{"graph":"w","root":-1}`,
+			`{"graph":"w","labels":99999999999999999999}`,
+			`null`,
+			``,
+			`{"graph":"w"}` + strings.Repeat(" ", maxBody),
+		} {
+			f.Add(uint8(k), []byte(body))
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
+		name := kinds[int(kind)%len(kinds)]
+		req := httptest.NewRequest(http.MethodPost, "/query/"+name, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		core.Handler().ServeHTTP(rec, req)
+		out := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			ans, err := serve.DecodeAnswer(name, out)
+			if err != nil {
+				t.Fatalf("%s %q: 200 body the strict reader refuses (%v): %q", name, body, err, out)
+			}
+			var graph string
+			switch a := ans.(type) {
+			case *serve.CCResponse:
+				graph = a.Graph
+			case *serve.BFSResponse:
+				graph = a.Graph
+			case *serve.SSSPResponse:
+				graph = a.Graph
+			}
+			if graph != "w" {
+				t.Fatalf("%s %q: answer names graph %q, want %q", name, body, graph, "w")
+			}
+			return
+		}
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("%s %q: status %d, want 200 or 4xx; body %q", name, body, rec.Code, out)
+		}
+		var e errResp
+		if err := json.Unmarshal(out, &e); err != nil || e.Error == "" {
+			t.Fatalf("%s %q: %d body is not a JSON error (%v): %q", name, body, rec.Code, err, out)
+		}
+	})
+}

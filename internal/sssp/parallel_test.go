@@ -116,7 +116,7 @@ func TestParallelStoreAsymmetry(t *testing.T) {
 // TestParallelOutOfRangeSource mirrors the sequential kernels: an
 // out-of-range source yields an all-Inf labeling rather than a panic.
 func TestParallelOutOfRangeSource(t *testing.T) {
-	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}}, false, "tiny")
+	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}}, "tiny")
 	dist, st, _ := Parallel(testutil.Exec(t, 2, par.Static), g, 9, ParallelOptions{})
 	for v, d := range dist {
 		if d != Inf {
@@ -158,7 +158,7 @@ func TestParallelFarBuckets(t *testing.T) {
 		}
 		edges = append(edges, graph.WeightedEdge{U: v, V: v + 1, W: w})
 	}
-	g := graph.MustBuildWeighted(n, edges, false, "far-path")
+	g := graph.MustBuildWeighted(n, edges, "far-path")
 	want := Dijkstra(g, 0)
 	for _, workers := range []int{1, 4} {
 		x := testutil.Exec(t, workers, par.Static)

@@ -95,7 +95,7 @@ func TestPassChangesAgree(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := graph.MustBuildWeighted(4, []graph.WeightedEdge{{U: 0, V: 1, W: 3}, {U: 2, V: 3, W: 4}}, false, "2comp")
+	g := graph.MustBuildWeighted(4, []graph.WeightedEdge{{U: 0, V: 1, W: 3}, {U: 2, V: 3, W: 4}}, "2comp")
 	for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding} {
 		dist, _ := bellmanFord(g, 0, variant)
 		if dist[2] != Inf || dist[3] != Inf {
@@ -112,7 +112,7 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestZeroWeightEdges(t *testing.T) {
-	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0}}, false, "zeros")
+	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0}}, "zeros")
 	for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding} {
 		dist, _ := bellmanFord(g, 0, variant)
 		if dist[1] != 0 || dist[2] != 0 {
@@ -125,11 +125,11 @@ func TestZeroWeightEdges(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	empty := graph.MustBuildWeighted(0, nil, false, "")
+	empty := graph.MustBuildWeighted(0, nil, "")
 	if d := Dijkstra(empty, 0); len(d) != 0 {
 		t.Fatal("empty dijkstra")
 	}
-	single := graph.MustBuildWeighted(1, nil, false, "")
+	single := graph.MustBuildWeighted(1, nil, "")
 	dist, st := bellmanFord(single, 0, core.BranchAvoiding)
 	if dist[0] != 0 || st.Passes != 1 {
 		t.Fatal("singleton BF wrong")
@@ -186,7 +186,7 @@ func TestMaxWeightNoOverflow(t *testing.T) {
 	for i := 0; i+1 < n; i++ {
 		edges = append(edges, graph.WeightedEdge{U: uint32(i), V: uint32(i + 1), W: maxW})
 	}
-	g := graph.MustBuildWeighted(n, edges, false, "maxw-path")
+	g := graph.MustBuildWeighted(n, edges, "maxw-path")
 	want := Dijkstra(g, 0)
 	if want[n-1] != uint64(n-1)*uint64(maxW) {
 		t.Fatalf("end distance = %d, want %d", want[n-1], uint64(n-1)*uint64(maxW))
@@ -226,7 +226,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 // TestVerifyMessages pins each distinct Verify failure mode by its
 // diagnostic, so a refactor cannot silently merge or drop a check.
 func TestVerifyMessages(t *testing.T) {
-	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}}, false, "p3")
+	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}}, "p3")
 	cases := []struct {
 		dist []uint64
 		want string
@@ -246,11 +246,11 @@ func TestVerifyMessages(t *testing.T) {
 	if err := Verify(g, 0, []uint64{0, 2, 5}); err != nil {
 		t.Errorf("valid labeling rejected: %v", err)
 	}
-	empty := graph.MustBuildWeighted(0, nil, false, "")
+	empty := graph.MustBuildWeighted(0, nil, "")
 	if err := Verify(empty, 0, nil); err != nil {
 		t.Errorf("empty graph rejected: %v", err)
 	}
-	two := graph.MustBuildWeighted(2, nil, false, "")
+	two := graph.MustBuildWeighted(2, nil, "")
 	if err := Verify(two, 0, []uint64{0, Inf}); err != nil {
 		t.Errorf("unreached vertex rejected: %v", err)
 	}

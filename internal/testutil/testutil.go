@@ -113,7 +113,7 @@ func RandomWeighted(n, m int, maxW uint32, seed uint64) *graph.Weighted {
 			U: uint32(r.Intn(n)), V: uint32(r.Intn(n)), W: 1 + r.Uint32()%maxW,
 		})
 	}
-	return graph.MustBuildWeighted(n, edges, false, fmt.Sprintf("wrand-%d-%d", n, m))
+	return graph.MustBuildWeighted(n, edges, fmt.Sprintf("wrand-%d-%d", n, m))
 }
 
 // AttachHashWeights wraps g with deterministic symmetric hash weights
@@ -146,12 +146,12 @@ func WeightedCorpus(tb testing.TB, seed uint64) []*graph.Weighted {
 		AttachHashWeights(tb, Hub(192, 600), 50, seed+700),
 		graph.MustBuildWeighted(4, []graph.WeightedEdge{
 			{U: 0, V: 1, W: 10}, {U: 0, V: 2, W: 1}, {U: 2, V: 1, W: 1},
-		}, false, "shortcut"),
+		}, "shortcut"),
 		graph.MustBuildWeighted(3, []graph.WeightedEdge{
 			{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0},
-		}, false, "zeros"),
-		graph.MustBuildWeighted(1, nil, false, "wsingle"),
-		graph.MustBuildWeighted(0, nil, false, "wempty"),
+		}, "zeros"),
+		graph.MustBuildWeighted(1, nil, "wsingle"),
+		graph.MustBuildWeighted(0, nil, "wempty"),
 	}
 }
 

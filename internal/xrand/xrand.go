@@ -38,7 +38,7 @@ func Hash64(x uint64) uint64 {
 // SymmetricWeights returns a deterministic symmetric per-edge weight
 // function in [1, maxW], hashed from the endpoint pair and a seed —
 // the one scheme shared by the weighted CLIs, exhibits, benches and
-// tests (graph.AttachWeights requires symmetry on undirected graphs).
+// tests (graph.AttachWeights requires symmetry).
 // maxW must be positive.
 func SymmetricWeights(maxW uint32, seed uint64) func(u, v uint32) uint32 {
 	if maxW == 0 {

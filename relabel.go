@@ -91,10 +91,9 @@ func (r *Relabeled) Inv() []uint32 { return r.inv }
 // assigning each arc the weight fn(u, v) *in original vertex ids* — the
 // same arcs get the same weights as bagraph.AttachWeights on the
 // unrelabeled graph, so SSSP results stay byte-identical. fn must be
-// symmetric for undirected graphs. Returns the wrapper itself, now
-// answering weighted requests; calling it on an already weighted wrapper
-// is an error (the weights are part of the permuted CSR and cannot be
-// swapped in place).
+// symmetric. Returns the wrapper itself, now answering weighted
+// requests; calling it on an already weighted wrapper is an error (the
+// weights are part of the permuted CSR and cannot be swapped in place).
 func (r *Relabeled) AttachWeights(fn func(u, v uint32) uint32) (*Relabeled, error) {
 	if r.w != nil {
 		return nil, fmt.Errorf("bagraph: Relabeled already weighted")

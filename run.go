@@ -25,7 +25,6 @@ package bagraph
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"bagraph/internal/bfs"
@@ -213,14 +212,6 @@ type Result struct {
 	Stats Stats
 }
 
-// ErrDirected is returned by Run for a directed target (NewDigraph).
-// Every kernel reads a vertex's adjacency as both its out- and its
-// in-neighbors — the bottom-up BFS sweeps and the pull-style SV and
-// Bellman-Ford passes scan out-arcs as in-arcs — which holds only for
-// the symmetric CSR of an undirected graph; on a digraph they would
-// return wrong labels or distances with a nil error.
-var ErrDirected = errors.New("bagraph: directed graphs are not supported by the kernels")
-
 // Run executes one kernel request against g — a *Graph, or a
 // *WeightedGraph for KindSSSP — and returns its result together with
 // the kernel's statistics.
@@ -299,9 +290,6 @@ func runRequest(ctx context.Context, g Target, req Request, pool *par.Pool) (*Re
 		return nil, fmt.Errorf("bagraph: Run on a nil graph")
 	default:
 		return nil, fmt.Errorf("bagraph: unsupported graph type %T (want *Graph or *WeightedGraph)", g)
-	}
-	if base.Directed() {
-		return nil, ErrDirected
 	}
 	x := par.Exec{Ctx: ctx, Pool: pool, Schedule: req.Schedule}
 	if pool == nil && (req.Parallel || req.Kind == KindBFSBatch) {

@@ -140,39 +140,6 @@ func TestRunRejections(t *testing.T) {
 	}
 }
 
-// TestRunRejectsDirected: every kernel reads adjacency as symmetric, so
-// a digraph gets ErrDirected for every kind instead of err == nil with
-// wrong output. The graph is the ROADMAP case: 1→0, 1→2 used to label
-// as two components and to disagree between sequential and parallel BFS.
-func TestRunRejectsDirected(t *testing.T) {
-	d, err := NewDigraph(3, []Edge{{U: 1, V: 0}, {U: 1, V: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dw, err := AttachWeights(d, func(u, v uint32) uint32 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []Request{
-		{Kind: KindCC, CC: CCBranchBased},
-		{Kind: KindCC, CC: CCUnionFind},
-		{Kind: KindCC, CC: CCHybrid, Parallel: true},
-		{Kind: KindBFS, BFS: BFSBranchBased, Root: 1},
-		{Kind: KindBFS, Parallel: true, Root: 1},
-		{Kind: KindBFS, Root: 1, Relabel: true},
-		{Kind: KindBFSBatch, Roots: []uint32{1}},
-		{Kind: KindSSSP, SSSP: SSSPDijkstra, Root: 1},
-	} {
-		res, err := Run(context.Background(), dw, req)
-		if !errors.Is(err, ErrDirected) || res != nil {
-			t.Errorf("Run(%+v) on a digraph: res=%v err=%v, want ErrDirected", req, res, err)
-		}
-	}
-	if _, err := Run(context.Background(), d, Request{Kind: KindCC}); !errors.Is(err, ErrDirected) {
-		t.Errorf("unweighted digraph: err = %v, want ErrDirected", err)
-	}
-}
-
 // TestRunStatsPopulated: Result.Stats is non-zero for every kernel
 // family, sequential and parallel.
 func TestRunStatsPopulated(t *testing.T) {
