@@ -30,6 +30,7 @@ import (
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 	"bagraph/internal/perfsim"
 	"bagraph/internal/relabel"
 	"bagraph/internal/simkern"
@@ -386,41 +387,55 @@ func BenchmarkParallelSSSP(b *testing.B) {
 			reportEdges(b, g.NumArcs())
 		})
 	}
-	// The repo benchmark's kernels cell sssp.par-hybrid.social at seed
-	// 1: coAuthorsDBLP at scale 1, weights in [1, 31], the default
-	// bucket width, here from the lowest-id maximum-degree vertex.
-	b.Run("social", func(b *testing.B) {
-		sg, err := CorpusGraph("coAuthorsDBLP", 1, 1)
-		if err != nil {
-			b.Fatal(err)
+	// The repo benchmark's kernels cells sssp.par-hybrid.social and
+	// sssp.par-hybrid.mesh at seed 1 (coAuthorsDBLP at scale 1, auto at
+	// scale 0.5), weights in [1, 31], the default bucket width, here
+	// from the lowest-id maximum-degree vertex.
+	for _, c := range []struct {
+		name, corpus string
+		scale        float64
+	}{{"social", "coAuthorsDBLP", 1}, {"mesh", "auto", 0.5}} {
+		b.Run(c.name, func(b *testing.B) { benchCorpusSSSP(b, c.corpus, c.scale) })
+	}
+}
+
+// benchCorpusSSSP runs the hybrid parallel SSSP kernel on one corpus
+// graph at workers 1 and 2, reporting the passes and candidate stores
+// of a query beside its time.
+func benchCorpusSSSP(b *testing.B, corpus string, scale float64) {
+	sg, err := CorpusGraph(corpus, scale, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sw, err := graph.AttachWeights(sg, xrand.SymmetricWeights(31, xrand.Hash64(1^0x77)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	delta := sssp.DefaultDelta(sw)
+	root := uint32(0)
+	for v := 1; v < sg.NumVertices(); v++ {
+		if sg.Degree(uint32(v)) > sg.Degree(root) {
+			root = uint32(v)
 		}
-		sw, err := graph.AttachWeights(sg, xrand.SymmetricWeights(31, xrand.Hash64(1^0x77)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		delta := sssp.DefaultDelta(sw)
-		root := uint32(0)
-		for v := 1; v < sg.NumVertices(); v++ {
-			if sg.Degree(uint32(v)) > sg.Degree(root) {
-				root = uint32(v)
-			}
-		}
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("par-hybrid/workers=%d", workers), func(b *testing.B) {
-				x := testutil.Exec(b, workers, par.Static)
-				dist := make([]uint64, sg.NumVertices())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dist, _, err = sssp.Parallel(x, sw, root, sssp.ParallelOptions{Variant: core.Hybrid, Delta: delta, Dist: dist})
-					if err != nil {
-						b.Fatal(err)
-					}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("par-hybrid/workers=%d", workers), func(b *testing.B) {
+			x := testutil.Exec(b, workers, par.Static)
+			dist := make([]uint64, sg.NumVertices())
+			var st perfcount.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dist, st, err = sssp.Parallel(x, sw, root, sssp.ParallelOptions{Variant: core.Hybrid, Delta: delta, Dist: dist})
+				if err != nil {
+					b.Fatal(err)
 				}
-				reportEdges(b, sg.NumArcs())
-			})
-		}
-	})
+			}
+			reportEdges(b, sg.NumArcs())
+			b.ReportMetric(float64(st.Passes), "passes/op")
+			b.ReportMetric(float64(st.CandStores), "cand_stores/op")
+		})
+	}
 }
 
 // --- chunk scheduling: stealing vs static on skewed frontiers -------------

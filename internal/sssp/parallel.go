@@ -37,13 +37,25 @@ package sssp
 //
 //   - Barrier (parallel, one task per owner): each owner folds the
 //     candidates routed to it into its distances with a min, in worker
-//     order; dedups the improved set; re-buckets it by the final
-//     post-pass distances; and compacts its share of the next frontier
-//     (stale entries and duplicates dropped, arc-count prefix built).
-//     The coordinator only concatenates the owners' frontiers and picks
-//     the next bucket. The fold is split by owner because it is not
-//     cheap: on a 299k-vertex collaboration graph one goroutine folding
-//     and re-bucketing for the whole graph spent about 40 % of a query.
+//     order, setting the bit of every improved vertex in its words of
+//     the changed bitset; sweeps those words to re-bucket the improved
+//     set, in vertex order, by the final post-pass distances; and
+//     compacts its share of the next frontier: the current bucket's
+//     live entries (stale ones dropped) are marked in its words of the
+//     inFrontier bitset and the words swept, so duplicates collapse and
+//     the share comes out ascending with its arc-count prefix. The
+//     coordinator only concatenates the owners' shares and picks the
+//     next bucket. The fold is split by owner because it is not cheap:
+//     on a 299k-vertex collaboration graph one goroutine folding and
+//     re-bucketing for the whole graph spent about 40 % of a query.
+//
+// Every frontier is therefore in ascending vertex order, and the
+// scatter reads its rows' offsets, arcs, weights and source distances
+// in address order. In arrival order each of those loads is a cache
+// miss: on the collaboration graph from vertex 0 at one worker (2-vCPU
+// Xeon), the widest pass (122k vertices, 772k arcs) scattered at 27–31
+// ns/arc in arrival order and 8–9 ns/arc in vertex order, and a whole
+// query took 78–90 ms against 39–47 ms.
 //
 // Buckets need no map and no heap. Candidates produced while processing
 // bucket b have distance in [b·delta, (b+1)·delta + maxWeight), so every
@@ -65,9 +77,12 @@ package sssp
 //
 // At one worker there is one owner and one chunk, so candidates fold in
 // exactly the order they were produced; every counter is deterministic
-// there. All per-query scratch (candidate buffers, owner state, bitsets,
-// frontier arrays) is recycled across queries of the same shape, so a
-// warm query allocates little beyond its distance array.
+// there. All per-query scratch (candidate buffers, owner state, the two
+// bitsets' words, frontier arrays) is recycled across queries of the
+// same shape, so a warm query allocates little beyond its distance
+// array. The bitsets are plain words with no atomics: only owner o's
+// tasks touch the words of o's range, and each task sweeps back to zero
+// the words it set.
 
 import (
 	"math/bits"
@@ -76,7 +91,6 @@ import (
 	"sync"
 	"time"
 
-	"bagraph/internal/bitset"
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
@@ -163,74 +177,77 @@ func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([
 	}
 	q := newQuery(x.Pool.Workers(), g, dist, opt)
 	defer q.release()
-	chunkTarget := par.ChunkCount(x.Pool.Workers(), x.Schedule)
-	scatter, settle, open := q.scatter, q.settle, q.open
-
-	// relaxPass is one scatter + barrier over l: scatter every vertex's
-	// arcs against the immutable distance array into per-worker
-	// candidate buffers, routed by owner, then let every owner fold,
-	// re-bucket and compact its share. Chunks are degree-balanced; under
-	// par.Stealing idle workers take whole chunks from stragglers (an
-	// RMAT hub's chunk can no longer stall the pass barrier behind it).
-	relaxPass := func(l *vertexList) error {
-		start := time.Now()
-		scanned := l.arcs[len(l.arcs)-1]
-		q.verts = l.verts
-		//ba:atomic-free
-		if err := x.Pass(&st, par.Partition(l.arcs, chunkTarget, 1), scatter); err != nil {
-			return err
-		}
-		//ba:atomic-free
-		x.Pool.Run(len(q.owners), settle)
-
-		changed := 0
-		for t := range q.s.workers {
-			st.CandStores += q.s.workers[t].stores
-			q.s.workers[t].stores = 0
-		}
-		for o := range q.owners {
-			ow := &q.owners[o]
-			st.DistStores += ow.distStores
-			st.LightRelaxed += ow.relaxed
-			changed += len(ow.changed)
-			ow.distStores, ow.relaxed = 0, 0
-		}
-		st.PassDurations = append(st.PassDurations, time.Since(start))
-		st.PassChanges = append(st.PassChanges, changed)
-		st.Passes++
-		if opt.Variant == core.Hybrid && q.avoiding && scanned > 0 &&
-			float64(changed) < hybridChangeFraction*float64(scanned) {
-			q.avoiding = false
-		}
-		return nil
-	}
 
 	src0 := &q.owners[q.s.ownerOf[src/64]]
 	src0.push(src, 0, 0)
 	src0.next = 0
-	for {
-		// The lowest queued bucket; candidate distances never fall below
-		// the current bucket floor, so this advances monotonically.
-		q.cur = noBucket
-		for o := range q.owners {
-			q.cur = min(q.cur, q.owners[o].next)
-		}
-		if q.cur == noBucket {
-			break
-		}
+	// Buckets in nondecreasing order; candidate distances never fall
+	// below the current bucket floor, so the lowest queued one advances
+	// monotonically.
+	for q.cur = q.lowest(); q.cur != noBucket; q.cur = q.lowest() {
 		st.Buckets++
 		//ba:atomic-free
-		x.Pool.Run(len(q.owners), open)
+		x.Pool.Run(len(q.owners), q.openTask)
 
 		// In-bucket passes until no owner has a live vertex left in the
 		// current bucket.
 		for f := q.gather(); len(f.verts) > 0; f = q.gather() {
-			if err := relaxPass(f); err != nil {
+			if err := q.pass(x, &st, f); err != nil {
 				return dist, st, err
 			}
 		}
 	}
 	return dist, st, nil
+}
+
+// lowest returns the lowest queued bucket id over all owners, noBucket
+// when nothing is queued.
+func (q *query) lowest() uint64 {
+	b := noBucket
+	for o := range q.owners {
+		b = min(b, q.owners[o].next)
+	}
+	return b
+}
+
+// pass is one scatter + barrier over l: scatter every vertex's arcs
+// against the immutable distance array into per-worker candidate
+// buffers, routed by owner, then let every owner fold, re-bucket and
+// compact its share. Chunks are degree-balanced; under par.Stealing
+// idle workers take whole chunks from stragglers (an RMAT hub's chunk
+// can no longer stall the pass barrier behind it).
+func (q *query) pass(x par.Exec, st *perfcount.Stats, l *vertexList) error {
+	start := time.Now()
+	scanned := l.arcs[len(l.arcs)-1]
+	q.verts = l.verts
+	chunks := par.Partition(l.arcs, par.ChunkCount(x.Pool.Workers(), x.Schedule), 1)
+	//ba:atomic-free
+	if err := x.Pass(st, chunks, q.scatterTask); err != nil {
+		return err
+	}
+	//ba:atomic-free
+	x.Pool.Run(len(q.owners), q.settleTask)
+
+	changed := 0
+	for t := range q.s.workers {
+		st.CandStores += q.s.workers[t].stores
+		q.s.workers[t].stores = 0
+	}
+	for o := range q.owners {
+		ow := &q.owners[o]
+		st.DistStores += ow.distStores
+		st.LightRelaxed += ow.relaxed
+		changed += ow.improved
+		ow.distStores, ow.relaxed = 0, 0
+	}
+	st.PassDurations = append(st.PassDurations, time.Since(start))
+	st.PassChanges = append(st.PassChanges, changed)
+	st.Passes++
+	if q.hybrid && q.avoiding && scanned > 0 &&
+		float64(changed) < hybridChangeFraction*float64(scanned) {
+		q.avoiding = false
+	}
+	return nil
 }
 
 // noBucket is the "no queued vertex" bucket id.
@@ -286,8 +303,10 @@ type worker struct {
 
 // owner is the state of one owned vertex range between passes. Only the
 // owner's own tasks touch it, and they touch only the range's distances
-// and bitset words.
+// and bitset words, words [lo, hi) of the scratch's two word sets.
 type owner struct {
+	lo, hi int // the range's bitset words
+
 	// window[b & (len(window)-1)] holds the vertices queued for bucket b,
 	// for b in [cur, cur+len(window)). Entries go stale when a vertex
 	// improves again; staleness is filtered when the bucket is compacted
@@ -300,8 +319,8 @@ type owner struct {
 	farMin   uint64     // lowest bucket id in far, noBucket if far is empty
 	next     uint64     // lowest queued bucket id, noBucket if none
 
-	changed []uint32   // vertices this pass improved
-	front   vertexList // this owner's share of the next frontier
+	improved int        // vertices this pass improved
+	front    vertexList // this owner's share of the next frontier, ascending
 
 	distStores, relaxed uint64
 	_                   [64]byte
@@ -413,9 +432,11 @@ type scratch struct {
 	ownerOf []int32 // owner index of every 64-vertex bitset word
 	workers []worker
 	owners  []owner
-	// inFrontier dedups a frontier under construction, changed a pass's
-	// improved set.
-	inFrontier, changed *bitset.Set
+	// Bit v of inFrontier marks v for the frontier under construction,
+	// bit v of changed marks v improved this pass. Each is set and swept
+	// back to zero within one owner task, so between tasks both are
+	// all-zero.
+	inFrontier, changed []uint64
 	// frontier is the coordinator's concatenation of the owners'
 	// frontier shares when there are several owners.
 	frontier vertexList
@@ -435,8 +456,8 @@ func getScratch(n, workers int) *scratch {
 		ownerOf:    make([]int32, (n+63)/64),
 		workers:    make([]worker, workers),
 		owners:     make([]owner, workers),
-		inFrontier: bitset.New(n),
-		changed:    bitset.New(n),
+		inFrontier: make([]uint64, (n+63)/64),
+		changed:    make([]uint64, (n+63)/64),
 	}
 	for t := range s.workers {
 		s.workers[t].out = make([][]candidate, workers)
@@ -466,9 +487,15 @@ type query struct {
 	adj, ws []uint32
 	shift   uint
 
+	hybrid   bool     // the variant is core.Hybrid
 	avoiding bool     // the current pass runs the branch-avoiding loops
 	cur      uint64   // the current bucket
 	verts    []uint32 // the current pass's vertices
+
+	// The task bodies, bound once: a method value made at each pass
+	// would allocate each pass.
+	scatterTask          func(int, par.Range)
+	settleTask, openTask func(int)
 }
 
 func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions) *query {
@@ -480,19 +507,23 @@ func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions
 		adj:      g.Adjacency(),
 		ws:       g.ArcWeights(),
 		shift:    deltaShift(opt.Delta, g),
+		hybrid:   opt.Variant == core.Hybrid,
 		avoiding: opt.Variant == core.BranchAvoiding || opt.Variant == core.Hybrid,
 	}
+	q.scatterTask, q.settleTask, q.openTask = q.scatter, q.settle, q.open
 	ranges := ownerRanges(offs, workers)
 	q.owners = q.s.owners[:len(ranges)]
 	// The window cap also scales with |V|, so a small graph's scratch
 	// stays O(|V|) whatever its weights; the far list holds the rest.
 	maxSlots := min(maxWindow, 1<<bits.Len(uint(len(dist)-1)))
 	for o, r := range ranges {
-		for w := r.Lo / 64; w < (r.Hi+63)/64; w++ {
+		ow := &q.owners[o]
+		ow.lo, ow.hi = r.Lo/64, (r.Hi+63)/64
+		for w := ow.lo; w < ow.hi; w++ {
 			q.s.ownerOf[w] = int32(o)
 		}
-		q.owners[o].maxSlots = maxSlots
-		q.owners[o].next = noBucket
+		ow.maxSlots = maxSlots
+		ow.next = noBucket
 	}
 	return q
 }
@@ -509,8 +540,7 @@ func (q *query) release() {
 		}
 		ow.far, ow.farMin = ow.far[:0], noBucket
 		ow.front.reset()
-		ow.changed = ow.changed[:0]
-		ow.distStores, ow.relaxed = 0, 0
+		ow.improved, ow.distStores, ow.relaxed = 0, 0, 0
 	}
 	for t := range s.workers {
 		w := &s.workers[t]
@@ -678,27 +708,36 @@ func scatterBased(buf []candidate, verts []uint32, offs []int64, adj, ws []uint3
 }
 
 // settle is owner o's barrier task: fold the candidates routed to it,
-// re-bucket the improved vertices, and compact the owner's share of the
-// next frontier.
+// re-bucket the improved vertices in vertex order, and compact the
+// owner's share of the next frontier.
 func (q *query) settle(o int) {
 	ow := &q.owners[o]
-	ow.changed = ow.changed[:0]
 	for t := range q.s.workers {
 		out := q.s.workers[t].out
 		var relaxed uint64
 		if q.avoiding {
-			ow.changed, relaxed = foldAvoiding(q.dist, out[o], ow.changed, q.s.changed)
+			relaxed = foldAvoiding(q.dist, out[o], q.s.changed)
 			ow.distStores += uint64(len(out[o]))
 		} else {
-			ow.changed, relaxed = foldBased(q.dist, out[o], ow.changed, q.s.changed)
+			relaxed = foldBased(q.dist, out[o], q.s.changed)
 			ow.distStores += relaxed
 		}
 		ow.relaxed += relaxed
 		out[o] = out[o][:0]
 	}
-	for _, v := range ow.changed {
-		q.s.changed.Clear(int(v))
-		ow.push(v, q.dist[v]>>q.shift, q.cur)
+	ow.improved = 0
+	words := q.s.changed[ow.lo:ow.hi]
+	for i, word := range words {
+		if word == 0 {
+			continue
+		}
+		words[i] = 0
+		ow.improved += bits.OnesCount64(word)
+		base := uint32(ow.lo+i) * 64
+		for ; word != 0; word &= word - 1 {
+			v := base + uint32(bits.TrailingZeros64(word))
+			ow.push(v, q.dist[v]>>q.shift, q.cur)
+		}
 	}
 	q.compact(ow)
 }
@@ -712,57 +751,64 @@ func (q *query) open(o int) {
 }
 
 // compact drains the owner's list for the current bucket into its
-// frontier share — entries whose vertex has since moved to another
-// bucket are stale and dropped, duplicates dropped — and records the
-// owner's next queued bucket.
+// frontier share and records the owner's next queued bucket. The list's
+// live entries — those whose vertex is still in the current bucket —
+// are marked in the owner's inFrontier words, which are then swept, so
+// the share comes out in ascending vertex order with stale entries and
+// duplicates dropped, and the scatter reads its rows in address order.
 func (q *query) compact(ow *owner) {
 	ow.front.reset()
 	i := q.cur & uint64(len(ow.window)-1)
 	pending := ow.window[i]
-	for _, v := range pending {
-		if q.dist[v]>>q.shift != q.cur || q.s.inFrontier.TestAndSet(int(v)) {
-			continue
+	if len(pending) > 0 {
+		words := q.s.inFrontier
+		for _, v := range pending {
+			live := core.MaskEqual64(q.dist[v]>>q.shift, q.cur)
+			words[v/64] |= core.Bit64(live) << (v % 64)
 		}
-		ow.front.push(v, q.offs[v+1]-q.offs[v])
+		words = words[ow.lo:ow.hi]
+		for i, word := range words {
+			if word == 0 {
+				continue
+			}
+			words[i] = 0
+			base := uint32(ow.lo+i) * 64
+			for ; word != 0; word &= word - 1 {
+				v := base + uint32(bits.TrailingZeros64(word))
+				ow.front.push(v, q.offs[v+1]-q.offs[v])
+			}
+		}
 	}
 	ow.window[i] = pending[:0]
-	for _, v := range ow.front.verts {
-		q.s.inFrontier.Clear(int(v))
-	}
 	ow.next = ow.nextBucket(q.cur)
 }
 
 // foldAvoiding folds cands into dist with a mask-select min — one store
-// per candidate — and appends every vertex it improves for the first
-// time this pass to changed. It returns changed and the improvements.
-func foldAvoiding(dist []uint64, cands []candidate, changed []uint32, seen *bitset.Set) ([]uint32, uint64) {
+// per candidate — and sets the bit in changed of every vertex it
+// improves. It returns the improvements.
+func foldAvoiding(dist []uint64, cands []candidate, changed []uint64) uint64 {
 	relaxed := uint64(0)
+	//ba:branch-free
 	for _, c := range cands {
 		dv := dist[c.v]
 		m := core.MaskLess64(c.d, dv)
 		dist[c.v] = core.Select64(m, c.d, dv)
-		if m != 0 {
-			relaxed++
-			if !seen.TestAndSet(int(c.v)) {
-				changed = append(changed, c.v)
-			}
-		}
+		relaxed += core.Bit64(m)
+		changed[c.v/64] |= core.Bit64(m) << (c.v % 64)
 	}
-	return changed, relaxed
+	return relaxed
 }
 
 // foldBased is foldAvoiding with the min behind a branch: only
 // improvements store.
-func foldBased(dist []uint64, cands []candidate, changed []uint32, seen *bitset.Set) ([]uint32, uint64) {
+func foldBased(dist []uint64, cands []candidate, changed []uint64) uint64 {
 	relaxed := uint64(0)
 	for _, c := range cands {
 		if c.d < dist[c.v] {
 			dist[c.v] = c.d
 			relaxed++
-			if !seen.TestAndSet(int(c.v)) {
-				changed = append(changed, c.v)
-			}
+			changed[c.v/64] |= 1 << (c.v % 64)
 		}
 	}
-	return changed, relaxed
+	return relaxed
 }

@@ -10,6 +10,7 @@ import (
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 	"bagraph/internal/testutil"
 )
 
@@ -246,6 +247,91 @@ func TestParallelCancelledQueryLeavesCleanScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			testutil.MustEqualDists(t, fmt.Sprintf("w%d/after-cancel-%d", workers, budget), dist, want)
+		}
+	}
+}
+
+// TestParallelFrontierInVertexOrder pins the shape of the owners'
+// bitset sweeps: every frontier gather returns is strictly ascending
+// and carries its rows' arc prefix, both word sets are all-zero after
+// every open and settle, and the distances still match Dijkstra's —
+// here with stale and duplicate queue entries on both sides of an
+// owner boundary and a vertex count that leaves the last word partial.
+func TestParallelFrontierInVertexOrder(t *testing.T) {
+	const n = 64*5 + 37
+	g := testutil.RandomWeighted(n, 4*n, 40, 31)
+	want := Dijkstra(g, 0)
+	offs := g.Offsets()
+	for _, workers := range []int{1, 2, 3} {
+		x := testutil.Exec(t, workers, par.Static)
+		for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
+			name := fmt.Sprintf("%s/w%d", variant, workers)
+			dist := initDist(nil, n, 0)
+			q := newQuery(workers, g, dist, ParallelOptions{Variant: variant, Delta: 8})
+			if workers > 1 && len(q.owners) != workers {
+				t.Fatalf("%s: %d owners", name, len(q.owners))
+			}
+			edge := 64 // a word boundary when there is one owner
+			if len(q.owners) > 1 {
+				edge = q.owners[len(q.owners)-1].lo * 64
+			}
+			push := func(v int, b uint64) {
+				q.owners[q.s.ownerOf[v/64]].push(uint32(v), b, 0)
+			}
+			push(0, 0)
+			push(0, 0)
+			for _, v := range []int{edge - 2, edge - 1, edge, edge + 1} {
+				push(v, 0) // stale unless v's final distance lands in bucket 0
+			}
+			for _, v := range []int{edge - 1, edge} {
+				// Live duplicates: a vertex queued at its true distance
+				// is a state the kernel may reach on its own.
+				if want[v] == Inf {
+					t.Fatalf("%s: vertex %d unreachable", name, v)
+				}
+				dist[v] = want[v]
+				push(v, want[v]>>q.shift)
+				push(v, want[v]>>q.shift)
+			}
+			for o := range q.owners {
+				q.owners[o].next = q.owners[o].nextBucket(0)
+			}
+
+			clean := func(after string) {
+				for w := range q.s.inFrontier {
+					if q.s.inFrontier[w] != 0 || q.s.changed[w] != 0 {
+						t.Fatalf("%s: after %s in bucket %d, word %d: inFrontier %#x changed %#x",
+							name, after, q.cur, w, q.s.inFrontier[w], q.s.changed[w])
+					}
+				}
+			}
+			var st perfcount.Stats
+			for q.cur = q.lowest(); q.cur != noBucket; q.cur = q.lowest() {
+				x.Pool.Run(len(q.owners), q.open)
+				clean("open")
+				for f := q.gather(); ; f = q.gather() {
+					if len(f.arcs) != len(f.verts)+1 || f.arcs[0] != 0 {
+						t.Fatalf("%s: %d vertices, %d prefix entries from %d", name, len(f.verts), len(f.arcs), f.arcs[0])
+					}
+					for i, v := range f.verts {
+						if i > 0 && v <= f.verts[i-1] {
+							t.Fatalf("%s: bucket %d frontier not ascending at %d: %d after %d", name, q.cur, i, v, f.verts[i-1])
+						}
+						if deg := offs[v+1] - offs[v]; f.arcs[i+1]-f.arcs[i] != deg {
+							t.Fatalf("%s: vertex %d has %d prefix arcs, degree %d", name, v, f.arcs[i+1]-f.arcs[i], deg)
+						}
+					}
+					if len(f.verts) == 0 {
+						break
+					}
+					if err := q.pass(x, &st, f); err != nil {
+						t.Fatal(err)
+					}
+					clean("settle")
+				}
+			}
+			q.release()
+			testutil.MustEqualDists(t, name, dist, want)
 		}
 	}
 }

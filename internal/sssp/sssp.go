@@ -178,8 +178,11 @@ func DijkstraCtx(ctx context.Context, g *graph.Weighted, src uint32, dist []uint
 
 // Verify checks that dist is the shortest-path distance labeling from
 // src: the source is 0, every edge is "relaxed" (no edge offers a
-// shortcut), and every reachable non-source vertex has a tight incoming
-// edge (a predecessor on a shortest path).
+// shortcut), and every vertex with a finite distance is reached from
+// src over tight arcs (arcs u→v with dist[u]+w == dist[v]), so each
+// finite distance is the length of a real path. Checking only for a
+// tight incoming arc per vertex is not enough: a zero-weight island
+// whose vertices certify each other would pass it.
 func Verify(g *graph.Weighted, src uint32, dist []uint64) error {
 	n := g.NumVertices()
 	if len(dist) != n {
@@ -203,20 +206,22 @@ func Verify(g *graph.Weighted, src uint32, dist []uint64) error {
 			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		if dist[v] == Inf || dist[v] == 0 || uint32(v) == src {
-			continue
-		}
-		tight := false
-		adj, ws := g.NeighborWeights(uint32(v))
-		for i, u := range adj {
-			if dist[u] != Inf && dist[u]+uint64(ws[i]) == dist[v] {
-				tight = true
-				break
+	reached := make([]bool, n)
+	reached[src] = true
+	queue := []uint32{src}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		adj, ws := g.NeighborWeights(u)
+		for i, v := range adj {
+			if !reached[v] && dist[u]+uint64(ws[i]) == dist[v] {
+				reached[v] = true
+				queue = append(queue, v)
 			}
 		}
-		if !tight {
-			return fmt.Errorf("sssp: vertex %d at distance %d has no tight predecessor", v, dist[v])
+	}
+	for v := 0; v < n; v++ {
+		if dist[v] != Inf && !reached[v] {
+			return fmt.Errorf("sssp: vertex %d at distance %d has no tight predecessor on a path from src", v, dist[v])
 		}
 	}
 	return nil

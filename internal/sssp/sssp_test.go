@@ -221,6 +221,24 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	if err := Verify(g, 0, dist[:5]); err == nil {
 		t.Error("length mismatch not caught")
 	}
+	// Labelings every arc and every vertex's tight incoming arc accept,
+	// but no path from the source backs: a vertex at distance 0 beside
+	// the source, an isolated vertex at 0, and a zero-weight island whose
+	// two vertices certify each other.
+	edge := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 5}}, "edge")
+	island := graph.MustBuildWeighted(4, []graph.WeightedEdge{{U: 0, V: 1, W: 5}, {U: 2, V: 3, W: 0}}, "island")
+	for _, tc := range []struct {
+		g    *graph.Weighted
+		dist []uint64
+	}{
+		{edge, []uint64{0, 0, Inf}},
+		{edge, []uint64{0, 5, 0}},
+		{island, []uint64{0, 5, 7, 7}},
+	} {
+		if err := Verify(tc.g, 0, tc.dist); err == nil {
+			t.Errorf("%s: unbacked labeling %v not caught", tc.g.Name(), tc.dist)
+		}
+	}
 }
 
 // TestVerifyMessages pins each distinct Verify failure mode by its
