@@ -330,6 +330,44 @@ func BenchmarkParallelSV(b *testing.B) {
 			})
 		}
 	}
+	// The repo benchmark's social graph, where the seed BFS reaches
+	// every vertex: this case times the seed.
+	sg, _ := benchSocial(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("social/hybrid/workers=%d", w), func(b *testing.B) {
+			x := testutil.Exec(b, w, par.Static)
+			var st perfcount.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, st, _ = cc.SVParallel(x, sg, cc.ParallelOptions{Variant: core.Hybrid})
+			}
+			reportEdges(b, sg.NumArcs())
+			b.ReportMetric(float64(st.WordsScanned), "words/op")
+		})
+	}
+}
+
+// benchSocial returns the repo benchmark's social graph (coAuthorsDBLP
+// at scale 1, seed 1) and its lowest-id maximum-degree vertex.
+func benchSocial(b *testing.B) (*graph.Graph, uint32) {
+	b.Helper()
+	g, err := CorpusGraph("coAuthorsDBLP", 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, maxDegreeVertex(g)
+}
+
+// maxDegreeVertex returns the lowest-id vertex of maximum degree.
+func maxDegreeVertex(g *graph.Graph) uint32 {
+	root := uint32(0)
+	for v := 1; v < g.NumVertices(); v++ {
+		if g.Degree(uint32(v)) > g.Degree(root) {
+			root = uint32(v)
+		}
+	}
+	return root
 }
 
 func BenchmarkParallelBFS(b *testing.B) {
@@ -353,6 +391,23 @@ func BenchmarkParallelBFS(b *testing.B) {
 				}
 			}
 			reportEdges(b, g.NumArcs())
+		})
+	}
+	// The repo benchmark's social graph from its maximum-degree vertex,
+	// the distance array supplied as the serving layer does.
+	sg, root := benchSocial(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("social/workers=%d", w), func(b *testing.B) {
+			x := testutil.Exec(b, w, par.Static)
+			dist := make([]uint32, sg.NumVertices())
+			var st perfcount.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dist, st, _ = bfs.ParallelDO(x, sg, root, bfs.ParallelOptions{Dist: dist})
+			}
+			reportEdges(b, sg.NumArcs())
+			b.ReportMetric(float64(st.WordsScanned), "words/op")
 		})
 	}
 }
@@ -412,12 +467,7 @@ func benchCorpusSSSP(b *testing.B, corpus string, scale float64) {
 		b.Fatal(err)
 	}
 	delta := sssp.DefaultDelta(sw)
-	root := uint32(0)
-	for v := 1; v < sg.NumVertices(); v++ {
-		if sg.Degree(uint32(v)) > sg.Degree(root) {
-			root = uint32(v)
-		}
-	}
+	root := maxDegreeVertex(sg)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("par-hybrid/workers=%d", workers), func(b *testing.B) {
 			x := testutil.Exec(b, workers, par.Static)

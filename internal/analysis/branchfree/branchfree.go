@@ -13,7 +13,7 @@
 //   - range over a map (runtime iterator calls, unpredictable order)
 //   - calls to functions that are not themselves branch-free: anything
 //     except the mask-primitive packages (bagraph/internal/core,
-//     math/bits, the bitset probe Set.Bit), a same-package function
+//     math/bits), a same-package function
 //     itself marked //ba:branch-free, or the handful of branchless
 //     builtins (len, cap, min, max, real, imag, complex)
 //
@@ -48,12 +48,10 @@ var Analyzer = &analysis.Analyzer{
 // intrinsics are the callee packages whose exported functions are
 // branch-free by construction: the repo's own mask primitives and the
 // stdlib bit-twiddling package (whose functions compile to single
-// instructions). The bitset entry allows only the branchless word probe
-// the bottom-up kernels accumulate into their found mask.
-var intrinsics = map[string][]string{
-	"bagraph/internal/core":   {"*"},
-	"math/bits":               {"*"},
-	"bagraph/internal/bitset": {"Bit"},
+// instructions).
+var intrinsics = map[string]bool{
+	"bagraph/internal/core": true,
+	"math/bits":             true,
 }
 
 // branchlessBuiltins are builtins that cannot introduce a branch or an
@@ -165,14 +163,5 @@ func intrinsic(fn *types.Func) bool {
 	if pkg == nil {
 		return false // error.Error and friends
 	}
-	names, ok := intrinsics[strings.TrimSuffix(pkg.Path(), "_test")]
-	if !ok {
-		return false
-	}
-	for _, n := range names {
-		if n == "*" || n == fn.Name() {
-			return true
-		}
-	}
-	return false
+	return intrinsics[strings.TrimSuffix(pkg.Path(), "_test")]
 }

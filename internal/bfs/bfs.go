@@ -245,16 +245,16 @@ func DirectionOptimizing(ctx context.Context, g *graph.Graph, root uint32, alpha
 }
 
 // Verify checks that dist is a valid BFS distance labeling of g from
-// root: d[root]=0, unreached vertices are Inf, every edge spans at most
-// one level, and every reached non-root vertex has a neighbor exactly one
-// level closer.
+// root: root is a vertex of g, d[root]=0 and no other vertex is at 0,
+// unreached vertices are Inf, every edge spans at most one level, and
+// every reached non-root vertex has a neighbor exactly one level closer.
 func Verify(g *graph.Graph, root uint32, dist []uint32) error {
 	n := g.NumVertices()
 	if len(dist) != n {
 		return fmt.Errorf("bfs: %d distances for %d vertices", len(dist), n)
 	}
-	if n == 0 {
-		return nil
+	if int64(root) >= int64(n) {
+		return fmt.Errorf("bfs: root %d out of range for %d vertices", root, n)
 	}
 	if dist[root] != 0 {
 		return fmt.Errorf("bfs: dist[root=%d] = %d", root, dist[root])
@@ -276,8 +276,11 @@ func Verify(g *graph.Graph, root uint32, dist []uint32) error {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if dist[v] == Inf || dist[v] == 0 {
+		if dist[v] == Inf || uint32(v) == root {
 			continue
+		}
+		if dist[v] == 0 {
+			return fmt.Errorf("bfs: vertex %d at level 0 is not the root %d", v, root)
 		}
 		hasParent := false
 		for _, w := range g.Neighbors(uint32(v)) {

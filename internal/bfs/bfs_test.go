@@ -240,6 +240,21 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	if err := Verify(g, 0, dist[:3]); err == nil {
 		t.Error("wrong length not caught")
 	}
+
+	// Edge 0-1 plus isolated vertex 2: a second vertex at level 0 and
+	// an out-of-range root are errors, not a pass or a panic.
+	small := graph.MustBuild(3, []graph.Edge{{U: 0, V: 1}}, graph.Options{})
+	if err := Verify(small, 0, []uint32{0, 1, Inf}); err != nil {
+		t.Fatalf("valid distances rejected: %v", err)
+	}
+	for _, bad := range [][]uint32{{0, 0, Inf}, {0, 1, 0}} {
+		if err := Verify(small, 0, bad); err == nil {
+			t.Errorf("%v: non-root vertex at level 0 not caught", bad)
+		}
+	}
+	if err := Verify(small, 7, []uint32{0, 1, Inf}); err == nil {
+		t.Error("out-of-range root not caught")
+	}
 }
 
 // TestBranchAvoidingQueueSlack ensures the unconditional tail write never

@@ -13,31 +13,51 @@ package bfs
 //     the heuristic only picks top-down when the frontier is small, where
 //     the paper shows the branchy kernel is at its best anyway.
 //
-//   - Bottom-up levels partition the *vertex set* by degree-balanced
-//     ranges with 64-aligned boundaries, so each worker owns whole words
-//     of the next-frontier bitset and writes distances only inside its
-//     range: no atomics at all. Candidate vertices come from a succinct
-//     unvisited bitset iterated through its rank directory
-//     (bitset.NextSetIn), so sweeps skip 512-bit blocks with no
-//     undiscovered vertices instead of testing dist[v] for every v —
-//     the win degree-ordered relabeling amplifies by packing survivors
-//     into few words. The frontier membership probe — the
-//     unpredictable branch the paper's §5 measures — is computed
-//     branch-avoidingly by accumulating raw frontier bits (bitset.Bit)
-//     into a found mask. The scan exits once found is set: that exit
-//     branch is taken once per vertex and predicted correctly until then,
-//     so the data-dependent probe stays branch-free while keeping
-//     bottom-up's early-termination advantage.
+//   - Bottom-up levels sweep three word sets, one bit per vertex:
+//     frontier, next and unvisited. A chunk is a range of whole words,
+//     so its worker is the only one that writes those words and the
+//     distances of their vertices: no atomics at all. For each
+//     non-empty unvisited word the worker walks its set bits
+//     (w &= w - 1), probes each candidate's neighbors against the
+//     frontier words, writes the next word whole (0 when nothing was
+//     unvisited), clears what it found (unvisited = word &^ found) and
+//     writes dist from the found bits. The frontier membership probe —
+//     the unpredictable branch the paper's §5 measures — is computed
+//     branch-avoidingly by accumulating raw frontier bits into a hit
+//     mask. The scan exits once the mask is set: that exit branch is
+//     taken once per vertex and predicted correctly until then, so the
+//     data-dependent probe stays branch-free while keeping bottom-up's
+//     early-termination advantage.
+//
+//     Chunks are balanced on the level's own work, not on the graph:
+//     par.Partition over a per-word prefix of unvisited arcs plus the
+//     mean degree per unvisited vertex, the owner cost sssp.ownerRanges
+//     uses. Owners subtract what they find from their own words, so a
+//     level pays one O(|V|/64) prefix sum. Splitting on all arcs gave
+//     the high-degree vertices, which are reached first, to one worker
+//     and the unvisited tail to the other: on a 299k-vertex
+//     collaboration graph from vertex 0 at 2 workers (2-vCPU Xeon) the
+//     heaviest level ran 2.7 ms on one and 7.8 ms on the other; split
+//     on unvisited work it runs 3.9 and 5.2 ms.
+//
+//     A top-down level discovers by CAS outside that ownership, so the
+//     bottom-up level after one rebuilds unvisited and the per-word work
+//     from dist in one parallel, branch-free pass, and sets the bits of
+//     the top-down queue serially. A bottom-up level's frontier travels
+//     as a count; its queue is built from the words only if the next
+//     level runs top-down.
 //
 // Direction switching uses the same Beamer frontier-volume heuristic as
 // the sequential DirectionOptimizing: bottom-up while the frontier's arc
 // volume exceeds |arcs|/alpha and its size exceeds |V|/beta.
 
 import (
+	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
-	"bagraph/internal/bitset"
+	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
 	"bagraph/internal/perfcount"
@@ -67,7 +87,7 @@ type perWorkerLevel struct {
 	volume       int64    // arc volume of the produced frontier
 	distStores   uint64
 	queueStores  uint64
-	wordsScanned uint64 // unvisited-bitset words loaded (bottom-up)
+	wordsScanned uint64 // non-empty unvisited words swept (bottom-up)
 }
 
 // ParallelDO runs direction-optimizing BFS from root across workers and
@@ -99,27 +119,25 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 	adj := g.Adjacency()
 	offs := g.Offsets()
 	arcs := g.NumArcs()
-	// Vertex chunks for bottom-up sweeps: degree-balanced, 64-aligned so
-	// whichever worker runs a chunk owns whole bitset words; fixed across
-	// levels (only the executing worker varies under par.Stealing).
 	chunkTarget := par.ChunkCount(nw, x.Schedule)
-	vchunks := par.Partition(offs, chunkTarget, 64)
+	goBottomUp := func(volume int64, size int) bool {
+		return volume > arcs/int64(alpha) && size > n/beta
+	}
 
-	frontier := []uint32{root}
-	frontierBits := bitset.New(n)
-	nextBits := bitset.New(n)
-	bitsValid := false // whether frontierBits mirrors frontier
-	// unvisited tracks dist[v] == Inf for the bottom-up sweeps, which
-	// iterate it via the rank directory instead of scanning every vertex.
-	// Workers own whole words (64-aligned chunks) and Clear their own
-	// discoveries, so across consecutive bottom-up levels the set only
-	// shrinks — exactly the staleness the directory contract permits; the
-	// directory itself is refreshed at each level barrier. Top-down levels
-	// discover via CAS outside any ownership discipline, so the set goes
-	// stale and is rebuilt from dist on the next bottom-up entry.
-	unvisited := bitset.New(n)
-	unvisitedValid := false
-	volume := int64(offs[root+1] - offs[root])
+	// The bottom-up word sets, allocated by the first bottom-up level.
+	// work[i] is word i's unvisited arcs plus perVertex per unvisited
+	// vertex. swept says whether frontier, unvisited and work hold the
+	// last level's sweep; a top-down level leaves them stale.
+	nwords := (n + 63) / 64
+	var frontier, next, unvisited []uint64
+	var work, prefix []int64
+	var wchunks []par.Range
+	perVertex := max(arcs/int64(n), 1)
+	swept := false
+
+	queue := []uint32{root}
+	size := 1
+	volume := offs[root+1] - offs[root]
 	dist[root] = 0
 	st.DistStores++
 	st.QueueStores++
@@ -127,83 +145,112 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 	acc := make([]perWorkerLevel, nw)
 	level := uint32(0)
 
-	for len(frontier) > 0 {
+	for size > 0 {
 		start := time.Now()
-		size := len(frontier)
-
-		bottomUp := volume > arcs/int64(alpha) && size > n/beta
-		if bottomUp {
-			if !bitsValid {
-				frontierBits.Reset()
-				for _, v := range frontier {
-					frontierBits.Set(int(v))
-				}
+		levelSize := size
+		if goBottomUp(volume, size) {
+			if frontier == nil {
+				words := make([]uint64, 3*nwords)
+				frontier, next, unvisited = words[:nwords], words[nwords:2*nwords], words[2*nwords:]
+				costs := make([]int64, 2*nwords+1)
+				work, prefix = costs[:nwords], costs[nwords:]
+				wchunks = par.PartitionSlice(nwords, chunkTarget)
 			}
-			nextBits.Reset()
-			if !unvisitedValid {
-				unvisited.Reset()
-				for v := 0; v < n; v++ {
-					if dist[v] == Inf {
-						unvisited.Set(v)
-					}
-				}
-			}
-			unvisited.BuildRank()
-			// Workers own whole bitset words (64-aligned chunks), so the
-			// bottom-up sweep needs no atomics at all.
-			//ba:atomic-free
-			err := x.Pass(&st, vchunks, func(t int, r par.Range) {
-				a := &acc[t]
-				// The final probe (v == -1) also loaded words before
-				// giving up; count it so the metric reflects real work.
-				for v, w := unvisited.NextSetIn(r.Lo, r.Hi); ; v, w = unvisited.NextSetIn(v+1, r.Hi) {
-					a.wordsScanned += uint64(w)
-					if v == -1 {
-						break
-					}
-					found := uint32(0)
-					//ba:branch-free
-					for _, u := range adj[offs[v]:offs[v+1]] {
-						found |= frontierBits.Bit(int(u))
-						//ba:allow-branch early exit taken once per vertex and predicted until then; the membership probe itself stays a mask accumulation
-						if found != 0 {
-							break
+			if !swept {
+				// One pass over whole words rebuilds unvisited and work
+				// from dist and clears the frontier words; the top-down
+				// queue's bits are then set serially.
+				//ba:atomic-free
+				err := x.Pass(&st, wchunks, func(_ int, r par.Range) {
+					for i := r.Lo; i < r.Hi; i++ {
+						lo, hi := i*64, min(i*64+64, n)
+						word, cost := uint64(0), int64(0)
+						//ba:branch-free
+						for v := lo; v < hi; v++ {
+							m := uint64(core.MaskEqual32(dist[v], Inf) & 1)
+							word |= m << (v - lo)
+							cost += int64(m) * (offs[v+1] - offs[v] + perVertex)
 						}
+						unvisited[i], work[i], frontier[i] = word, cost, 0
 					}
-					if found != 0 {
+				})
+				if err != nil {
+					return dist, st, err
+				}
+				for _, v := range queue {
+					frontier[v/64] |= 1 << (v % 64)
+				}
+			}
+			for i, c := range work {
+				prefix[i+1] = prefix[i] + c
+			}
+			// Chunks own whole words, so the sweep needs no atomics.
+			//ba:atomic-free
+			err := x.Pass(&st, par.Partition(prefix, chunkTarget, 1), func(t int, r par.Range) {
+				a := &acc[t]
+				for i := r.Lo; i < r.Hi; i++ {
+					word := unvisited[i]
+					if word == 0 {
+						next[i] = 0
+						continue
+					}
+					a.wordsScanned++
+					base := i * 64
+					found := uint64(0)
+					for w := word; w != 0; w &= w - 1 {
+						b := bits.TrailingZeros64(w)
+						v := base + b
+						hit := uint64(0)
+						//ba:branch-free
+						for _, u := range adj[offs[v]:offs[v+1]] {
+							hit |= frontier[u/64] >> (u % 64) & 1
+							//ba:allow-branch early exit taken once per vertex and predicted until then; the membership probe itself stays a mask accumulation
+							if hit != 0 {
+								break
+							}
+						}
+						found |= hit << b
+					}
+					next[i] = found
+					unvisited[i] = word &^ found
+					vol := int64(0)
+					for f := found; f != 0; f &= f - 1 {
+						v := base + bits.TrailingZeros64(f)
 						dist[v] = level + 1
-						a.distStores++
-						nextBits.Set(v)
-						a.queueStores++
-						unvisited.Clear(v)
-						a.count++
-						a.volume += int64(offs[v+1] - offs[v])
+						vol += offs[v+1] - offs[v]
 					}
+					k := bits.OnesCount64(found)
+					work[i] -= vol + perVertex*int64(k)
+					a.count += k
+					a.volume += vol
+					a.distStores += uint64(k)
+					a.queueStores += uint64(k)
 				}
 			})
 			if err != nil {
 				return dist, st, err
 			}
 			st.BottomUpLevels++
-			unvisitedValid = true
-			nextLen := 0
-			volume = 0
+			size, volume = 0, 0
 			for t := range acc {
-				nextLen += acc[t].count
+				size += acc[t].count
 				volume += acc[t].volume
 				st.DistStores += acc[t].distStores
 				st.QueueStores += acc[t].queueStores
 				st.WordsScanned += acc[t].wordsScanned
-				acc[t] = perWorkerLevel{}
+				acc[t] = perWorkerLevel{next: acc[t].next[:0]}
 			}
-			frontierBits, nextBits = nextBits, frontierBits
-			bitsValid = true
+			frontier, next = next, frontier
+			swept = true
 			// The next level needs a queue only if it runs top-down.
-			frontier = frontier[:0]
-			if nextLen > 0 && !(volume > arcs/int64(alpha) && nextLen > n/beta) {
-				frontier = appendSetBits(frontier, frontierBits)
-			} else {
-				frontier = appendN(frontier, nextLen)
+			queue = queue[:0]
+			if size > 0 && !goBottomUp(volume, size) {
+				queue = slices.Grow(queue, size)
+				for i, word := range frontier {
+					for ; word != 0; word &= word - 1 {
+						queue = append(queue, uint32(i*64+bits.TrailingZeros64(word)))
+					}
+				}
 			}
 		} else {
 			// Frontier chunks are equal-count, not degree-balanced: the
@@ -212,13 +259,13 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 			fchunks := par.PartitionSlice(size, chunkTarget)
 			err := x.Pass(&st, fchunks, func(t int, c par.Range) {
 				a := &acc[t]
-				next := level + 1
-				for _, v := range frontier[c.Lo:c.Hi] {
+				nextLevel := level + 1
+				for _, v := range queue[c.Lo:c.Hi] {
 					for _, w := range adj[offs[v]:offs[v+1]] {
 						if atomic.LoadUint32(&dist[w]) != Inf {
 							continue
 						}
-						if atomic.CompareAndSwapUint32(&dist[w], Inf, next) {
+						if atomic.CompareAndSwapUint32(&dist[w], Inf, nextLevel) {
 							a.distStores++
 							a.next = append(a.next, w)
 							a.queueStores++
@@ -231,41 +278,25 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 				return dist, st, err
 			}
 			st.TopDownLevels++
-			frontier = frontier[:0]
-			volume = 0
+			size, volume = 0, 0
 			for t := range acc {
-				frontier = append(frontier, acc[t].next...)
+				size += len(acc[t].next)
+			}
+			queue = slices.Grow(queue[:0], size)
+			for t := range acc {
+				queue = append(queue, acc[t].next...)
 				volume += acc[t].volume
 				st.DistStores += acc[t].distStores
 				st.QueueStores += acc[t].queueStores
-				acc[t] = perWorkerLevel{}
+				acc[t] = perWorkerLevel{next: acc[t].next[:0]}
 			}
-			bitsValid = false
-			unvisitedValid = false
+			swept = false
 		}
-		st.LevelSizes = append(st.LevelSizes, size)
-		st.Reached += size
+		st.LevelSizes = append(st.LevelSizes, levelSize)
+		st.Reached += levelSize
 		level++
 		st.Passes++
 		st.PassDurations = append(st.PassDurations, time.Since(start))
 	}
 	return dist, st, nil
-}
-
-// appendSetBits appends every set bit of s to dst in increasing order.
-func appendSetBits(dst []uint32, s *bitset.Set) []uint32 {
-	s.ForEach(func(i int) { dst = append(dst, uint32(i)) })
-	return dst
-}
-
-// appendN grows dst to length n with placeholder entries. Used when the
-// next level will run bottom-up and only the frontier *size* matters (the
-// membership lives in the bitset); it avoids materializing a queue that
-// would be thrown away. Existing capacity is resliced without clearing —
-// the contents are never read.
-func appendN(dst []uint32, n int) []uint32 {
-	if cap(dst) >= n {
-		return dst[:n]
-	}
-	return make([]uint32, n)
 }

@@ -2,12 +2,17 @@ package bfs
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
+	"bagraph/internal/corpus"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 	"bagraph/internal/testutil"
+	"bagraph/internal/xrand"
 )
 
 func TestParallelDOMatchesSequential(t *testing.T) {
@@ -74,5 +79,125 @@ func TestParallelDOEmptyGraph(t *testing.T) {
 	dist, st, _ := ParallelDO(testutil.Exec(t, 2, par.Static), g, 0, ParallelOptions{})
 	if len(dist) != 0 || st.Reached != 0 {
 		t.Fatalf("empty graph: dist=%v reached=%d", dist, st.Reached)
+	}
+}
+
+// TestParallelDOWarmQueryAllocatesLittle: with the distance array
+// supplied, a query on a collaboration graph allocates less than one
+// more distance array. The level queues keep their capacity from level
+// to level, a bottom-up level's frontier travels as a count, and the
+// word sets cost |V|/8 bytes each. The least of eight runs is taken, so
+// a collection during one run does not count.
+func TestParallelDOWarmQueryAllocatesLittle(t *testing.T) {
+	d, _ := corpus.ByName("coAuthorsDBLP")
+	g := d.Generate(0.1, 1)
+	n := g.NumVertices()
+	const root = 7
+	want, _ := TopDownBranchBased(g, root)
+	for _, workers := range []int{1, 3} {
+		x := testutil.Exec(t, workers, par.Static)
+		opt := ParallelOptions{Dist: make([]uint32, n)}
+		least := ^uint64(0)
+		for run := 0; run < 8; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			dist, st, _ := ParallelDO(x, g, root, opt)
+			runtime.ReadMemStats(&after)
+			testutil.MustEqualDists(t, fmt.Sprintf("w%d/run%d", workers, run), dist, want)
+			if st.BottomUpLevels < 2 {
+				t.Fatalf("w%d: %d bottom-up levels, want consecutive ones", workers, st.BottomUpLevels)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= uint64(4*n) {
+			t.Fatalf("w%d: a warm query allocated %d bytes, a distance array is %d", workers, least, 4*n)
+		}
+	}
+}
+
+// TestParallelDOCountersScheduleFree pins the bottom-up word sweep's
+// invariants on a vertex count that is not a multiple of 64, with
+// isolated vertices and the root in the partial last word: every
+// counter is the same at any worker count under either schedule, and
+// WordsScanned is exactly the non-empty unvisited words summed over the
+// bottom-up levels, recomputed here from the oracle distances.
+func TestParallelDOCountersScheduleFree(t *testing.T) {
+	const n = 64*20 + 37
+	isolated := func(v uint32) bool { return v%97 == 41 || v == n-1 }
+	r := xrand.New(29)
+	var edges []graph.Edge
+	for v := uint32(1); v < n; v++ {
+		for range 3 {
+			u := uint32(r.Intn(int(v)))
+			if !isolated(u) && !isolated(v) {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+	}
+	g := graph.MustBuild(n, edges, graph.Options{Name: "tail-root"})
+	root := uint32(n - 2)
+	if root < 64*20 || g.Degree(root) == 0 {
+		t.Fatalf("root %d is not a connected vertex of the last word", root)
+	}
+	want, _ := TopDownBranchBased(g, root)
+	offs := g.Offsets()
+
+	for _, ab := range [][2]int{{defaultAlpha, defaultBeta}, {1 << 20, 1 << 20}} {
+		alpha, beta := ab[0], ab[1]
+		// The direction of each level and the unvisited words each
+		// bottom-up sweep finds, from the oracle.
+		var bottomUp int
+		var words uint64
+		for level := uint32(0); ; level++ {
+			size, volume := 0, int64(0)
+			for v, d := range want {
+				if d == level {
+					size++
+					volume += offs[v+1] - offs[v]
+				}
+			}
+			if size == 0 {
+				break
+			}
+			if volume > g.NumArcs()/int64(alpha) && size > n/beta {
+				bottomUp++
+				for w := 0; w < n; w += 64 {
+					for v := w; v < min(w+64, n); v++ {
+						if want[v] > level {
+							words++
+							break
+						}
+					}
+				}
+			}
+		}
+		if bottomUp == 0 {
+			t.Fatalf("a%d: no bottom-up level to check", alpha)
+		}
+
+		var first *perfcount.Stats
+		for _, sched := range []par.Schedule{par.Static, par.Stealing} {
+			for _, workers := range []int{1, 2, 3, 4} {
+				name := fmt.Sprintf("a%d/%v/w%d", alpha, sched, workers)
+				dist, st, err := parallelDO(testutil.Exec(t, workers, sched), g, root, ParallelOptions{}, alpha, beta)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				testutil.MustEqualDists(t, name, dist, want)
+				if st.BottomUpLevels != bottomUp || st.WordsScanned != words {
+					t.Fatalf("%s: %d bottom-up levels scanned %d words, want %d and %d",
+						name, st.BottomUpLevels, st.WordsScanned, bottomUp, words)
+				}
+				if first == nil {
+					first = &st
+					continue
+				}
+				if st.DistStores != first.DistStores || st.QueueStores != first.QueueStores ||
+					st.WordsScanned != first.WordsScanned || !slices.Equal(st.LevelSizes, first.LevelSizes) ||
+					st.TopDownLevels != first.TopDownLevels || st.BottomUpLevels != first.BottomUpLevels {
+					t.Fatalf("%s: counters %+v differ from the first run's %+v", name, st, *first)
+				}
+			}
+		}
 	}
 }

@@ -59,13 +59,6 @@ func (s *Set) Test(i int) bool {
 	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// Bit returns bit i as 0 or 1. Unlike Test it involves no boolean
-// conversion the compiler might lower to a branch; the branch-avoiding
-// bottom-up BFS sweep accumulates these directly.
-func (s *Set) Bit(i int) uint32 {
-	return uint32(s.words[i/wordBits]>>(uint(i)%wordBits)) & 1
-}
-
 // TestAndSet sets bit i and reports whether it was previously set.
 func (s *Set) TestAndSet(i int) bool {
 	w, b := i/wordBits, uint64(1)<<(uint(i)%wordBits)

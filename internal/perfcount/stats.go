@@ -60,12 +60,14 @@ type Stats struct {
 	// The name survives from a removed split of arcs into light and
 	// heavy classes, where it counted the light class only.
 	LightRelaxed uint64
-	// WordsScanned counts the succinct-bitset words the parallel BFS
-	// kernels loaded while sweeping for candidates (bottom-up levels of
-	// single-source BFS, including the parallel CC seed, and shared
-	// sweeps of multi-source BFS) — the frontier-locality proxy that
-	// drops under a hub-clustered layout. Zero for SSSP and the
-	// sequential kernels.
+	// WordsScanned counts the bitset words the parallel BFS kernels
+	// swept for candidates — the frontier-locality proxy that drops
+	// under a hub-clustered layout. For single-source BFS (including the
+	// parallel CC seed) it is the non-empty unvisited words, summed over
+	// the bottom-up levels: exact, and the same at any worker count and
+	// schedule. For multi-source BFS it is the words its shared sweeps
+	// loaded through the active set's rank directory. Zero for SSSP and
+	// the sequential kernels.
 	WordsScanned uint64
 }
 

@@ -72,7 +72,7 @@ func NewMetrics() *Metrics {
 		steals: r.CounterVec("baserved_kernel_steals_total",
 			"Chunks run by a non-owning worker, by kind.", "kind"),
 		words: r.CounterVec("baserved_kernel_words_scanned_total",
-			"Succinct frontier-bitset words scanned by BFS sweeps, by kind.", "kind"),
+			"Bitset words swept by parallel BFS bottom-up levels (non-empty unvisited words for single-source BFS and the CC seed), by kind.", "kind"),
 		light: r.CounterVec("baserved_kernel_light_relaxed_total",
 			"Relaxations applied by SSSP kernels, by kind.", "kind"),
 		cand: r.CounterVec("baserved_kernel_cand_stores_total",
