@@ -394,17 +394,19 @@ func BenchmarkParallelBFS(b *testing.B) {
 		})
 	}
 	// The repo benchmark's social graph from its maximum-degree vertex,
-	// the distance array supplied as the serving layer does.
+	// the distance array and a warm scratch supplied as the serving
+	// layer's workspaces do.
 	sg, root := benchSocial(b)
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("social/workers=%d", w), func(b *testing.B) {
 			x := testutil.Exec(b, w, par.Static)
-			dist := make([]uint32, sg.NumVertices())
+			opt := bfs.ParallelOptions{Dist: make([]uint32, sg.NumVertices()), Scratch: new(bfs.Scratch)}
+			bfs.ParallelDO(x, sg, root, opt) // warm the scratch
 			var st perfcount.Stats
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dist, st, _ = bfs.ParallelDO(x, sg, root, bfs.ParallelOptions{Dist: dist})
+				_, st, _ = bfs.ParallelDO(x, sg, root, opt)
 			}
 			reportEdges(b, sg.NumArcs())
 			b.ReportMetric(float64(st.WordsScanned), "words/op")
@@ -455,8 +457,9 @@ func BenchmarkParallelSSSP(b *testing.B) {
 }
 
 // benchCorpusSSSP runs the hybrid parallel SSSP kernel on one corpus
-// graph at workers 1 and 2, reporting the passes and candidate stores
-// of a query beside its time.
+// graph at workers 1 and 2, with the distance array and a warm scratch
+// supplied as the serving layer's workspaces do, reporting the passes
+// and candidate stores of a query beside its time.
 func benchCorpusSSSP(b *testing.B, corpus string, scale float64) {
 	sg, err := CorpusGraph(corpus, scale, 1)
 	if err != nil {
@@ -471,12 +474,16 @@ func benchCorpusSSSP(b *testing.B, corpus string, scale float64) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("par-hybrid/workers=%d", workers), func(b *testing.B) {
 			x := testutil.Exec(b, workers, par.Static)
-			dist := make([]uint64, sg.NumVertices())
+			opt := sssp.ParallelOptions{
+				Variant: core.Hybrid, Delta: delta,
+				Dist: make([]uint64, sg.NumVertices()), Scratch: new(sssp.Scratch),
+			}
+			sssp.Parallel(x, sw, root, opt) // warm the scratch
 			var st perfcount.Stats
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dist, st, err = sssp.Parallel(x, sw, root, sssp.ParallelOptions{Variant: core.Hybrid, Delta: delta, Dist: dist})
+				_, st, err = sssp.Parallel(x, sw, root, opt)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -122,9 +122,11 @@ func FuzzCC(f *testing.F) {
 // direction-optimizing kernel from a fuzz-chosen root, and the
 // multi-source batch kernel from fuzz-chosen roots, at every worker
 // count from 1 to 4, under both schedules, with and without degree
-// relabeling, must return bfs.TopDownBranchBased's hop distances. On
-// the empty graph no root is in range, so every single-source run must
-// fail and the batch runs with no roots.
+// relabeling, must return bfs.TopDownBranchBased's hop distances. The
+// two parallel arms also run through one Workspace per worker count,
+// shared by every input, so consecutive graphs of different sizes reuse
+// its buffers. On the empty graph no root is in range, so every
+// single-source run must fail and the batch runs with no roots.
 func FuzzBFS(f *testing.F) {
 	f.Add([]byte{}, byte(0), []byte{})              // empty
 	f.Add(fuzzCCInput(9), byte(4), []byte{0, 8, 8}) // all isolated: max degree 0
@@ -152,10 +154,12 @@ func FuzzBFS(f *testing.F) {
 		{"ms", Request{Kind: KindBFSBatch}},
 	}
 	var pools []*WorkerPool
+	var workspaces []*Workspace
 	for workers := 1; workers <= 4; workers++ {
 		p := NewWorkerPool(workers)
 		f.Cleanup(p.Close)
 		pools = append(pools, p)
+		workspaces = append(workspaces, &Workspace{})
 	}
 	f.Fuzz(func(t *testing.T, data []byte, root byte, rootBytes []byte) {
 		// Past 1024 edges an input buys time, not shapes; past three wave
@@ -184,31 +188,37 @@ func FuzzBFS(f *testing.F) {
 			}
 		}
 		for _, v := range variants {
-			for _, pool := range pools {
+			for p, pool := range pools {
+				wss := []*Workspace{nil}
+				if v.req.Parallel || v.req.Kind == KindBFSBatch {
+					wss = append(wss, workspaces[p])
+				}
 				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
 					for _, relabel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/w%d/%s/relabel=%v", v.name, pool.Workers(), sched, relabel)
-						req := v.req
-						req.Root, req.Roots, req.Schedule, req.Relabel = src, roots, sched, relabel
-						res, err := pool.Run(context.Background(), g, req)
-						if req.Kind == KindBFS && n == 0 {
-							if err == nil {
-								t.Fatalf("%s: root 0 of the empty graph accepted", name)
+						for _, ws := range wss {
+							name := fmt.Sprintf("%s/w%d/%s/relabel=%v/ws=%v", v.name, pool.Workers(), sched, relabel, ws != nil)
+							req := v.req
+							req.Root, req.Roots, req.Schedule, req.Relabel, req.Workspace = src, roots, sched, relabel, ws
+							res, err := pool.Run(context.Background(), g, req)
+							if req.Kind == KindBFS && n == 0 {
+								if err == nil {
+									t.Fatalf("%s: root 0 of the empty graph accepted", name)
+								}
+								continue
 							}
-							continue
-						}
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if req.Kind == KindBFS {
-							testutil.MustEqualDists(t, name, res.Hops, want[src])
-							continue
-						}
-						if len(res.HopsBatch) != len(roots) {
-							t.Fatalf("%s: %d arrays for %d roots", name, len(res.HopsBatch), len(roots))
-						}
-						for i, r := range roots {
-							testutil.MustEqualDists(t, fmt.Sprintf("%s/root%d=%d", name, i, r), res.HopsBatch[i], want[r])
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if req.Kind == KindBFS {
+								testutil.MustEqualDists(t, name, res.Hops, want[src])
+								continue
+							}
+							if len(res.HopsBatch) != len(roots) {
+								t.Fatalf("%s: %d arrays for %d roots", name, len(res.HopsBatch), len(roots))
+							}
+							for i, r := range roots {
+								testutil.MustEqualDists(t, fmt.Sprintf("%s/root%d=%d", name, i, r), res.HopsBatch[i], want[r])
+							}
 						}
 					}
 				}
@@ -256,8 +266,11 @@ func fuzzWeighted(data, ws []byte) *WeightedGraph {
 // from 1 to 4, under both schedules, at the default bucket width, at
 // width 1 and at a fuzz-chosen power of two, plus the two sequential
 // Bellman-Ford kernels — all must return sssp.Dijkstra's distances
-// from the fuzz-chosen source. Weights span 0 to math.MaxUint32, so
-// bucket ids range from a handful to about 2^32 apart.
+// from the fuzz-chosen source. The parallel variants also run through
+// one Workspace per worker count, shared by every input, so consecutive
+// graphs of different sizes reuse its distances and kernel scratch.
+// Weights span 0 to math.MaxUint32, so bucket ids range from a handful
+// to about 2^32 apart.
 func FuzzSSSP(f *testing.F) {
 	f.Add([]byte{0}, []byte{}, byte(0), byte(0)) // one vertex
 	f.Add(fuzzCCInput(9), []byte{1}, byte(3), byte(2))
@@ -283,14 +296,16 @@ func FuzzSSSP(f *testing.F) {
 		{"ba", SSSPBellmanFordBranchAvoiding, false},
 	}
 	var pools []*WorkerPool
+	var workspaces []*Workspace
 	for workers := 1; workers <= 4; workers++ {
 		p := NewWorkerPool(workers)
 		f.Cleanup(p.Close)
 		pools = append(pools, p)
+		workspaces = append(workspaces, &Workspace{})
 	}
 	f.Fuzz(func(t *testing.T, data, ws []byte, root, deltaLog byte) {
-		// Every input runs 88 kernels, hundreds of passes each at width 1
-		// on a dense graph: past 1024 edges an input buys time, not
+		// Every input runs 160 kernels, hundreds of passes each at width
+		// 1 on a dense graph: past 1024 edges an input buys time, not
 		// shapes.
 		if len(data) > 1+2*1024 {
 			data = data[:1+2*1024]
@@ -309,18 +324,24 @@ func FuzzSSSP(f *testing.F) {
 			if !a.parallel {
 				widths = widths[:1]
 			}
-			for _, pool := range pools {
+			for p, pool := range pools {
+				wss := []*Workspace{nil}
+				if a.parallel {
+					wss = append(wss, workspaces[p])
+				}
 				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
 					for _, delta := range widths {
-						name := fmt.Sprintf("%s/w%d/%s/delta=%d", a.name, pool.Workers(), sched, delta)
-						res, err := pool.Run(context.Background(), g, Request{
-							Kind: KindSSSP, SSSP: a.alg, Parallel: a.parallel, Root: src,
-							Schedule: sched, Delta: delta,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+						for _, ws := range wss {
+							name := fmt.Sprintf("%s/w%d/%s/delta=%d/ws=%v", a.name, pool.Workers(), sched, delta, ws != nil)
+							res, err := pool.Run(context.Background(), g, Request{
+								Kind: KindSSSP, SSSP: a.alg, Parallel: a.parallel, Root: src,
+								Schedule: sched, Delta: delta, Workspace: ws,
+							})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							testutil.MustEqualDists(t, name, res.Dists, want)
 						}
-						testutil.MustEqualDists(t, name, res.Dists, want)
 					}
 				}
 			}

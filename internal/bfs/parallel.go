@@ -70,6 +70,63 @@ type ParallelOptions struct {
 	// returned slice aliases it. Long-lived callers (the serving layer)
 	// reuse this across queries.
 	Dist []uint32
+	// Scratch, when non-nil, holds the query's level queues, word sets
+	// and cost arrays and keeps them for the next query; nil allocates
+	// fresh ones.
+	Scratch *Scratch
+}
+
+// Scratch is ParallelDO's per-query state besides the distances: the
+// per-worker level accumulators with their queues, the level queue, the
+// three word sets and the cost/prefix arrays. Buffers are reused by
+// capacity, so one Scratch serves graphs of any size and, once it has
+// served the largest, allocates nothing more. The zero value is ready;
+// a Scratch must not be shared by concurrent queries.
+type Scratch struct {
+	acc   []perWorkerLevel
+	queue []uint32
+	words []uint64 // frontier, next and unvisited, nwords each
+	costs []int64  // work (nwords) and prefix (nwords+1)
+}
+
+// Bytes returns the capacity of the scratch's buffers, in bytes.
+func (s *Scratch) Bytes() int64 {
+	b := 4*int64(cap(s.queue)) + 8*int64(cap(s.words)) + 8*int64(cap(s.costs))
+	for _, a := range s.acc {
+		b += 4 * int64(cap(a.next))
+	}
+	return b
+}
+
+// accumulators returns nw clean level accumulators, their queues
+// emptied but kept (a cancelled query leaves counts behind).
+func (s *Scratch) accumulators(nw int) []perWorkerLevel {
+	if len(s.acc) < nw {
+		s.acc = append(s.acc, make([]perWorkerLevel, nw-len(s.acc))...)
+	}
+	acc := s.acc[:nw]
+	for t := range acc {
+		acc[t] = perWorkerLevel{next: acc[t].next[:0]}
+	}
+	return acc
+}
+
+// wordSets returns the three word sets and the cost arrays of an
+// nwords-word graph. Their contents are stale: a bottom-up level after
+// a top-down one rewrites frontier, unvisited and work, and next is
+// written whole by every sweep. prefix[0] is the one entry nothing
+// rewrites, so it is zeroed here.
+func (s *Scratch) wordSets(nwords int) (frontier, next, unvisited []uint64, work, prefix []int64) {
+	if cap(s.words) < 3*nwords {
+		s.words = make([]uint64, 3*nwords)
+	}
+	if cap(s.costs) < 2*nwords+1 {
+		s.costs = make([]int64, 2*nwords+1)
+	}
+	words, costs := s.words[:3*nwords], s.costs[:2*nwords+1]
+	work, prefix = costs[:nwords], costs[nwords:]
+	prefix[0] = 0
+	return words[:nwords], words[nwords : 2*nwords], words[2*nwords:], work, prefix
 }
 
 // The Beamer direction-switch thresholds: ParallelDO's fixed values and
@@ -124,10 +181,16 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 		return volume > arcs/int64(alpha) && size > n/beta
 	}
 
-	// The bottom-up word sets, allocated by the first bottom-up level.
-	// work[i] is word i's unvisited arcs plus perVertex per unvisited
-	// vertex. swept says whether frontier, unvisited and work hold the
-	// last level's sweep; a top-down level leaves them stale.
+	s := opt.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+
+	// The bottom-up word sets, taken from the scratch by the first
+	// bottom-up level. work[i] is word i's unvisited arcs plus perVertex
+	// per unvisited vertex. swept says whether frontier, unvisited and
+	// work hold the last level's sweep; a top-down level (or the query
+	// before this one) leaves them stale.
 	nwords := (n + 63) / 64
 	var frontier, next, unvisited []uint64
 	var work, prefix []int64
@@ -135,14 +198,16 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 	perVertex := max(arcs/int64(n), 1)
 	swept := false
 
-	queue := []uint32{root}
+	queue := append(s.queue[:0], root)
+	// The queue grows from level to level; the scratch keeps the largest.
+	defer func() { s.queue = queue[:0] }()
 	size := 1
 	volume := offs[root+1] - offs[root]
 	dist[root] = 0
 	st.DistStores++
 	st.QueueStores++
 
-	acc := make([]perWorkerLevel, nw)
+	acc := s.accumulators(nw)
 	level := uint32(0)
 
 	for size > 0 {
@@ -150,10 +215,7 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 		levelSize := size
 		if goBottomUp(volume, size) {
 			if frontier == nil {
-				words := make([]uint64, 3*nwords)
-				frontier, next, unvisited = words[:nwords], words[nwords:2*nwords], words[2*nwords:]
-				costs := make([]int64, 2*nwords+1)
-				work, prefix = costs[:nwords], costs[nwords:]
+				frontier, next, unvisited, work, prefix = s.wordSets(nwords)
 				wchunks = par.PartitionSlice(nwords, chunkTarget)
 			}
 			if !swept {

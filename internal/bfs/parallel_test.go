@@ -82,12 +82,11 @@ func TestParallelDOEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestParallelDOWarmQueryAllocatesLittle: with the distance array
-// supplied, a query on a collaboration graph allocates less than one
-// more distance array. The level queues keep their capacity from level
-// to level, a bottom-up level's frontier travels as a count, and the
-// word sets cost |V|/8 bytes each. The least of eight runs is taken, so
-// a collection during one run does not count.
+// TestParallelDOWarmQueryAllocatesLittle: with the distance array and a
+// Scratch supplied, a repeat query on a collaboration graph allocates
+// less than one more distance array, even after garbage collections:
+// the level queues, the word sets and the cost arrays all come back
+// from the scratch at the capacity the first query left them.
 func TestParallelDOWarmQueryAllocatesLittle(t *testing.T) {
 	d, _ := corpus.ByName("coAuthorsDBLP")
 	g := d.Generate(0.1, 1)
@@ -96,9 +95,11 @@ func TestParallelDOWarmQueryAllocatesLittle(t *testing.T) {
 	want, _ := TopDownBranchBased(g, root)
 	for _, workers := range []int{1, 3} {
 		x := testutil.Exec(t, workers, par.Static)
-		opt := ParallelOptions{Dist: make([]uint32, n)}
-		least := ^uint64(0)
-		for run := 0; run < 8; run++ {
+		opt := ParallelOptions{Dist: make([]uint32, n), Scratch: new(Scratch)}
+		ParallelDO(x, g, root, opt) // warm the scratch
+		for run := 0; run < 4; run++ {
+			runtime.GC()
+			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			dist, st, _ := ParallelDO(x, g, root, opt)
@@ -107,10 +108,9 @@ func TestParallelDOWarmQueryAllocatesLittle(t *testing.T) {
 			if st.BottomUpLevels < 2 {
 				t.Fatalf("w%d: %d bottom-up levels, want consecutive ones", workers, st.BottomUpLevels)
 			}
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		if least >= uint64(4*n) {
-			t.Fatalf("w%d: a warm query allocated %d bytes, a distance array is %d", workers, least, 4*n)
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(4*n) {
+				t.Fatalf("w%d/run%d: a warm query allocated %d bytes, a distance array is %d", workers, run, bytes, 4*n)
+			}
 		}
 	}
 }

@@ -84,6 +84,9 @@ type ParallelOptions struct {
 	// overwritten. Long-lived callers (the serving layer) reuse these
 	// across queries.
 	Labels, Scratch []uint32
+	// Seed, when non-nil, is the seed BFS's scratch (see
+	// bfs.ParallelOptions.Scratch); nil allocates a fresh one.
+	Seed *bfs.Scratch
 }
 
 // SVParallel returns the canonical min-id component labeling, identical
@@ -115,7 +118,7 @@ func SVParallel(x par.Exec, g *graph.Graph, opt ParallelOptions) ([]uint32, perf
 		scratch = make([]uint32, n)
 	}
 
-	dist, seed, err := bfs.ParallelDO(x, g, maxDegreeVertex(offs), bfs.ParallelOptions{Dist: scratch})
+	dist, seed, err := bfs.ParallelDO(x, g, maxDegreeVertex(offs), bfs.ParallelOptions{Dist: scratch, Scratch: opt.Seed})
 	st := perfcount.Stats{
 		Passes:         seed.Passes,
 		PassDurations:  seed.PassDurations,

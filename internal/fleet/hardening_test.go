@@ -394,6 +394,20 @@ func TestRetryAfterOverHTTP(t *testing.T) {
 	}
 }
 
+// scriptFirst is a fault plan that serves a target's scripted faults
+// before the seeded plan's: a soak's fixed opening on top of its seed.
+type scriptFirst struct {
+	script *fault.Script
+	seeded *fault.Seeded
+}
+
+func (p scriptFirst) Next(target string) fault.Fault {
+	if f := p.script.Next(target); f.Kind != fault.None {
+		return f
+	}
+	return p.seeded.Next(target)
+}
+
 // chaosQuery is one query shape the soak replays; serial kernels keep
 // every field of the response — stats included — deterministic, so the
 // oracle comparison can demand byte identity.
@@ -411,6 +425,14 @@ type chaosQuery struct {
 // oracle (stale answers modulo their marker); every failure must be a
 // well-formed 503 carrying Retry-After; no query may be lost. Re-run
 // any logged schedule with CHAOS_SEED=<n>.
+//
+// A hedge is certain, not left to load: the first soak request to each
+// cm replica is delayed by MaxDelay, well past HedgeAfter, and one cm
+// BFS runs alone before the workers start, so its primary is slow while
+// the other replica is healthy. Under load a hedge timer mostly finds
+// no other admissible replica (pick returns the primary itself, less
+// often nothing or a half-open trial), so the seeded delays alone once
+// produced a soak with no hedge at all.
 func TestChaosSoak(t *testing.T) {
 	testleak.Check(t)
 	seed := uint64(1)
@@ -438,7 +460,7 @@ func TestChaosSoak(t *testing.T) {
 		hosts[i] = host(ts.URL)
 	}
 
-	plan := &fault.Seeded{
+	seeded := &fault.Seeded{
 		Seed:   seed,
 		Refuse: 0.05, Latency: 0.06, Hang: 0.04,
 		Status: 0.05, Truncate: 0.03, Corrupt: 0.03,
@@ -447,7 +469,11 @@ func TestChaosSoak(t *testing.T) {
 		OutageRate:  0.35,
 		Targets:     hosts,
 	}
-	tr := fault.NewTransport(plan, nil)
+	script := fault.NewScript()
+	for _, h := range hosts[:2] { // the cm replicas
+		script.Queue(h, fault.Fault{Kind: fault.Latency, Delay: seeded.MaxDelay})
+	}
+	tr := fault.NewTransport(scriptFirst{script, seeded}, nil)
 	tr.SetEnabled(false) // the join and oracle phases run clean
 	r, m := newChaosRouter(t, tr, func(c *Config) {
 		c.RetryBudget = 3
@@ -521,8 +547,13 @@ func TestChaosSoak(t *testing.T) {
 		oracle[q] = raw
 	}
 
-	// Soak under fire.
+	// Soak under fire, opening with the lone cm BFS whose primary the
+	// script delays.
 	tr.SetEnabled(true)
+	opening := chaosQuery{"bfs", "cm", 0}
+	if _, raw, err := do(opening); err != nil || string(raw) != string(oracle[opening]) {
+		t.Fatalf("opening %+v: err=%v, answer matches the oracle: %v", opening, err, string(raw) == string(oracle[opening]))
+	}
 	const workers, perWorker = 8, 40
 	var ok, mismatches, degraded, shed, staleServes atomic.Uint64
 	var wg sync.WaitGroup

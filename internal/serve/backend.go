@@ -196,7 +196,8 @@ type BFSResponse struct {
 	Stats   QueryStats `json:"stats"`
 	Dist    []uint32   `json:"dist"`
 
-	wire []byte // see CCResponse
+	wire []byte     // see CCResponse
+	ws   *workspace // the batcher workspace Dist aliases; see release
 }
 
 // appendJSON appends the response's encoding (see appendAnswer).
@@ -220,7 +221,8 @@ type SSSPResponse struct {
 	Stats   QueryStats `json:"stats"`
 	Dist    []uint64   `json:"dist"`
 
-	wire []byte // see CCResponse
+	wire []byte     // see CCResponse
+	ws   *workspace // the batcher workspace Dist aliases; see release
 }
 
 // appendJSON appends the response's encoding (see appendAnswer).

@@ -21,6 +21,22 @@ package serve
 // barriers. A request whose context dies while queued is dropped from
 // the coalesced dispatch without running; a batch whose every waiter
 // is gone cancels its shared kernel run at the next barrier.
+//
+// Every BFS and SSSP request that runs on its own (everything but the
+// "ms" batches) runs in a bagraph.Workspace checked out from the
+// batcher's free list, so a warm daemon allocates neither the |V|-sized
+// answer arrays nor the kernels' scratch per query. The answer aliases
+// the workspace, so it goes back only after the HTTP handler has
+// written the answer (or at once, on a kernel error). The free list is
+// a plain slice, not a sync.Pool, because a garbage collection empties
+// a pool and the workspaces are worth keeping; it holds at most
+// Workers() of them and lets any further one go to the GC. Workspaces
+// grow to the largest graph they serve, so the memory the batcher keeps
+// is at most Workers() times that graph's footprint, plus whatever
+// queries hold at the moment; /metrics publishes both the count and the
+// bytes. An answer nobody releases — a caller in the same process
+// calling Local directly — is simply collected, though the gauges keep
+// counting it.
 
 import (
 	"context"
@@ -53,6 +69,10 @@ type Request struct {
 	root  uint32
 	ctx   context.Context
 	done  chan Result
+	// settled is set by whichever comes first: the dispatcher handing
+	// over a result that holds a workspace, or the waiter giving up on
+	// its context. The loser returns the workspace (see deliver).
+	settled atomic.Bool
 }
 
 // Result is the outcome of one batched traversal. Exactly one of Hops
@@ -72,6 +92,27 @@ type Result struct {
 	// Err is the per-request failure, if any; a request abandoned by
 	// its context carries the context's error.
 	Err error
+
+	// ws is the workspace Hops or Dists alias, nil when the answer owns
+	// its memory; ws.release gives it back once the answer is written.
+	ws *workspace
+}
+
+// workspace is a bagraph.Workspace the batcher lends to one BFS or
+// SSSP request.
+type workspace struct {
+	bagraph.Workspace
+	b     *Batcher
+	bytes int64 // Bytes() when it last came back to the batcher
+}
+
+// release returns the workspace to its batcher. A nil workspace (an
+// answer that owns its memory) is a no-op. The answer that aliased it
+// must not be read afterwards.
+func (w *workspace) release() {
+	if w != nil {
+		w.b.putWorkspace(w)
+	}
 }
 
 // batchKey identifies the batch a request may join: same graph entry
@@ -121,6 +162,67 @@ type Batcher struct {
 
 	mu      sync.Mutex
 	pending map[batchKey]*pendingBatch
+
+	// wsMu guards the workspace free list and the totals the gauges
+	// publish: held counts the free and the checked-out workspaces,
+	// bytes their capacity as of their last return.
+	wsMu    sync.Mutex
+	wsFree  []*workspace
+	wsHeld  int
+	wsBytes int64
+}
+
+// getWorkspace checks out the most recently returned workspace, or a
+// new one when the free list is empty.
+func (b *Batcher) getWorkspace() *workspace {
+	b.wsMu.Lock()
+	defer b.wsMu.Unlock()
+	if k := len(b.wsFree); k > 0 {
+		w := b.wsFree[k-1]
+		b.wsFree[k-1] = nil
+		b.wsFree = b.wsFree[:k-1]
+		return w
+	}
+	b.wsHeld++
+	b.metrics.ObserveWorkspaces(b.wsHeld, b.wsBytes)
+	return &workspace{b: b}
+}
+
+// putWorkspace takes a workspace back: onto the free list while it
+// holds fewer than Workers(), to the GC otherwise.
+func (b *Batcher) putWorkspace(w *workspace) {
+	bytes := w.Bytes()
+	b.wsMu.Lock()
+	defer b.wsMu.Unlock()
+	b.wsBytes += bytes - w.bytes
+	w.bytes = bytes
+	if len(b.wsFree) < b.Workers() {
+		b.wsFree = append(b.wsFree, w)
+	} else {
+		b.wsHeld--
+		b.wsBytes -= bytes
+	}
+	b.metrics.ObserveWorkspaces(b.wsHeld, b.wsBytes)
+}
+
+// deliver hands a dispatched result to its waiter. A result holding a
+// workspace is handed over only if the waiter is still there; if it has
+// given up, the workspace goes straight back.
+func deliver(r *Request, res Result) {
+	if res.ws != nil && !r.settled.CompareAndSwap(false, true) {
+		res.ws.release()
+		return
+	}
+	r.done <- res
+}
+
+// abandon settles a request whose waiter has given up on its context:
+// if the dispatcher has already handed over a result holding a
+// workspace, that result is on its way and its workspace goes back.
+func abandon(r *Request) {
+	if !r.settled.CompareAndSwap(false, true) {
+		(<-r.done).ws.release()
+	}
 }
 
 // NewBatcher starts a dispatcher over a pool of the given size
@@ -463,11 +565,13 @@ func (b *Batcher) Submit(ctx context.Context, e *Entry, k Kind, algo string, roo
 	}
 	// done is buffered, so an early ctx exit never blocks the
 	// dispatcher; the request's result (or drop notice) is simply
-	// discarded.
+	// discarded, its workspace returned by whichever side settles
+	// second.
 	select {
 	case res := <-req.done:
 		return res
 	case <-ctx.Done():
+		abandon(req)
 		return Result{Err: ctx.Err()}
 	}
 }
@@ -588,40 +692,42 @@ func (b *Batcher) dispatch(key batchKey, reqs []*Request) {
 	}
 	for i, r := range reqs {
 		results[i].Batch = n
-		r.done <- results[i]
+		deliver(r, results[i])
 	}
 }
 
-// runOne executes a single traversal under its request's context. With
-// a tuner attached, the dispatch's result-invariant knobs (schedule,
-// delta) come from the cell's current decision and the run's counters
-// are fed back; the algorithm itself is part of the batch key and
-// never changes here.
+// runOne executes a single traversal under its request's context, in a
+// workspace checked out for it: the result aliases the workspace, which
+// goes back at once if the kernel fails. With a tuner attached, the
+// dispatch's result-invariant knobs (schedule, delta) come from the
+// cell's current decision and the run's counters are fed back; the
+// algorithm itself is part of the batch key and never changes here.
 func (b *Batcher) runOne(r *Request) Result {
+	var (
+		tgt  bagraph.Target
+		req  bagraph.Request
+		kind string
+		err  error
+	)
 	switch r.kind {
 	case KindSSSP:
-		tgt, err := r.entry.weightedTarget()
-		if err != nil {
-			return Result{Err: err}
+		kind = tune.KindSSSP
+		if tgt, err = r.entry.weightedTarget(); err == nil {
+			req, err = algoreq.SSSP(r.algo, r.root, r.entry.SSSPDelta())
 		}
-		req, err := algoreq.SSSP(r.algo, r.root, r.entry.SSSPDelta())
-		if err != nil {
-			return Result{Err: err}
-		}
-		res, err := b.tunedRun(r.ctx, r.entry, tgt, tune.KindSSSP, req)
-		if err != nil {
-			return Result{Err: err}
-		}
-		return Result{Dists: res.Dists, Stats: res.Stats}
 	default:
-		req, err := algoreq.BFS(r.algo, r.root)
-		if err != nil {
-			return Result{Err: err}
-		}
-		res, err := b.tunedRun(r.ctx, r.entry, r.entry.target(), tune.KindBFS, req)
-		if err != nil {
-			return Result{Err: err}
-		}
-		return Result{Hops: res.Hops, Stats: res.Stats}
+		kind, tgt = tune.KindBFS, r.entry.target()
+		req, err = algoreq.BFS(r.algo, r.root)
 	}
+	if err != nil {
+		return Result{Err: err}
+	}
+	ws := b.getWorkspace()
+	req.Workspace = &ws.Workspace
+	res, err := b.tunedRun(r.ctx, r.entry, tgt, kind, req)
+	if err != nil {
+		ws.release()
+		return Result{Err: err}
+	}
+	return Result{Hops: res.Hops, Dists: res.Dists, Stats: res.Stats, ws: ws}
 }

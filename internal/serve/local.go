@@ -159,6 +159,7 @@ func (l *Local) BFS(ctx context.Context, graph string, root uint32, algo string)
 		Reached: reached,
 		Stats:   statsPayload(res.Stats),
 		Dist:    res.Hops,
+		ws:      res.ws,
 	}, nil
 }
 
@@ -198,6 +199,7 @@ func (l *Local) SSSP(ctx context.Context, graph string, root uint32, algo string
 		Sum:     sum,
 		Stats:   statsPayload(res.Stats),
 		Dist:    res.Dists,
+		ws:      res.ws,
 	}, nil
 }
 

@@ -42,6 +42,10 @@ type Metrics struct {
 
 	// Autotune plane.
 	autotune *metrics.CounterVec // baserved_autotune_decisions_total{kind,param,choice}
+
+	// Memory plane: the batcher's workspaces.
+	workspaces     *metrics.Gauge // baserved_workspaces
+	workspaceBytes *metrics.Gauge // baserved_workspace_bytes
 }
 
 // NewMetrics builds the full instrument set on a fresh registry.
@@ -81,6 +85,10 @@ func NewMetrics() *Metrics {
 			"Distance/queue-array stores applied, by kind.", "kind"),
 		autotune: r.CounterVec("baserved_autotune_decisions_total",
 			"Autotuner knob picks applied to dispatches.", "kind", "param", "choice"),
+		workspaces: r.Gauge("baserved_workspaces",
+			"Query workspaces the batcher holds, free and checked out."),
+		workspaceBytes: r.Gauge("baserved_workspace_bytes",
+			"Capacity of the held query workspaces in bytes, as of their last return."),
 	}
 }
 
@@ -163,6 +171,15 @@ func (m *Metrics) ObserveAutotune(kind, param, choice string) {
 		return
 	}
 	m.autotune.With(kind, param, choice).Inc()
+}
+
+// ObserveWorkspaces publishes the batcher's workspace count and bytes.
+func (m *Metrics) ObserveWorkspaces(held int, bytes int64) {
+	if m == nil {
+		return
+	}
+	m.workspaces.Set(float64(held))
+	m.workspaceBytes.Set(float64(bytes))
 }
 
 // formatDelta renders a delta decision as a metric label choice.

@@ -7,12 +7,15 @@ package serve_test
 // HTTP round-trip for every family including the cached-CC replay.
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"bagraph"
@@ -69,7 +72,7 @@ func sumSeries(samples map[string]float64, prefix string) float64 {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, g := newTestServer(t)
 
 	// Load the daemon: two identical CC queries (fill then cache hit),
 	// a parallel BFS, a multi-source BFS, and an SSSP.
@@ -116,6 +119,58 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The cached CC replay must not rerun the kernel: one fill's passes.
 	if cc2 := samples[`baserved_query_seconds_count{kind="cc"}`]; cc2 < 2 {
 		t.Fatalf("cc latency histogram count = %v, want 2", cc2)
+	}
+	// The BFS and the SSSP ran one after the other, so the second reused
+	// the workspace the first returned, which now holds the answers of
+	// both kinds.
+	if got := samples["baserved_workspaces"]; got != 1 {
+		t.Fatalf("baserved_workspaces = %v, want 1", got)
+	}
+	if got, want := samples["baserved_workspace_bytes"], float64(12*g.NumVertices()); got < want {
+		t.Fatalf("baserved_workspace_bytes = %v, want >= %v (hops and distances)", got, want)
+	}
+}
+
+// TestWorkspaceGaugesBounded: concurrent queries check out as many
+// workspaces as run at once, but once they are written the batcher
+// keeps at most one per worker, and the gauges say so.
+func TestWorkspaceGaugesBounded(t *testing.T) {
+	ts, g := newTestServer(t) // 2 workers
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			path, algo := "/query/bfs", "par-do"
+			if i%2 == 1 {
+				path, algo = "/query/sssp", "par-hybrid"
+			}
+			body, err := json.Marshal(map[string]any{"graph": "cm", "root": i, "algo": algo})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s root %d: %s", path, i, resp.Status)
+			}
+		}(i)
+	}
+	wg.Wait()
+	samples := scrape(t, ts.URL)
+	held, bytes := samples["baserved_workspaces"], samples["baserved_workspace_bytes"]
+	if held < 1 || held > 2 {
+		t.Fatalf("baserved_workspaces = %v after the queries finished, want 1 or 2", held)
+	}
+	// Every kept workspace holds at least one answer array.
+	if floor := held * float64(4*g.NumVertices()); bytes < floor {
+		t.Fatalf("baserved_workspace_bytes = %v for %v workspaces, want >= %v", bytes, held, floor)
 	}
 }
 

@@ -428,6 +428,7 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeAnswer(w, resp.wire, resp)
+	resp.ws.release()
 }
 
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
@@ -443,4 +444,5 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeAnswer(w, resp.wire, resp)
+	resp.ws.release()
 }

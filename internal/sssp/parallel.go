@@ -78,18 +78,21 @@ package sssp
 // At one worker there is one owner and one chunk, so candidates fold in
 // exactly the order they were produced; every counter is deterministic
 // there. All per-query scratch (candidate buffers, owner state, the two
-// bitsets' words, frontier arrays) is recycled across queries of the
-// same shape, so a warm query allocates little beyond its distance
-// array. The bitsets are plain words with no atomics: only owner o's
-// tasks touch the words of o's range, and each task sweeps back to zero
-// the words it set.
+// bitsets' words, frontier arrays) lives in a Scratch the caller keeps
+// and passes back (ParallelOptions.Scratch). Its buffers are reused by
+// capacity, not by shape, so one Scratch serves graphs of different
+// sizes, and a query with its distance array and a warm Scratch
+// supplied allocates little. The scratch is plain memory the caller
+// owns, not a sync.Pool a garbage collection empties. The bitsets are
+// plain words with no atomics: only owner o's tasks touch the words of
+// o's range, and each task sweeps back to zero the words it set.
 
 import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 	"time"
+	"unsafe"
 
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
@@ -120,6 +123,10 @@ type ParallelOptions struct {
 	// overwritten. The returned slice aliases it. Long-lived callers
 	// (the serving layer) reuse this across queries.
 	Dist []uint64
+	// Scratch, when non-nil, holds the query's owner and worker state,
+	// bucket windows and bitsets and keeps them for the next query; nil
+	// allocates fresh ones.
+	Scratch *Scratch
 }
 
 // candidate is one proposed relaxation: a target vertex and the
@@ -229,9 +236,9 @@ func (q *query) pass(x par.Exec, st *perfcount.Stats, l *vertexList) error {
 	x.Pool.Run(len(q.owners), q.settleTask)
 
 	changed := 0
-	for t := range q.s.workers {
-		st.CandStores += q.s.workers[t].stores
-		q.s.workers[t].stores = 0
+	for t := range q.workers {
+		st.CandStores += q.workers[t].stores
+		q.workers[t].stores = 0
 	}
 	for o := range q.owners {
 		ow := &q.owners[o]
@@ -264,6 +271,8 @@ type vertexList struct {
 	verts []uint32
 	arcs  []int64
 }
+
+func (l *vertexList) bytes() int64 { return 4*int64(cap(l.verts)) + 8*int64(cap(l.arcs)) }
 
 func (l *vertexList) reset() {
 	l.verts = l.verts[:0]
@@ -412,75 +421,79 @@ func ownerRanges(offs []int64, parts int) []par.Range {
 	return ranges
 }
 
-// scratchKey identifies the queries that can share one scratch: the
-// owner ranges and bitsets are sized by the vertex count, the worker
-// and owner state by the pool size.
-type scratchKey struct {
-	n, workers int
-}
-
-// scratchPools holds one *sync.Pool of *scratch per scratchKey. The
-// pools empty themselves across garbage collections; the keys stay, one
-// small Pool per (vertex count, worker count) ever queried.
-var scratchPools sync.Map
-
-// scratch is everything a query allocates besides its distance array.
-// It is recycled across queries and returned clean: empty lists and
-// buffers, cleared bitsets.
-type scratch struct {
-	key     scratchKey
+// Scratch is everything a Parallel query needs besides its distance
+// array: the owner map of the bitset words, the worker and owner state
+// (candidate buffers, bucket windows, far lists, frontier shares), the
+// two bitsets' words and the coordinator's frontier. Buffers are reused
+// by capacity, so one Scratch serves graphs of any size and pool size
+// and, once it has served the largest, allocates nothing more. A query
+// returns it clean: empty lists and buffers, all-zero bitsets. The zero
+// value is ready; a Scratch must not be shared by concurrent queries.
+type Scratch struct {
 	ownerOf []int32 // owner index of every 64-vertex bitset word
 	workers []worker
 	owners  []owner
 	// Bit v of inFrontier marks v for the frontier under construction,
 	// bit v of changed marks v improved this pass. Each is set and swept
 	// back to zero within one owner task, so between tasks both are
-	// all-zero.
+	// all-zero, past the current graph's words too.
 	inFrontier, changed []uint64
 	// frontier is the coordinator's concatenation of the owners'
 	// frontier shares when there are several owners.
 	frontier vertexList
 }
 
-func getScratch(n, workers int) *scratch {
-	key := scratchKey{n, workers}
-	p, ok := scratchPools.Load(key)
-	if !ok {
-		p, _ = scratchPools.LoadOrStore(key, new(sync.Pool))
+// prepare sizes the scratch for a graph of nwords bitset words on a
+// pool of workers, keeping every buffer that is already large enough.
+func (s *Scratch) prepare(nwords, workers int) {
+	if cap(s.ownerOf) < nwords {
+		s.ownerOf = make([]int32, nwords)
+		s.inFrontier = make([]uint64, nwords)
+		s.changed = make([]uint64, nwords)
 	}
-	if s, ok := p.(*sync.Pool).Get().(*scratch); ok {
-		return s
+	s.ownerOf = s.ownerOf[:nwords]
+	s.inFrontier, s.changed = s.inFrontier[:nwords], s.changed[:nwords]
+	for len(s.workers) < workers {
+		s.workers = append(s.workers, worker{})
 	}
-	s := &scratch{
-		key:        key,
-		ownerOf:    make([]int32, (n+63)/64),
-		workers:    make([]worker, workers),
-		owners:     make([]owner, workers),
-		inFrontier: make([]uint64, (n+63)/64),
-		changed:    make([]uint64, (n+63)/64),
+	for t := range s.workers[:workers] {
+		w := &s.workers[t]
+		for len(w.out) < workers {
+			w.out = append(w.out, nil)
+		}
 	}
-	for t := range s.workers {
-		s.workers[t].out = make([][]candidate, workers)
+	for len(s.owners) < workers {
+		s.owners = append(s.owners, owner{window: make([][]uint32, 2), farMin: noBucket})
 	}
-	for o := range s.owners {
-		s.owners[o].window = make([][]uint32, 2)
-		s.owners[o].farMin = noBucket
-		s.owners[o].front.reset()
-	}
-	s.frontier.reset()
-	return s
 }
 
-func putScratch(s *scratch) {
-	p, _ := scratchPools.Load(s.key)
-	p.(*sync.Pool).Put(s)
+// Bytes returns the capacity of the scratch's buffers, in bytes.
+func (s *Scratch) Bytes() int64 {
+	const cand, far = int64(unsafe.Sizeof(candidate{})), int64(unsafe.Sizeof(farEntry{}))
+	b := 4*int64(cap(s.ownerOf)) + 8*int64(cap(s.inFrontier)+cap(s.changed)) + s.frontier.bytes()
+	for t := range s.workers {
+		w := &s.workers[t]
+		b += cand * int64(cap(w.buf))
+		for _, o := range w.out {
+			b += cand * int64(cap(o))
+		}
+	}
+	for o := range s.owners {
+		ow := &s.owners[o]
+		for _, l := range ow.window {
+			b += 4 * int64(cap(l))
+		}
+		b += far*int64(cap(ow.far)) + ow.front.bytes()
+	}
+	return b
 }
 
 // query is one Parallel call's state: the graph, the scratch, the
 // fixed parameters and the per-pass ones the tasks read.
 type query struct {
-	s      *scratch
-	owners []owner // s.owners[:ranges]
+	s       *Scratch
+	workers []worker // s.workers[:pool size]
+	owners  []owner  // s.owners[:ranges]
 
 	dist    []uint64
 	offs    []int64
@@ -500,8 +513,14 @@ type query struct {
 
 func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions) *query {
 	offs := g.Offsets()
+	s := opt.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+	s.prepare((len(dist)+63)/64, workers)
 	q := &query{
-		s:        getScratch(len(dist), workers),
+		s:        s,
+		workers:  s.workers[:workers],
 		dist:     dist,
 		offs:     offs,
 		adj:      g.Adjacency(),
@@ -512,15 +531,17 @@ func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions
 	}
 	q.scatterTask, q.settleTask, q.openTask = q.scatter, q.settle, q.open
 	ranges := ownerRanges(offs, workers)
-	q.owners = q.s.owners[:len(ranges)]
-	// The window cap also scales with |V|, so a small graph's scratch
-	// stays O(|V|) whatever its weights; the far list holds the rest.
+	q.owners = s.owners[:len(ranges)]
+	// The window cap also scales with |V|, so a small graph's window
+	// stays O(|V|) whatever its weights; the far list holds the rest. A
+	// window a larger graph widened past the cap keeps its width: the
+	// bucket order, and so every counter, does not depend on it.
 	maxSlots := min(maxWindow, 1<<bits.Len(uint(len(dist)-1)))
 	for o, r := range ranges {
 		ow := &q.owners[o]
 		ow.lo, ow.hi = r.Lo/64, (r.Hi+63)/64
 		for w := ow.lo; w < ow.hi; w++ {
-			q.s.ownerOf[w] = int32(o)
+			s.ownerOf[w] = int32(o)
 		}
 		ow.maxSlots = maxSlots
 		ow.next = noBucket
@@ -528,11 +549,10 @@ func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions
 	return q
 }
 
-// release empties every list and bitset the query may have left
+// release empties every list and buffer the query may have left
 // non-empty (a cancelled query stops between passes with vertices
-// queued) and returns the scratch to its pool.
+// queued), so the scratch is clean for the next query.
 func (q *query) release() {
-	s := q.s
 	for o := range q.owners {
 		ow := &q.owners[o]
 		for i := range ow.window {
@@ -542,15 +562,14 @@ func (q *query) release() {
 		ow.front.reset()
 		ow.improved, ow.distStores, ow.relaxed = 0, 0, 0
 	}
-	for t := range s.workers {
-		w := &s.workers[t]
+	for t := range q.workers {
+		w := &q.workers[t]
 		w.buf = w.buf[:0]
 		for o := range w.out {
 			w.out[o] = w.out[o][:0]
 		}
 		w.stores = 0
 	}
-	putScratch(s)
 }
 
 // gather returns the next frontier: the concatenation, in owner order,
@@ -584,7 +603,7 @@ const routeBatch = 512
 // its buffer; otherwise every routeBatch vertices' survivors are routed
 // to their owners.
 func (q *query) scatter(t int, r par.Range) {
-	w := &q.s.workers[t]
+	w := &q.workers[t]
 	verts := q.verts[r.Lo:r.Hi]
 	if len(q.owners) == 1 {
 		w.out[0] = q.relax(w, w.out[0], verts)
@@ -712,8 +731,8 @@ func scatterBased(buf []candidate, verts []uint32, offs []int64, adj, ws []uint3
 // owner's share of the next frontier.
 func (q *query) settle(o int) {
 	ow := &q.owners[o]
-	for t := range q.s.workers {
-		out := q.s.workers[t].out
+	for t := range q.workers {
+		out := q.workers[t].out
 		var relaxed uint64
 		if q.avoiding {
 			relaxed = foldAvoiding(q.dist, out[o], q.s.changed)

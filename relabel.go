@@ -151,15 +151,13 @@ func relabeledFor(g Target, ws *Workspace) (*Relabeled, error) {
 }
 
 // unpermute32 writes src (indexed by permuted id) into dst (indexed by
-// original id): dst[old] = src[perm[old]]. dst is reallocated when it
-// does not fit.
+// original id): dst[old] = src[perm[old]]. dst is reallocated only when
+// its capacity is short.
 func unpermute32(dst, src, perm []uint32) []uint32 {
 	if src == nil {
 		return nil
 	}
-	if len(dst) != len(src) {
-		dst = make([]uint32, len(src))
-	}
+	dst = fit(dst, len(src))
 	for v := range dst {
 		dst[v] = src[perm[v]]
 	}
@@ -171,9 +169,7 @@ func unpermute64(dst []uint64, src []uint64, perm []uint32) []uint64 {
 	if src == nil {
 		return nil
 	}
-	if len(dst) != len(src) {
-		dst = make([]uint64, len(src))
-	}
+	dst = fit(dst, len(src))
 	for v := range dst {
 		dst[v] = src[perm[v]]
 	}
@@ -192,9 +188,7 @@ func unpermuteLabels(dst, src, perm, inv, canon []uint32) []uint32 {
 		return nil
 	}
 	n := len(src)
-	if len(dst) != n {
-		dst = make([]uint32, n)
-	}
+	dst = fit(dst, n)
 	const unset = ^uint32(0)
 	for i := range canon {
 		canon[i] = unset
@@ -261,9 +255,7 @@ func runRelabeled(ctx context.Context, r *Relabeled, req Request, pool *par.Pool
 	out := &Result{Stats: res.Stats}
 	switch req.Kind {
 	case KindCC:
-		if len(scratch.canon) != n {
-			scratch.canon = make([]uint32, n)
-		}
+		scratch.canon = fit(scratch.canon, n)
 		var dst []uint32
 		if outWS != nil {
 			dst = outWS.Labels
@@ -286,9 +278,7 @@ func runRelabeled(ctx context.Context, r *Relabeled, req Request, pool *par.Pool
 		if outWS != nil {
 			dsts = outWS.HopsBatch
 		}
-		if len(dsts) != len(res.HopsBatch) {
-			dsts = make([][]uint32, len(res.HopsBatch))
-		}
+		dsts = fit(dsts, len(res.HopsBatch))
 		for i, src := range res.HopsBatch {
 			dsts[i] = unpermute32(dsts[i], src, r.perm)
 		}

@@ -20,8 +20,9 @@ package bagraph
 //     candidate stores, bucket activations, top-down/bottom-up level
 //     split — the branch-behaviour counters that are the point of the
 //     paper;
-//   - reusable Workspaces: one struct holding every result/scratch
-//     buffer a request kind needs, re-primed across calls.
+//   - reusable Workspaces: one struct holding every result buffer and
+//     every engine kernel's scratch a request kind needs, reused by
+//     capacity across calls and graphs.
 
 import (
 	"context"
@@ -163,30 +164,70 @@ type Request struct {
 	Workspace *Workspace
 }
 
-// Workspace holds the reusable buffers of Run requests. The zero value
-// is ready to use: buffers are allocated on first use and re-primed
-// after each Run, so a long-lived caller pays the allocations once.
-// Results returned by Run alias these buffers. The engine kernels
-// (Parallel requests, KindBFSBatch, and all SSSP forms) reuse a preset
-// buffer's memory; the remaining sequential kernels allocate
+// Workspace holds the reusable memory of Run requests: the result
+// buffers below and, privately, the per-query scratch of the engine
+// kernels — the parallel BFS's level queues, word sets and cost arrays
+// (also used by the parallel CC kernel's seed BFS) and the parallel
+// SSSP kernel's owner and worker state, bucket windows and bitsets.
+// The zero value is ready to use: buffers are allocated on first use
+// and kept after each Run, so a long-lived caller pays the allocations
+// once.
+//
+// Every buffer is reused by capacity, not by exact length: a buffer
+// grows only when a graph needs more than it holds, so once a
+// workspace has served the largest graph, Runs on graphs of any size
+// allocate no |V|-sized array. Results returned by Run alias these
+// buffers, so a later Run with the same workspace overwrites them, and
+// a workspace must not be shared by concurrent Runs. The engine kernels
+// (Parallel requests, KindBFSBatch, and all SSSP forms) write into a
+// preset buffer's memory; the remaining sequential kernels allocate
 // internally and the workspace captures their result instead — either
-// way, after a Run the matching field holds that run's output,
-// partial if the run was cancelled mid-kernel.
+// way, after a Run the matching field holds that run's output, partial
+// if the run was cancelled mid-kernel.
 type Workspace struct {
 	// Labels and Scratch are the parallel CC kernel's label
-	// double-buffer (each |V| when preset; Result.Labels aliases one).
+	// double-buffer (Result.Labels aliases one).
 	Labels, Scratch []uint32
-	// Hops receives KindBFS distances (|V| when preset).
+	// Hops receives KindBFS distances.
 	Hops []uint32
-	// HopsBatch receives KindBFSBatch per-root distances (len(Roots)
-	// slices of |V| when preset).
+	// HopsBatch receives KindBFSBatch per-root distances, one slice per
+	// root.
 	HopsBatch [][]uint32
-	// Dists receives KindSSSP distances (|V| when preset).
+	// Dists receives KindSSSP distances.
 	Dists []uint64
+	// bfs and sssp are the engine kernels' per-query scratch.
+	bfs  bfs.Scratch
+	sssp sssp.Scratch
 	// rl holds the relabeling layer's private state: the cached
 	// degree-ordered view (Request.Relabel), the permuted-space inner
 	// workspace, and the un-permute scratch.
 	rl *relabelScratch
+}
+
+// Bytes returns the capacity the workspace holds, in bytes: its result
+// buffers, the kernels' scratch and the relabeling layer's buffers. The
+// degree-ordered view a Request.Relabel run caches is a graph, not a
+// buffer, and is not counted.
+func (ws *Workspace) Bytes() int64 {
+	b := 4*int64(cap(ws.Labels)+cap(ws.Scratch)+cap(ws.Hops)) + 8*int64(cap(ws.Dists)) +
+		ws.bfs.Bytes() + ws.sssp.Bytes()
+	for _, h := range ws.HopsBatch {
+		b += 4 * int64(cap(h))
+	}
+	if ws.rl != nil {
+		b += ws.rl.inner.Bytes() + 4*int64(cap(ws.rl.roots)+cap(ws.rl.canon))
+	}
+	return b
+}
+
+// fit returns buf resliced to length n, reallocating only when its
+// capacity is short. The contents are stale; every caller overwrites
+// them.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Stats is the kernel-side observability record of one Run: the
@@ -332,26 +373,19 @@ func runCCRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 	}
 	ws := req.Workspace
 	if req.Parallel {
-		var labelsBuf, scratchBuf []uint32
+		opt := cc.ParallelOptions{Variant: variant}
 		if ws != nil {
 			// Prime the double-buffer so both arrays persist in the
 			// workspace across calls.
-			n := g.NumVertices()
-			if n > 0 {
-				if len(ws.Labels) != n {
-					ws.Labels = make([]uint32, n)
-				}
-				if len(ws.Scratch) != n || &ws.Scratch[0] == &ws.Labels[0] {
+			if n := g.NumVertices(); n > 0 {
+				ws.Labels, ws.Scratch = fit(ws.Labels, n), fit(ws.Scratch, n)
+				if &ws.Scratch[0] == &ws.Labels[0] {
 					ws.Scratch = make([]uint32, n)
 				}
 			}
-			labelsBuf, scratchBuf = ws.Labels, ws.Scratch
+			opt.Labels, opt.Scratch, opt.Seed = ws.Labels, ws.Scratch, &ws.bfs
 		}
-		labels, st, err := cc.SVParallel(x, g, cc.ParallelOptions{
-			Variant: variant,
-			Labels:  labelsBuf,
-			Scratch: scratchBuf,
-		})
+		labels, st, err := cc.SVParallel(x, g, opt)
 		return &Result{Labels: labels, Stats: st}, err
 	}
 	var (
@@ -383,15 +417,12 @@ func runBFSRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 		return nil, err
 	}
 	if req.Parallel {
-		ws := req.Workspace
-		var distBuf []uint32
-		if ws != nil {
-			if n := g.NumVertices(); len(ws.Hops) != n {
-				ws.Hops = make([]uint32, n)
-			}
-			distBuf = ws.Hops
+		var opt bfs.ParallelOptions
+		if ws := req.Workspace; ws != nil {
+			ws.Hops = fit(ws.Hops, g.NumVertices())
+			opt.Dist, opt.Scratch = ws.Hops, &ws.bfs
 		}
-		dist, st, err := bfs.ParallelDO(x, g, req.Root, bfs.ParallelOptions{Dist: distBuf})
+		dist, st, err := bfs.ParallelDO(x, g, req.Root, opt)
 		return &Result{Hops: dist, Stats: st}, err
 	}
 	var (
@@ -428,8 +459,9 @@ func runBFSBatchRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 	ws := req.Workspace
 	var distsBuf [][]uint32
 	if ws != nil {
-		if len(ws.HopsBatch) != len(req.Roots) {
-			ws.HopsBatch = make([][]uint32, len(req.Roots))
+		ws.HopsBatch = fit(ws.HopsBatch, len(req.Roots))
+		for i := range ws.HopsBatch {
+			ws.HopsBatch[i] = fit(ws.HopsBatch[i], g.NumVertices())
 		}
 		distsBuf = ws.HopsBatch
 	}
@@ -464,9 +496,10 @@ func runSSSPRequest(x par.Exec, g *WeightedGraph, req Request) (*Result, error) 
 		return nil, fmt.Errorf("bagraph: unknown SSSP algorithm %v", req.SSSP)
 	}
 	ws := req.Workspace
-	var distBuf []uint64
+	opt := sssp.ParallelOptions{Variant: variant, Delta: req.Delta}
 	if ws != nil {
-		distBuf = ws.Dists
+		ws.Dists = fit(ws.Dists, g.NumVertices())
+		opt.Dist, opt.Scratch = ws.Dists, &ws.sssp
 	}
 	var (
 		dist []uint64
@@ -475,15 +508,11 @@ func runSSSPRequest(x par.Exec, g *WeightedGraph, req Request) (*Result, error) 
 	)
 	switch {
 	case req.Parallel:
-		dist, st, err = sssp.Parallel(x, g, req.Root, sssp.ParallelOptions{
-			Variant: variant,
-			Delta:   req.Delta,
-			Dist:    distBuf,
-		})
+		dist, st, err = sssp.Parallel(x, g, req.Root, opt)
 	case req.SSSP == SSSPDijkstra:
-		dist, err = sssp.DijkstraCtx(x.Ctx, g, req.Root, distBuf)
+		dist, err = sssp.DijkstraCtx(x.Ctx, g, req.Root, opt.Dist)
 	default:
-		dist, st, err = sssp.BellmanFord(x.Ctx, g, req.Root, variant, distBuf)
+		dist, st, err = sssp.BellmanFord(x.Ctx, g, req.Root, variant, opt.Dist)
 	}
 	if ws != nil {
 		ws.Dists = dist

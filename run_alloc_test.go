@@ -2,7 +2,14 @@ package bagraph
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
+
+	"bagraph/internal/bfs"
+	"bagraph/internal/cc"
+	"bagraph/internal/sssp"
+	"bagraph/internal/testutil"
 )
 
 // pathWeighted builds a weighted path 0-1-...-n-1 with unit weights.
@@ -61,5 +68,83 @@ func TestRunWarmWorkspaceAllocs(t *testing.T) {
 	long := measure(26)
 	if short != long {
 		t.Fatalf("allocations grew with pass count: %.1f allocs at 18 passes vs %.1f at 26 — some allocation is per-pass, not per-run", short, long)
+	}
+}
+
+// TestWorkspaceReusesCapacityAcrossGraphs: one Workspace serves a large
+// graph, then a small one, then the large one again, for the parallel
+// BFS, SSSP and CC kernels, on the plain graphs and on their
+// degree-ordered views. Every answer equals its oracle, and the second
+// large run allocates no |V|-sized array: the small graph's run
+// reslices the large buffers instead of replacing them.
+func TestWorkspaceReusesCapacityAcrossGraphs(t *testing.T) {
+	large := testutil.RandomWeighted(20000, 80000, 40, 31)
+	small := testutil.RandomWeighted(300, 900, 40, 37)
+	n := large.NumVertices()
+	pool := NewWorkerPool(2)
+	t.Cleanup(pool.Close)
+	type target struct {
+		name string
+		g    *WeightedGraph
+		tgt  Target
+	}
+	var targets [][2]target
+	for _, relabel := range []bool{false, true} {
+		var pair [2]target
+		for i, g := range []*WeightedGraph{large, small} {
+			var tgt Target = g
+			if relabel {
+				rl, err := RelabelDegree(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tgt = rl
+			}
+			pair[i] = target{fmt.Sprintf("n=%d/relabel=%v", g.NumVertices(), relabel), g, tgt}
+		}
+		targets = append(targets, pair)
+	}
+	reqs := []struct {
+		name string
+		req  Request
+	}{
+		{"par-do", Request{Kind: KindBFS, Parallel: true, Root: 3}},
+		{"par-hybrid-sssp", Request{Kind: KindSSSP, SSSP: SSSPHybrid, Parallel: true, Root: 3}},
+		{"par-bb-cc", Request{Kind: KindCC, CC: CCBranchBased, Parallel: true}},
+		{"par-ba-cc", Request{Kind: KindCC, CC: CCBranchAvoiding, Parallel: true}},
+		{"par-hybrid-cc", Request{Kind: KindCC, CC: CCHybrid, Parallel: true}},
+	}
+	check := func(name string, g *WeightedGraph, req Request, res *Result) {
+		t.Helper()
+		switch req.Kind {
+		case KindBFS:
+			want, _ := bfs.TopDownBranchBased(g.Graph, req.Root)
+			testutil.MustEqualDists(t, name, res.Hops, want)
+		case KindSSSP:
+			testutil.MustEqualDists(t, name, res.Dists, sssp.Dijkstra(g, req.Root))
+		default:
+			testutil.MustEqualLabels(t, name, res.Labels, cc.UnionFind(g.Graph))
+		}
+	}
+	for _, pair := range targets {
+		for _, r := range reqs {
+			ws := &Workspace{}
+			req := r.req
+			req.Workspace = ws
+			for _, tg := range []target{pair[0], pair[1]} {
+				name := r.name + "/" + tg.name
+				check(name, tg.g, req, poolRunOK(t, pool, tg.tgt, req))
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := poolRunOK(t, pool, pair[0].tgt, req)
+			runtime.ReadMemStats(&after)
+			name := r.name + "/" + pair[0].name + "/again"
+			check(name, pair[0].g, req, res)
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(4*n) {
+				t.Errorf("%s: allocated %d bytes, a |V|-sized uint32 array is %d", name, bytes, 4*n)
+			}
+		}
 	}
 }
