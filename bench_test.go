@@ -588,10 +588,10 @@ func BenchmarkStealVsStatic(b *testing.B) {
 // two memory layouts: a shuffled layout (what bagen -shuffle writes —
 // vertex ids carry no locality) and the degree-ordered layout
 // RelabelDegree produces, which clusters the hub and its satellites into
-// the low vertex ids. The words/op metric is Stats.WordsScanned — how
-// many frontier-bitset words the succinct bottom-up and multi-source
-// sweeps actually loaded — a locality measure that stays stable when CI
-// wall clocks are noisy. Speedup is reported, never asserted.
+// the low vertex ids. The words/op metric is Stats.WordsScanned — the
+// non-empty vertex-set words the bottom-up and multi-source sweeps
+// walked — a locality measure that stays stable when CI wall clocks are
+// noisy. Speedup is reported, never asserted.
 func BenchmarkRelabelSpeedup(b *testing.B) {
 	skew := benchHubRMAT(b)
 	shuf, err := skew.Permute(relabel.Shuffle(skew.NumVertices(), 7))

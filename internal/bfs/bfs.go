@@ -27,7 +27,6 @@ import (
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/perfcount"
-	"bagraph/internal/queue"
 )
 
 // Inf is the distance assigned to unreached vertices.
@@ -64,15 +63,18 @@ func TopDown(ctx context.Context, g *graph.Graph, root uint32, variant core.Vari
 	if n == 0 {
 		return dist, st, ctx.Err()
 	}
-	q := queue.New(n)
+	// The queue is |V| slots, since every vertex enters it at most once,
+	// plus one: the branch-avoiding loop stores each neighbor at
+	// buf[tail] before deciding whether to keep it (§5.2), and that
+	// store must land even once all |V| vertices are queued.
+	buf := make([]uint32, n+1)
 	dist[root] = 0
 	st.DistStores++
-	q.Push(root)
+	buf[0] = root
 	st.QueueStores++
 
 	adj := g.Adjacency()
 	offs := g.Offsets()
-	buf := q.Buf()
 	head, tail := 0, 1
 	// Per-level accounting: the queue is level-ordered, so levels are
 	// contiguous [head, levelEnd) windows.

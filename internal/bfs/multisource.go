@@ -22,19 +22,18 @@ package bfs
 // degree-balanced vertex ranges and write only seen[v] / next[v] /
 // dist[·][v] for their own vertices, reading the previous level's
 // frontier masks immutably — no atomics, the level barrier is the only
-// synchronization. Sweeps iterate a succinct "active" bitset (vertices
-// not yet seen by every search in the wave) through its rank directory
-// instead of visiting all |V| masks: once a vertex saturates, its bit is
-// cleared by the owning worker (ranges are 64-aligned, so clears are
-// race-free) and late levels skip whole 512-bit blocks of saturated
-// vertices. Batches larger than 64 sources run in ceil(k/64) waves over
-// reused mask arrays.
+// synchronization. Sweeps walk the set bits of plain "active" words
+// (vertices not yet seen by every search in the wave) instead of
+// visiting all |V| masks: once a vertex saturates, the owning worker
+// clears its bit (ranges are 64-aligned, so each word has one writer)
+// and later levels skip whole words of saturated vertices. Batches
+// larger than 64 sources run in ceil(k/64) waves over reused mask
+// arrays.
 
 import (
 	"math/bits"
 	"time"
 
-	"bagraph/internal/bitset"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
 	"bagraph/internal/perfcount"
@@ -59,7 +58,7 @@ type msWorker struct {
 	advanced     uint64 // OR of all newly-set masks: zero means the wave ended
 	reached      int
 	distStores   uint64
-	wordsScanned uint64 // active-bitset words loaded
+	wordsScanned uint64 // non-empty active words swept
 }
 
 // MultiSource runs BFS from every root through shared bottom-up mask
@@ -92,19 +91,19 @@ func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, opt MultiSourceOpti
 	nw := x.Pool.Workers()
 	adj := g.Adjacency()
 	offs := g.Offsets()
-	// 64-aligned chunks: each worker owns whole words of the active
-	// bitset, making the saturation clears below race-free.
+	// 64-aligned chunks: each worker owns whole active words, making
+	// the saturation clears below race-free.
 	vchunks := par.Partition(offs, par.ChunkCount(nw, x.Schedule), 64)
 	acc := make([]msWorker, nw)
 
 	seen := make([]uint64, n)
 	frontier := make([]uint64, n)
 	next := make([]uint64, n)
-	// active holds the vertices some search in the wave has not yet
-	// reached (seen[v] != waveFull). It only shrinks within a wave, so a
-	// stale rank directory is safe; the directory is rebuilt at every
-	// sweep barrier and the set refilled per wave.
-	active := bitset.New(n)
+	// active holds, bit v of word v/64, the vertices some search in the
+	// wave has not yet reached (seen[v] != waveFull). It only shrinks
+	// within a wave and is refilled for the next one.
+	nwords := (n + 63) / 64
+	active := make([]uint64, nwords)
 
 	for lo := 0; lo < k; lo += msWave {
 		hi := lo + msWave
@@ -123,7 +122,13 @@ func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, opt MultiSourceOpti
 				frontier[i] = 0
 			}
 		}
-		active.SetAll()
+		for i := range active {
+			active[i] = ^uint64(0)
+		}
+		if n%64 != 0 {
+			// No bits past vertex n-1: the sweep would index seen[n].
+			active[nwords-1] = 1<<uint(n%64) - 1
+		}
 		for i, r := range wave {
 			bit := uint64(1) << uint(i)
 			seen[r] |= bit
@@ -138,43 +143,48 @@ func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, opt MultiSourceOpti
 			// Skipped (saturated) vertices no longer write next[v], so the
 			// swapped-in array must read zero for them.
 			clear(next)
-			active.BuildRank()
-			// Workers own whole words of the active bitset (64-aligned
-			// chunks), so the sweep is atomic-free.
+			// Workers own whole active words (64-aligned chunks), so the
+			// sweep is atomic-free.
 			//ba:atomic-free
 			err := x.Pass(&st, vchunks, func(t int, r par.Range) {
 				a := &acc[t]
-				// The final probe (v == -1) also loaded words before
-				// giving up; count it so the metric reflects real work.
-				for v, w := active.NextSetIn(r.Lo, r.Hi); ; v, w = active.NextSetIn(v+1, r.Hi) {
-					a.wordsScanned += uint64(w)
-					if v == -1 {
-						break
+				for i := r.Lo / 64; i < (r.Hi+63)/64; i++ {
+					word := active[i]
+					if word == 0 {
+						continue
 					}
-					sv := seen[v]
-					acquired := uint64(0)
-					//ba:branch-free
-					for _, u := range adj[offs[v]:offs[v+1]] {
-						acquired |= frontier[u]
-					}
-					fresh := acquired &^ sv
-					next[v] = fresh
-					sv |= fresh
-					seen[v] = sv
-					if sv == waveFull {
-						active.Clear(v)
-					}
-					if fresh != 0 {
-						a.advanced |= fresh
-						dv := level
+					a.wordsScanned++
+					base := i * 64
+					left := word
+					for w := word; w != 0; w &= w - 1 {
+						b := bits.TrailingZeros64(w)
+						v := base + b
+						sv := seen[v]
+						acquired := uint64(0)
 						//ba:branch-free
-						for m := fresh; m != 0; m &= m - 1 {
-							i := bits.TrailingZeros64(m)
-							dists[lo+i][v] = dv
-							a.distStores++
-							a.reached++
+						for _, u := range adj[offs[v]:offs[v+1]] {
+							acquired |= frontier[u]
+						}
+						fresh := acquired &^ sv
+						next[v] = fresh
+						sv |= fresh
+						seen[v] = sv
+						if sv == waveFull {
+							left &^= 1 << uint(b)
+						}
+						if fresh != 0 {
+							a.advanced |= fresh
+							dv := level
+							//ba:branch-free
+							for m := fresh; m != 0; m &= m - 1 {
+								src := bits.TrailingZeros64(m)
+								dists[lo+src][v] = dv
+								a.distStores++
+								a.reached++
+							}
 						}
 					}
+					active[i] = left
 				}
 			})
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
+	"bagraph/internal/perfcount"
 	"bagraph/internal/testutil"
 )
 
@@ -134,5 +135,80 @@ func TestMultiSourceSharedSweepEconomy(t *testing.T) {
 	}
 	if st.Passes >= sum {
 		t.Fatalf("shared sweep used %d levels, independent traversals %d", st.Passes, sum)
+	}
+}
+
+// TestMultiSourceCountersScheduleFree pins the active-word sweep on a
+// vertex count that is not a multiple of 64, over two waves: every
+// counter is the same at any worker count under either schedule, and
+// WordsScanned is exactly the non-empty active words summed over the
+// levels, recomputed here from the oracle distances. A vertex is active
+// in a wave's level-L sweep iff its largest distance from the wave's
+// roots is at least L (unreached counts as infinite); the roots of a
+// wave are distinct, so no vertex is saturated before level 1.
+func TestMultiSourceCountersScheduleFree(t *testing.T) {
+	g := gen.Grid2D(301, 157, false)
+	n := g.NumVertices()
+	if n%64 == 0 {
+		t.Fatalf("|V| = %d is a multiple of 64", n)
+	}
+	roots := msRoots(g, 70)
+	want := make([][]uint32, len(roots))
+	for i, r := range roots {
+		want[i], _ = TopDownBranchBased(g, r)
+	}
+
+	var passes int
+	var words uint64
+	for lo := 0; lo < len(roots); lo += msWave {
+		// Levels run until one advances no search: the deepest finite
+		// distance plus one.
+		maxd := make([]uint32, n)
+		deepest := uint32(0)
+		for _, d := range want[lo:min(lo+msWave, len(roots))] {
+			for v := range maxd {
+				maxd[v] = max(maxd[v], d[v])
+				if d[v] != Inf {
+					deepest = max(deepest, d[v])
+				}
+			}
+		}
+		for level := uint32(1); level <= deepest+1; level++ {
+			passes++
+			for w := 0; w < n; w += 64 {
+				for v := w; v < min(w+64, n); v++ {
+					if maxd[v] >= level {
+						words++
+						break
+					}
+				}
+			}
+		}
+	}
+
+	var first *perfcount.Stats
+	for _, sched := range []par.Schedule{par.Static, par.Stealing} {
+		for _, workers := range []int{1, 2, 3, 4} {
+			name := fmt.Sprintf("%v/w%d", sched, workers)
+			dists, st, err := MultiSource(testutil.Exec(t, workers, sched), g, roots, MultiSourceOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := range roots {
+				testutil.MustEqualDists(t, fmt.Sprintf("%s/root%d", name, roots[i]), dists[i], want[i])
+			}
+			if st.Waves != 2 || st.Passes != passes || st.WordsScanned != words {
+				t.Fatalf("%s: %d waves, %d levels scanned %d words, want 2, %d and %d",
+					name, st.Waves, st.Passes, st.WordsScanned, passes, words)
+			}
+			if first == nil {
+				first = &st
+				continue
+			}
+			if st.Reached != first.Reached || st.DistStores != first.DistStores ||
+				st.WordsScanned != first.WordsScanned || st.Passes != first.Passes {
+				t.Fatalf("%s: counters %+v differ from the first run's %+v", name, st, *first)
+			}
+		}
 	}
 }

@@ -60,14 +60,14 @@ type Stats struct {
 	// The name survives from a removed split of arcs into light and
 	// heavy classes, where it counted the light class only.
 	LightRelaxed uint64
-	// WordsScanned counts the bitset words the parallel BFS kernels
-	// swept for candidates — the frontier-locality proxy that drops
-	// under a hub-clustered layout. For single-source BFS (including the
-	// parallel CC seed) it is the non-empty unvisited words, summed over
-	// the bottom-up levels: exact, and the same at any worker count and
-	// schedule. For multi-source BFS it is the words its shared sweeps
-	// loaded through the active set's rank directory. Zero for SSSP and
-	// the sequential kernels.
+	// WordsScanned counts the non-empty vertex-set words the parallel
+	// BFS kernels swept for candidates, summed over their sweeps — the
+	// frontier-locality proxy that drops under a hub-clustered layout.
+	// For single-source BFS (including the parallel CC seed) the set is
+	// a bottom-up level's unvisited vertices; for multi-source BFS it is
+	// a level's active vertices, those some search in the wave has not
+	// yet reached. Exact, and the same at any worker count and schedule.
+	// Zero for SSSP and the sequential kernels.
 	WordsScanned uint64
 }
 

@@ -5,9 +5,9 @@
 // by descending degree packs the high-degree hubs — the vertices most
 // likely to sit on any frontier — into the lowest vertex ids, which (a)
 // concentrates frontier/visited bits into the low words of the kernels'
-// bitsets, exactly the shape the rank directory in internal/bitset
-// exploits, and (b) clusters the hottest adjacency rows at the front of
-// the CSR arrays where they share pages and cache lines.
+// vertex sets, so their word sweeps find more words empty or saturated
+// and skip them, and (b) clusters the hottest adjacency rows at the
+// front of the CSR arrays where they share pages and cache lines.
 //
 // Permutations use the perm[old] = new convention throughout, matching
 // (*graph.Graph).Permute. Inverse flips one into inv[new] = old so

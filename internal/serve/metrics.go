@@ -76,7 +76,7 @@ func NewMetrics() *Metrics {
 		steals: r.CounterVec("baserved_kernel_steals_total",
 			"Chunks run by a non-owning worker, by kind.", "kind"),
 		words: r.CounterVec("baserved_kernel_words_scanned_total",
-			"Bitset words swept by parallel BFS bottom-up levels (non-empty unvisited words for single-source BFS and the CC seed), by kind.", "kind"),
+			"Non-empty vertex-set words swept by parallel BFS levels (unvisited words for single-source BFS and the CC seed, active words for multi-source BFS), by kind.", "kind"),
 		light: r.CounterVec("baserved_kernel_light_relaxed_total",
 			"Relaxations applied by SSSP kernels, by kind.", "kind"),
 		cand: r.CounterVec("baserved_kernel_cand_stores_total",

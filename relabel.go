@@ -9,8 +9,8 @@ package bagraph
 // byte-identical to what the same request produces on the unrelabeled
 // graph. No kernel knows the layer exists; what changes is purely where
 // vertices live in memory, which concentrates frontier bits into the low
-// words of the kernels' succinct bitsets and clusters the hottest CSR
-// rows onto shared cache lines.
+// words the kernels' sweeps walk and clusters the hottest CSR rows onto
+// shared cache lines.
 
 import (
 	"context"

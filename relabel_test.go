@@ -179,7 +179,7 @@ func TestRelabeledRootValidation(t *testing.T) {
 }
 
 // TestRelabeledStatsWordsScanned checks the locality proxy is populated
-// by the succinct sweeps on a graph dense enough to go bottom-up.
+// by the word sweeps on a graph dense enough to go bottom-up.
 func TestRelabeledStatsWordsScanned(t *testing.T) {
 	g := testutil.Corpus(1)[0] // rmat: bottom-up levels guaranteed
 	res := runOK(t, g, Request{Kind: KindBFS, Parallel: true})
