@@ -52,8 +52,11 @@ func fuzzPath(lo, hi byte) [][2]byte {
 // FuzzCC is the connected-components slice of a differential Run fuzzer:
 // every CC algorithm, at every worker count from 1 to 4, under both
 // schedules, with and without degree relabeling, must return
-// cc.UnionFind's labeling for any graph the bytes decode to. The seed
-// corpus holds the shapes the parallel kernel's BFS seed special-cases.
+// cc.UnionFind's labeling (computed in fresh memory) for any graph the
+// bytes decode to. Every algorithm also runs through one Workspace per
+// worker count, shared by every algorithm and input, so consecutive
+// graphs of different sizes run in stale buffers. The seed corpus holds
+// the shapes the parallel kernel's BFS seed special-cases.
 func FuzzCC(f *testing.F) {
 	f.Add([]byte{})                                     // empty
 	f.Add(fuzzCCInput(1))                               // one vertex
@@ -88,28 +91,33 @@ func FuzzCC(f *testing.F) {
 		{"sv-bb", CCBranchBased, false},
 		{"sv-ba", CCBranchAvoiding, false},
 		{"hybrid", CCHybrid, false},
+		{"unionfind", CCUnionFind, false},
 	}
 	var pools []*WorkerPool
+	var workspaces []*Workspace
 	for workers := 1; workers <= 4; workers++ {
 		p := NewWorkerPool(workers)
 		f.Cleanup(p.Close)
 		pools = append(pools, p)
+		workspaces = append(workspaces, &Workspace{})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGraph(data)
 		want := cc.UnionFind(g)
 		for _, a := range algos {
-			for _, pool := range pools {
+			for p, pool := range pools {
 				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
 					for _, relabel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/w%d/%s/relabel=%v", a.name, pool.Workers(), sched, relabel)
-						res, err := pool.Run(context.Background(), g, Request{
-							Kind: KindCC, CC: a.alg, Parallel: a.parallel, Schedule: sched, Relabel: relabel,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+						for _, ws := range []*Workspace{nil, workspaces[p]} {
+							name := fmt.Sprintf("%s/w%d/%s/relabel=%v/ws=%v", a.name, pool.Workers(), sched, relabel, ws != nil)
+							res, err := pool.Run(context.Background(), g, Request{
+								Kind: KindCC, CC: a.alg, Parallel: a.parallel, Schedule: sched, Relabel: relabel, Workspace: ws,
+							})
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							testutil.MustEqualLabels(t, name, res.Labels, want)
 						}
-						testutil.MustEqualLabels(t, name, res.Labels, want)
 					}
 				}
 			}
@@ -122,11 +130,12 @@ func FuzzCC(f *testing.F) {
 // direction-optimizing kernel from a fuzz-chosen root, and the
 // multi-source batch kernel from fuzz-chosen roots, at every worker
 // count from 1 to 4, under both schedules, with and without degree
-// relabeling, must return bfs.TopDownBranchBased's hop distances. The
-// two parallel arms also run through one Workspace per worker count,
-// shared by every input, so consecutive graphs of different sizes reuse
-// its buffers. On the empty graph no root is in range, so every
-// single-source run must fail and the batch runs with no roots.
+// relabeling, must return bfs.TopDownBranchBased's hop distances
+// (computed in fresh memory). Every variant also runs through one
+// Workspace per worker count, shared by every variant and input, so
+// consecutive graphs of different sizes run in stale buffers. On the
+// empty graph no root is in range, so every single-source run must
+// fail and the batch runs with no roots.
 func FuzzBFS(f *testing.F) {
 	f.Add([]byte{}, byte(0), []byte{})              // empty
 	f.Add(fuzzCCInput(9), byte(4), []byte{0, 8, 8}) // all isolated: max degree 0
@@ -189,13 +198,9 @@ func FuzzBFS(f *testing.F) {
 		}
 		for _, v := range variants {
 			for p, pool := range pools {
-				wss := []*Workspace{nil}
-				if v.req.Parallel || v.req.Kind == KindBFSBatch {
-					wss = append(wss, workspaces[p])
-				}
 				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
 					for _, relabel := range []bool{false, true} {
-						for _, ws := range wss {
+						for _, ws := range []*Workspace{nil, workspaces[p]} {
 							name := fmt.Sprintf("%s/w%d/%s/relabel=%v/ws=%v", v.name, pool.Workers(), sched, relabel, ws != nil)
 							req := v.req
 							req.Root, req.Roots, req.Schedule, req.Relabel, req.Workspace = src, roots, sched, relabel, ws
@@ -265,10 +270,12 @@ func fuzzWeighted(data, ws []byte) *WeightedGraph {
 // the three parallel delta-stepping variants, at every worker count
 // from 1 to 4, under both schedules, at the default bucket width, at
 // width 1 and at a fuzz-chosen power of two, plus the two sequential
-// Bellman-Ford kernels — all must return sssp.Dijkstra's distances
-// from the fuzz-chosen source. The parallel variants also run through
-// one Workspace per worker count, shared by every input, so consecutive
-// graphs of different sizes reuse its distances and kernel scratch.
+// Bellman-Ford kernels and Dijkstra through Run — all must return
+// sssp.Dijkstra's distances (computed in fresh memory) from the
+// fuzz-chosen source. Every algorithm also runs through one Workspace
+// per worker count, shared by every algorithm and input, so
+// consecutive graphs of different sizes run in stale distances and
+// kernel scratch.
 // Weights span 0 to math.MaxUint32, so bucket ids range from a handful
 // to about 2^32 apart.
 func FuzzSSSP(f *testing.F) {
@@ -294,6 +301,7 @@ func FuzzSSSP(f *testing.F) {
 		{"par-hybrid", SSSPHybrid, true},
 		{"bb", SSSPBellmanFord, false},
 		{"ba", SSSPBellmanFordBranchAvoiding, false},
+		{"dijkstra", SSSPDijkstra, false},
 	}
 	var pools []*WorkerPool
 	var workspaces []*Workspace
@@ -304,7 +312,7 @@ func FuzzSSSP(f *testing.F) {
 		workspaces = append(workspaces, &Workspace{})
 	}
 	f.Fuzz(func(t *testing.T, data, ws []byte, root, deltaLog byte) {
-		// Every input runs 160 kernels, hundreds of passes each at width
+		// Every input runs 192 kernels, hundreds of passes each at width
 		// 1 on a dense graph: past 1024 edges an input buys time, not
 		// shapes.
 		if len(data) > 1+2*1024 {
@@ -325,13 +333,9 @@ func FuzzSSSP(f *testing.F) {
 				widths = widths[:1]
 			}
 			for p, pool := range pools {
-				wss := []*Workspace{nil}
-				if a.parallel {
-					wss = append(wss, workspaces[p])
-				}
 				for _, sched := range []Schedule{ScheduleStatic, ScheduleStealing} {
 					for _, delta := range widths {
-						for _, ws := range wss {
+						for _, ws := range []*Workspace{nil, workspaces[p]} {
 							name := fmt.Sprintf("%s/w%d/%s/delta=%d/ws=%v", a.name, pool.Workers(), sched, delta, ws != nil)
 							res, err := pool.Run(context.Background(), g, Request{
 								Kind: KindSSSP, SSSP: a.alg, Parallel: a.parallel, Root: src,

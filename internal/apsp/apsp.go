@@ -23,7 +23,7 @@ import (
 const Inf = bfs.Inf
 
 func run(g *graph.Graph, root uint32, v core.Variant) []uint32 {
-	dist, _, _ := bfs.TopDown(context.Background(), g, root, v)
+	dist, _, _ := bfs.TopDown(context.Background(), g, root, v, nil, new(bfs.Scratch))
 	return dist
 }
 

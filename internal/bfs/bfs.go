@@ -33,10 +33,10 @@ import (
 const Inf = ^uint32(0)
 
 // TopDownBranchBased runs the classical top-down BFS (Algorithm 4) from
-// root to completion — the reference oracle the other kernels are
-// validated against.
+// root to completion in fresh memory — the reference oracle the other
+// kernels are validated against.
 func TopDownBranchBased(g *graph.Graph, root uint32) ([]uint32, perfcount.Stats) {
-	dist, st, _ := TopDown(context.Background(), g, root, core.BranchBased)
+	dist, st, _ := TopDown(context.Background(), g, root, core.BranchBased, nil, new(Scratch))
 	return dist, st
 }
 
@@ -50,12 +50,16 @@ func TopDownBranchBased(g *graph.Graph, root uint32) ([]uint32, perfcount.Stats)
 // grow from O(|V|) to O(|E|). Top-down BFS has no hybrid loop:
 // core.Hybrid runs branch-based.
 //
+// The distances are written into dist and the queue into s's level
+// queue, both reused by capacity (core.Fit); the returned slice aliases
+// dist's memory when it was large enough.
+//
 // The context is observed between levels (never in the per-edge loop,
 // preserving the paper's operation mix), and a cancelled run returns the
 // distances computed so far alongside ctx's error.
-func TopDown(ctx context.Context, g *graph.Graph, root uint32, variant core.Variant) ([]uint32, perfcount.Stats, error) {
+func TopDown(ctx context.Context, g *graph.Graph, root uint32, variant core.Variant, dist []uint32, s *Scratch) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
-	dist := make([]uint32, n)
+	dist = core.Fit(dist, n)
 	for i := range dist {
 		dist[i] = Inf
 	}
@@ -67,7 +71,8 @@ func TopDown(ctx context.Context, g *graph.Graph, root uint32, variant core.Vari
 	// plus one: the branch-avoiding loop stores each neighbor at
 	// buf[tail] before deciding whether to keep it (§5.2), and that
 	// store must land even once all |V| vertices are queued.
-	buf := make([]uint32, n+1)
+	buf := core.Fit(s.queue, n+1)
+	s.queue = buf
 	dist[root] = 0
 	st.DistStores++
 	buf[0] = root
@@ -164,9 +169,10 @@ func levelBranchAvoiding(adj []uint32, offs []int64, buf, dist []uint32, head, l
 // shrinks below |V|/beta (alpha, beta <= 0 mean the defaults 15 and 18).
 // This is the modern baseline the paper cites as [8]; it is included as
 // an extension to position the branch-avoiding variants against, and for
-// validating the top-down kernels at scale. The context is observed
-// between levels (see TopDown).
-func DirectionOptimizing(ctx context.Context, g *graph.Graph, root uint32, alpha, beta int) ([]uint32, perfcount.Stats, error) {
+// validating the top-down kernels at scale. dist and s are used as in
+// TopDown: s's level queue holds both frontiers. The context is
+// observed between levels (see TopDown).
+func DirectionOptimizing(ctx context.Context, g *graph.Graph, root uint32, alpha, beta int, dist []uint32, s *Scratch) ([]uint32, perfcount.Stats, error) {
 	if alpha <= 0 {
 		alpha = defaultAlpha
 	}
@@ -174,7 +180,7 @@ func DirectionOptimizing(ctx context.Context, g *graph.Graph, root uint32, alpha
 		beta = defaultBeta
 	}
 	n := g.NumVertices()
-	dist := make([]uint32, n)
+	dist = core.Fit(dist, n)
 	for i := range dist {
 		dist[i] = Inf
 	}
@@ -182,8 +188,11 @@ func DirectionOptimizing(ctx context.Context, g *graph.Graph, root uint32, alpha
 	if n == 0 {
 		return dist, st, ctx.Err()
 	}
-	frontier := make([]uint32, 0, n)
-	nextFrontier := make([]uint32, 0, n)
+	// Each frontier holds at most |V| vertices: two capped halves of one
+	// buffer, so the appends below never leave it.
+	s.queue = core.Fit(s.queue, 2*n)
+	frontier := s.queue[:0:n]
+	nextFrontier := s.queue[n : n : 2*n]
 	dist[root] = 0
 	st.DistStores++
 	frontier = append(frontier, root)

@@ -18,7 +18,7 @@ type kernel struct {
 
 // topDownBA is the branch-avoiding TopDown to completion.
 func topDownBA(g *graph.Graph, root uint32) ([]uint32, perfcount.Stats) {
-	dist, st, _ := TopDown(context.Background(), g, root, core.BranchAvoiding)
+	dist, st, _ := TopDown(context.Background(), g, root, core.BranchAvoiding, nil, new(Scratch))
 	return dist, st
 }
 
@@ -27,7 +27,7 @@ func kernels() []kernel {
 		{"branch-based", TopDownBranchBased},
 		{"branch-avoiding", topDownBA},
 		{"direction-optimizing", func(g *graph.Graph, r uint32) ([]uint32, perfcount.Stats) {
-			dist, st, _ := DirectionOptimizing(context.Background(), g, r, 0, 0)
+			dist, st, _ := DirectionOptimizing(context.Background(), g, r, 0, 0, nil, new(Scratch))
 			return dist, st
 		}},
 	}
@@ -207,7 +207,7 @@ func TestDirectionOptimizingUsesBottomUp(t *testing.T) {
 	// aggressive thresholds the kernel must switch to bottom-up and still
 	// be correct. (alpha=1, beta=n forces the check to pass on volume.)
 	g := gen.Complete(60)
-	dist, _, _ := DirectionOptimizing(context.Background(), g, 0, 1, 1<<30)
+	dist, _, _ := DirectionOptimizing(context.Background(), g, 0, 1, 1<<30, nil, new(Scratch))
 	want := referenceDistances(g, 0)
 	for v := range want {
 		if dist[v] != want[v] {

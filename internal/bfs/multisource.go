@@ -34,6 +34,7 @@ import (
 	"math/bits"
 	"time"
 
+	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
 	"bagraph/internal/perfcount"
@@ -42,16 +43,6 @@ import (
 // msWave is the number of sources one shared sweep carries: the width
 // of the per-vertex search mask.
 const msWave = 64
-
-// MultiSourceOptions configures MultiSource.
-type MultiSourceOptions struct {
-	// Dists, when holding len(roots) slices each of length |V|,
-	// receives the per-source distances and suppresses the result
-	// allocations; prior contents are overwritten. The returned slices
-	// alias it. Long-lived callers (the serving layer) reuse these
-	// across batches.
-	Dists [][]uint32
-}
 
 // msWorker accumulates one worker's contribution to a level sweep.
 type msWorker struct {
@@ -65,21 +56,19 @@ type msWorker struct {
 // sweeps and returns one distance array per root, each identical to
 // what the sequential kernels produce for that root. Roots must be in
 // range (the facade and the daemon validate); duplicate roots are
-// allowed and produce identical arrays. Both schedules produce
+// allowed and produce identical arrays. The distances are written into
+// dists — its slices and the slice of slices reused by capacity
+// (core.Fit), the returned ones aliasing them — and the masks and
+// active words into s's word sets. Both schedules produce
 // byte-identical distances. A cancelled x.Ctx is observed before the
 // next shared level sweep and returned as the error, alongside the
 // distances computed so far.
-func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, opt MultiSourceOptions) ([][]uint32, perfcount.Stats, error) {
+func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, dists [][]uint32, s *Scratch) ([][]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
 	k := len(roots)
-	dists := opt.Dists
-	if len(dists) != k {
-		dists = make([][]uint32, k)
-	}
+	dists = core.Fit(dists, k)
 	for i := range dists {
-		if len(dists[i]) != n {
-			dists[i] = make([]uint32, n)
-		}
+		dists[i] = core.Fit(dists[i], n)
 		for v := range dists[i] {
 			dists[i][v] = Inf
 		}
@@ -96,14 +85,12 @@ func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, opt MultiSourceOpti
 	vchunks := par.Partition(offs, par.ChunkCount(nw, x.Schedule), 64)
 	acc := make([]msWorker, nw)
 
-	seen := make([]uint64, n)
-	frontier := make([]uint64, n)
-	next := make([]uint64, n)
 	// active holds, bit v of word v/64, the vertices some search in the
 	// wave has not yet reached (seen[v] != waveFull). It only shrinks
 	// within a wave and is refilled for the next one.
 	nwords := (n + 63) / 64
-	active := make([]uint64, nwords)
+	s.words = core.Fit(s.words, 3*n+nwords)
+	seen, frontier, next, active := s.words[:n], s.words[n:2*n], s.words[2*n:3*n], s.words[3*n:]
 
 	for lo := 0; lo < k; lo += msWave {
 		hi := lo + msWave
@@ -116,12 +103,8 @@ func MultiSource(x par.Exec, g *graph.Graph, roots []uint32, opt MultiSourceOpti
 			waveFull = 1<<uint(width) - 1
 		}
 		st.Waves++
-		if st.Waves > 1 {
-			for i := range seen {
-				seen[i] = 0
-				frontier[i] = 0
-			}
-		}
+		clear(seen)
+		clear(frontier)
 		for i := range active {
 			active[i] = ^uint64(0)
 		}

@@ -28,7 +28,7 @@ func msRoots(g *graph.Graph, k int) []uint32 {
 func TestMultiSourceMatchesSequential(t *testing.T) {
 	testutil.ForEachGraph(t, nil, func(t *testing.T, g *graph.Graph) {
 		if g.NumVertices() == 0 {
-			dists, st, _ := MultiSource(testutil.Exec(t, 2, par.Static), g, []uint32{}, MultiSourceOptions{})
+			dists, st, _ := MultiSource(testutil.Exec(t, 2, par.Static), g, []uint32{}, nil, new(Scratch))
 			if len(dists) != 0 || st.Reached != 0 {
 				t.Fatalf("empty graph: %d dists, reached %d", len(dists), st.Reached)
 			}
@@ -40,7 +40,7 @@ func TestMultiSourceMatchesSequential(t *testing.T) {
 		}
 		roots := msRoots(g, k)
 		for _, workers := range testutil.WorkerCounts {
-			dists, st, _ := MultiSource(testutil.Exec(t, workers, par.Static), g, roots, MultiSourceOptions{})
+			dists, st, _ := MultiSource(testutil.Exec(t, workers, par.Static), g, roots, nil, new(Scratch))
 			if len(dists) != k {
 				t.Fatalf("w%d: %d distance arrays for %d roots", workers, len(dists), k)
 			}
@@ -69,7 +69,7 @@ func TestMultiSourceMatchesSequential(t *testing.T) {
 func TestMultiSourceWaves(t *testing.T) {
 	g := gen.RMAT(10, 8, gen.DefaultRMAT, 5)
 	roots := msRoots(g, 70)
-	dists, st, _ := MultiSource(testutil.Exec(t, 4, par.Static), g, roots, MultiSourceOptions{})
+	dists, st, _ := MultiSource(testutil.Exec(t, 4, par.Static), g, roots, nil, new(Scratch))
 	if st.Waves != 2 {
 		t.Fatalf("waves = %d, want 2", st.Waves)
 	}
@@ -91,7 +91,8 @@ func TestMultiSourceDuplicatesAndReuse(t *testing.T) {
 		bufs[i] = make([]uint32, n)
 	}
 	x := testutil.Exec(t, 2, par.Static)
-	dists, _, _ := MultiSource(x, g, roots, MultiSourceOptions{Dists: bufs})
+	s := new(Scratch)
+	dists, _, _ := MultiSource(x, g, roots, bufs, s)
 	for i := range dists {
 		if &dists[i][0] != &bufs[i][0] {
 			t.Fatalf("result %d does not alias the caller buffer", i)
@@ -101,7 +102,7 @@ func TestMultiSourceDuplicatesAndReuse(t *testing.T) {
 	}
 	// Reuse the buffers for a second batch: prior contents must not leak.
 	roots2 := []uint32{1, 2, 3, 4}
-	dists2, _, _ := MultiSource(x, g, roots2, MultiSourceOptions{Dists: bufs})
+	dists2, _, _ := MultiSource(x, g, roots2, bufs, s)
 	for i := range dists2 {
 		want, _ := TopDownBranchBased(g, roots2[i])
 		testutil.MustEqualDists(t, fmt.Sprintf("reuse/req%d", i), dists2[i], want)
@@ -113,7 +114,7 @@ func TestMultiSourceSharedPool(t *testing.T) {
 	x := testutil.Exec(t, 4, par.Static)
 	g := gen.Grid3D(10, 10, 10, 1)
 	for run := 0; run < 3; run++ {
-		dists, _, _ := MultiSource(x, g, []uint32{0, 500}, MultiSourceOptions{})
+		dists, _, _ := MultiSource(x, g, []uint32{0, 500}, nil, new(Scratch))
 		for i, r := range []uint32{0, 500} {
 			want, _ := TopDownBranchBased(g, r)
 			testutil.MustEqualDists(t, fmt.Sprintf("run%d/root%d", run, r), dists[i], want)
@@ -127,7 +128,7 @@ func TestMultiSourceSharedPool(t *testing.T) {
 func TestMultiSourceSharedSweepEconomy(t *testing.T) {
 	g := gen.Path(200)
 	roots := msRoots(g, 8)
-	_, st, _ := MultiSource(testutil.Exec(t, 2, par.Static), g, roots, MultiSourceOptions{})
+	_, st, _ := MultiSource(testutil.Exec(t, 2, par.Static), g, roots, nil, new(Scratch))
 	sum := 0
 	for _, r := range roots {
 		_, sst := TopDownBranchBased(g, r)
@@ -190,7 +191,7 @@ func TestMultiSourceCountersScheduleFree(t *testing.T) {
 	for _, sched := range []par.Schedule{par.Static, par.Stealing} {
 		for _, workers := range []int{1, 2, 3, 4} {
 			name := fmt.Sprintf("%v/w%d", sched, workers)
-			dists, st, err := MultiSource(testutil.Exec(t, workers, sched), g, roots, MultiSourceOptions{})
+			dists, st, err := MultiSource(testutil.Exec(t, workers, sched), g, roots, nil, new(Scratch))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -63,29 +63,19 @@ import (
 	"bagraph/internal/perfcount"
 )
 
-// ParallelOptions configures ParallelDO.
-type ParallelOptions struct {
-	// Dist, when of length |V|, receives the distances and suppresses the
-	// per-call result allocation; its prior contents are overwritten. The
-	// returned slice aliases it. Long-lived callers (the serving layer)
-	// reuse this across queries.
-	Dist []uint32
-	// Scratch, when non-nil, holds the query's level queues, word sets
-	// and cost arrays and keeps them for the next query; nil allocates
-	// fresh ones.
-	Scratch *Scratch
-}
-
-// Scratch is ParallelDO's per-query state besides the distances: the
-// per-worker level accumulators with their queues, the level queue, the
-// three word sets and the cost/prefix arrays. Buffers are reused by
-// capacity, so one Scratch serves graphs of any size and, once it has
-// served the largest, allocates nothing more. The zero value is ready;
-// a Scratch must not be shared by concurrent queries.
+// Scratch is a BFS query's state besides the distances: the per-worker
+// level accumulators with their queues, the level queue (also the
+// sequential kernels' queue and frontiers), the word sets (ParallelDO's
+// frontier, next and unvisited; MultiSource's masks and active words)
+// and the cost/prefix arrays. Buffers are reused by capacity
+// (core.Fit), so one Scratch serves every BFS form on graphs of any
+// size and, once it has served the largest, allocates nothing more.
+// The zero value is ready; a Scratch must not be shared by concurrent
+// queries.
 type Scratch struct {
 	acc   []perWorkerLevel
 	queue []uint32
-	words []uint64 // frontier, next and unvisited, nwords each
+	words []uint64 // ParallelDO's frontier, next and unvisited, or MultiSource's masks
 	costs []int64  // work (nwords) and prefix (nwords+1)
 }
 
@@ -117,13 +107,8 @@ func (s *Scratch) accumulators(nw int) []perWorkerLevel {
 // written whole by every sweep. prefix[0] is the one entry nothing
 // rewrites, so it is zeroed here.
 func (s *Scratch) wordSets(nwords int) (frontier, next, unvisited []uint64, work, prefix []int64) {
-	if cap(s.words) < 3*nwords {
-		s.words = make([]uint64, 3*nwords)
-	}
-	if cap(s.costs) < 2*nwords+1 {
-		s.costs = make([]int64, 2*nwords+1)
-	}
-	words, costs := s.words[:3*nwords], s.costs[:2*nwords+1]
+	s.words, s.costs = core.Fit(s.words, 3*nwords), core.Fit(s.costs, 2*nwords+1)
+	words, costs := s.words, s.costs
 	work, prefix = costs[:nwords], costs[nwords:]
 	prefix[0] = 0
 	return words[:nwords], words[nwords : 2*nwords], words[2*nwords:], work, prefix
@@ -149,22 +134,20 @@ type perWorkerLevel struct {
 
 // ParallelDO runs direction-optimizing BFS from root across workers and
 // returns the distance array, identical to the sequential kernels'.
-// Both schedules produce byte-identical distances. A cancelled x.Ctx is
+// dist and s are used as in TopDown. Both schedules produce
+// byte-identical distances. A cancelled x.Ctx is
 // observed before the next level and returned as the error, alongside
 // the distances of the levels completed so far (deeper vertices still
 // Inf).
-func ParallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
-	return parallelDO(x, g, root, opt, defaultAlpha, defaultBeta)
+func ParallelDO(x par.Exec, g *graph.Graph, root uint32, dist []uint32, s *Scratch) ([]uint32, perfcount.Stats, error) {
+	return parallelDO(x, g, root, dist, s, defaultAlpha, defaultBeta)
 }
 
 // parallelDO is ParallelDO with the direction-switch thresholds as
 // parameters, so tests can force a direction.
-func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, alpha, beta int) ([]uint32, perfcount.Stats, error) {
+func parallelDO(x par.Exec, g *graph.Graph, root uint32, dist []uint32, s *Scratch, alpha, beta int) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
-	dist := opt.Dist
-	if dist == nil || len(dist) != n {
-		dist = make([]uint32, n)
-	}
+	dist = core.Fit(dist, n)
 	for i := range dist {
 		dist[i] = Inf
 	}
@@ -179,11 +162,6 @@ func parallelDO(x par.Exec, g *graph.Graph, root uint32, opt ParallelOptions, al
 	chunkTarget := par.ChunkCount(nw, x.Schedule)
 	goBottomUp := func(volume int64, size int) bool {
 		return volume > arcs/int64(alpha) && size > n/beta
-	}
-
-	s := opt.Scratch
-	if s == nil {
-		s = new(Scratch)
 	}
 
 	// The bottom-up word sets, taken from the scratch by the first

@@ -27,7 +27,7 @@ func TestParallelDOMatchesSequential(t *testing.T) {
 			// alpha/beta forcing bottom-up almost immediately.
 			for _, ab := range [][2]int{{defaultAlpha, defaultBeta}, {1 << 20, 1 << 20}} {
 				name := fmt.Sprintf("w%d/a%d", workers, ab[0])
-				dist, st, _ := parallelDO(x, g, 0, ParallelOptions{}, ab[0], ab[1])
+				dist, st, _ := parallelDO(x, g, 0, nil, new(Scratch), ab[0], ab[1])
 				testutil.MustEqualDists(t, name, dist, ref)
 				if err := Verify(g, 0, dist); err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -51,7 +51,7 @@ func TestParallelDONonZeroRoot(t *testing.T) {
 	x := testutil.Exec(t, 4, par.Static)
 	for _, root := range []uint32{1, 17, uint32(g.NumVertices() - 1)} {
 		ref, _ := TopDownBranchBased(g, root)
-		dist, _, _ := ParallelDO(x, g, root, ParallelOptions{})
+		dist, _, _ := ParallelDO(x, g, root, nil, new(Scratch))
 		for v := range dist {
 			if dist[v] != ref[v] {
 				t.Fatalf("root %d: dist[%d] = %d, want %d", root, v, dist[v], ref[v])
@@ -65,7 +65,7 @@ func TestParallelDOSharedPool(t *testing.T) {
 	g := gen.Grid3D(10, 10, 10, 1)
 	ref, _ := TopDownBranchBased(g, 0)
 	for run := 0; run < 3; run++ {
-		dist, _, _ := ParallelDO(x, g, 0, ParallelOptions{})
+		dist, _, _ := ParallelDO(x, g, 0, nil, new(Scratch))
 		for v := range dist {
 			if dist[v] != ref[v] {
 				t.Fatalf("run %d: dist[%d] = %d, want %d", run, v, dist[v], ref[v])
@@ -76,7 +76,7 @@ func TestParallelDOSharedPool(t *testing.T) {
 
 func TestParallelDOEmptyGraph(t *testing.T) {
 	g := graph.MustBuild(0, nil, graph.Options{})
-	dist, st, _ := ParallelDO(testutil.Exec(t, 2, par.Static), g, 0, ParallelOptions{})
+	dist, st, _ := ParallelDO(testutil.Exec(t, 2, par.Static), g, 0, nil, new(Scratch))
 	if len(dist) != 0 || st.Reached != 0 {
 		t.Fatalf("empty graph: dist=%v reached=%d", dist, st.Reached)
 	}
@@ -95,14 +95,14 @@ func TestParallelDOWarmQueryAllocatesLittle(t *testing.T) {
 	want, _ := TopDownBranchBased(g, root)
 	for _, workers := range []int{1, 3} {
 		x := testutil.Exec(t, workers, par.Static)
-		opt := ParallelOptions{Dist: make([]uint32, n), Scratch: new(Scratch)}
-		ParallelDO(x, g, root, opt) // warm the scratch
+		buf, s := make([]uint32, n), new(Scratch)
+		ParallelDO(x, g, root, buf, s) // warm the scratch
 		for run := 0; run < 4; run++ {
 			runtime.GC()
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			dist, st, _ := ParallelDO(x, g, root, opt)
+			dist, st, _ := ParallelDO(x, g, root, buf, s)
 			runtime.ReadMemStats(&after)
 			testutil.MustEqualDists(t, fmt.Sprintf("w%d/run%d", workers, run), dist, want)
 			if st.BottomUpLevels < 2 {
@@ -179,7 +179,7 @@ func TestParallelDOCountersScheduleFree(t *testing.T) {
 		for _, sched := range []par.Schedule{par.Static, par.Stealing} {
 			for _, workers := range []int{1, 2, 3, 4} {
 				name := fmt.Sprintf("a%d/%v/w%d", alpha, sched, workers)
-				dist, st, err := parallelDO(testutil.Exec(t, workers, sched), g, root, ParallelOptions{}, alpha, beta)
+				dist, st, err := parallelDO(testutil.Exec(t, workers, sched), g, root, nil, new(Scratch), alpha, beta)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

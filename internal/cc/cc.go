@@ -30,26 +30,11 @@ import (
 	"bagraph/internal/perfcount"
 )
 
-// hybridChangeFraction is the Hybrid switch threshold: once the fraction
-// of vertices that changed label in a pass drops below it, the labels
-// have mostly stabilized, the comparison branch has become predictable,
-// and later passes run the branch-based loop. The paper's §6.2 observes
-// a single crossover point, which makes this one-way switch sound.
-const hybridChangeFraction = 0.02
-
-func initLabels(n int) []uint32 {
-	labels := make([]uint32, n)
-	for i := range labels {
-		labels[i] = uint32(i)
-	}
-	return labels
-}
-
 // SVBranchBased runs the branch-based Shiloach-Vishkin kernel
-// (Algorithm 2) to completion — the reference oracle the other kernels
-// are validated against.
+// (Algorithm 2) to completion in fresh memory — the reference oracle
+// the other kernels are validated against.
 func SVBranchBased(g *graph.Graph) ([]uint32, perfcount.Stats) {
-	labels, st, _ := SV(context.Background(), g, core.BranchBased)
+	labels, st, _ := SV(context.Background(), g, core.BranchBased, nil)
 	return labels, st
 }
 
@@ -59,20 +44,24 @@ func SVBranchBased(g *graph.Graph) ([]uint32, perfcount.Stats) {
 // an arithmetic conditional move, leaving the loop tests as the only
 // branches and writing every label exactly once per pass (LabelStores is
 // Passes × |V|); Hybrid starts branch-avoiding and switches once labels
-// stabilize.
+// stabilize (below core.HybridChangeFraction of |V| changing in a
+// pass).
+//
+// The labels are written into labels, reused by capacity (core.Fit);
+// the returned slice aliases its memory when it was large enough.
 //
 // The context is observed between passes (never inside the inner loop,
 // which stays exactly the paper's operation mix), and a cancelled run
 // returns the labels computed so far alongside ctx's error.
-func SV(ctx context.Context, g *graph.Graph, variant core.Variant) ([]uint32, perfcount.Stats, error) {
-	return sv(ctx, g, variant, hybridChangeFraction)
+func SV(ctx context.Context, g *graph.Graph, variant core.Variant, labels []uint32) ([]uint32, perfcount.Stats, error) {
+	return sv(ctx, g, variant, core.HybridChangeFraction, labels)
 }
 
 // sv is SV with the Hybrid switch threshold as a parameter, so tests can
 // force the crossover.
-func sv(ctx context.Context, g *graph.Graph, variant core.Variant, threshold float64) ([]uint32, perfcount.Stats, error) {
+func sv(ctx context.Context, g *graph.Graph, variant core.Variant, threshold float64, labels []uint32) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
-	labels := initLabels(n)
+	labels = identity(core.Fit(labels, n))
 	var st perfcount.Stats
 	adj := g.Adjacency()
 	offs := g.Offsets()
@@ -134,14 +123,24 @@ func sv(ctx context.Context, g *graph.Graph, variant core.Variant, threshold flo
 }
 
 // UnionFind computes components with a weighted quick-union with path
-// halving — an independent baseline for cross-validating the SV kernels.
-// Labels are canonicalized to the minimum vertex id per component.
+// halving in fresh memory — an independent baseline for
+// cross-validating the SV kernels. Labels are canonicalized to the
+// minimum vertex id per component.
 func UnionFind(g *graph.Graph) []uint32 {
+	return UnionFindInto(g, nil, nil)
+}
+
+// UnionFindInto is UnionFind writing the labeling into labels and the
+// union-find forest into parent, both reused by capacity (core.Fit);
+// the returned slice aliases labels' memory when it was large enough.
+// Until the canonicalizing sweep, labels holds the roots' ranks.
+func UnionFindInto(g *graph.Graph, labels, parent []uint32) []uint32 {
 	n := g.NumVertices()
-	parent := make([]uint32, n)
-	rank := make([]uint8, n)
+	labels, parent = core.Fit(labels, n), core.Fit(parent, n)
+	rank := labels
 	for i := range parent {
 		parent[i] = uint32(i)
+		rank[i] = 0
 	}
 	find := func(x uint32) uint32 {
 		for parent[x] != x {
@@ -165,20 +164,19 @@ func UnionFind(g *graph.Graph) []uint32 {
 			}
 		}
 	}
-	// Canonicalize to min id per component.
-	minID := make([]uint32, n)
-	for i := range minID {
-		minID[i] = ^uint32(0)
+	// Canonicalize to min id per component: an ascending sweep meets a
+	// component's minimum first and parks it in the root's slot, which
+	// no other vertex's label occupies.
+	const unset = ^uint32(0)
+	for i := range labels {
+		labels[i] = unset
 	}
 	for v := 0; v < n; v++ {
 		r := find(uint32(v))
-		if uint32(v) < minID[r] {
-			minID[r] = uint32(v)
+		if labels[r] == unset {
+			labels[r] = uint32(v)
 		}
-	}
-	labels := make([]uint32, n)
-	for v := 0; v < n; v++ {
-		labels[v] = minID[find(uint32(v))]
+		labels[v] = labels[r]
 	}
 	return labels
 }

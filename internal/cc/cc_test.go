@@ -15,14 +15,14 @@ import (
 
 // run is SV to completion.
 func run(g *graph.Graph, variant core.Variant) ([]uint32, perfcount.Stats) {
-	labels, st, _ := SV(context.Background(), g, variant)
+	labels, st, _ := SV(context.Background(), g, variant, nil)
 	return labels, st
 }
 
 // hybridAt is the Hybrid kernel with its switch threshold overridden:
 // math.Inf(1) forces the crossover at the first pass barrier.
 func hybridAt(g *graph.Graph, threshold float64) ([]uint32, perfcount.Stats) {
-	labels, st, _ := sv(context.Background(), g, core.Hybrid, threshold)
+	labels, st, _ := sv(context.Background(), g, core.Hybrid, threshold, nil)
 	return labels, st
 }
 
@@ -222,7 +222,7 @@ func TestHybridForcedAtZeroIsBranchBased(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, bb := SVBranchBased(g)
-	_, bbFirst, err := SV(testutil.CancelAfter(1), g, core.BranchBased)
+	_, bbFirst, err := SV(testutil.CancelAfter(1), g, core.BranchBased, nil)
 	if err == nil || bbFirst.Passes != 1 {
 		t.Fatalf("first-pass probe: passes=%d err=%v", bbFirst.Passes, err)
 	}

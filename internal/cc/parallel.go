@@ -73,64 +73,44 @@ import (
 	"bagraph/internal/perfcount"
 )
 
-// ParallelOptions configures SVParallel.
-type ParallelOptions struct {
-	// Variant selects the propagation loop (default core.BranchBased).
-	Variant core.Variant
-	// Labels and Scratch, when of length |V| and distinct, provide the
-	// label double-buffer (Scratch also receives the seed's BFS
-	// distances) and suppress the per-call allocations. The returned
-	// labeling aliases one of them; their prior contents are
-	// overwritten. Long-lived callers (the serving layer) reuse these
-	// across queries.
-	Labels, Scratch []uint32
-	// Seed, when non-nil, is the seed BFS's scratch (see
-	// bfs.ParallelOptions.Scratch); nil allocates a fresh one.
-	Seed *bfs.Scratch
-}
-
 // SVParallel returns the canonical min-id component labeling, identical
 // to the sequential kernels': a direction-optimizing BFS from a
 // maximum-degree vertex labels that vertex's component, and data-parallel
 // Shiloach-Vishkin label propagation, with the variant's inner loop and
 // the seeded rows masked to length zero, labels the remaining ones (see
 // the file comment for the design and what each Stats field counts).
+// labels and scratch are the label double-buffer, reused by capacity
+// (core.Fit) and distinct; scratch also receives the seed's BFS
+// distances, seed is that BFS's scratch, and the returned labeling
+// aliases one of the two.
 // Vertex ranges are degree-balanced across workers and each pass ends at
 // a barrier; both schedules produce byte-identical labelings. A cancelled
 // x.Ctx is observed before the next pass and returned as the error: a run
 // cancelled during the seed returns the identity labeling, one cancelled
 // during propagation the labels of the last completed pass — in either
 // case every label is an upper bound of the canonical one.
-func SVParallel(x par.Exec, g *graph.Graph, opt ParallelOptions) ([]uint32, perfcount.Stats, error) {
+func SVParallel(x par.Exec, g *graph.Graph, variant core.Variant, labels, scratch []uint32, seed *bfs.Scratch) ([]uint32, perfcount.Stats, error) {
 	n := g.NumVertices()
+	labels, scratch = core.Fit(labels, n), core.Fit(scratch, n)
 	if n == 0 {
-		return []uint32{}, perfcount.Stats{}, nil
+		return labels, perfcount.Stats{}, nil
 	}
 	nw := x.Pool.Workers()
 	offs := g.Offsets()
 
-	labels := opt.Labels
-	if len(labels) != n {
-		labels = make([]uint32, n)
-	}
-	scratch := opt.Scratch
-	if len(scratch) != n || &scratch[0] == &labels[0] {
-		scratch = make([]uint32, n)
-	}
-
-	dist, seed, err := bfs.ParallelDO(x, g, maxDegreeVertex(offs), bfs.ParallelOptions{Dist: scratch, Scratch: opt.Seed})
+	dist, sd, err := bfs.ParallelDO(x, g, maxDegreeVertex(offs), scratch, seed)
 	st := perfcount.Stats{
-		Passes:         seed.Passes,
-		PassDurations:  seed.PassDurations,
-		PassChanges:    slices.Clone(seed.LevelSizes),
-		LevelSizes:     seed.LevelSizes,
-		TopDownLevels:  seed.TopDownLevels,
-		BottomUpLevels: seed.BottomUpLevels,
-		Reached:        seed.Reached,
-		WordsScanned:   seed.WordsScanned,
-		Chunks:         seed.Chunks,
-		Steals:         seed.Steals,
-		StealPasses:    seed.StealPasses,
+		Passes:         sd.Passes,
+		PassDurations:  sd.PassDurations,
+		PassChanges:    slices.Clone(sd.LevelSizes),
+		LevelSizes:     sd.LevelSizes,
+		TopDownLevels:  sd.TopDownLevels,
+		BottomUpLevels: sd.BottomUpLevels,
+		Reached:        sd.Reached,
+		WordsScanned:   sd.WordsScanned,
+		Chunks:         sd.Chunks,
+		Steals:         sd.Steals,
+		StealPasses:    sd.StealPasses,
 	}
 	if err != nil {
 		return identity(labels), st, err
@@ -177,7 +157,7 @@ func SVParallel(x par.Exec, g *graph.Graph, opt ParallelOptions) ([]uint32, perf
 	// per chunk, never read.
 	sink := make([]uint32, nw)
 
-	avoiding := opt.Variant == core.BranchAvoiding || opt.Variant == core.Hybrid
+	avoiding := variant == core.BranchAvoiding || variant == core.Hybrid
 	// The Hybrid switch measures churn against the vertices propagation
 	// actually compares: the remainder.
 	remainder := float64(n - st.Reached)
@@ -257,7 +237,7 @@ func SVParallel(x par.Exec, g *graph.Graph, opt ParallelOptions) ([]uint32, perf
 		if changed == 0 {
 			break
 		}
-		if opt.Variant == core.Hybrid && avoiding && float64(changed) < hybridChangeFraction*remainder {
+		if variant == core.Hybrid && avoiding && float64(changed) < core.HybridChangeFraction*remainder {
 			avoiding = false
 		}
 	}

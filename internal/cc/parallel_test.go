@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bagraph/internal/bfs"
 	"bagraph/internal/core"
 	"bagraph/internal/gen"
 	"bagraph/internal/graph"
@@ -19,7 +20,7 @@ func TestSVParallelMatchesSequential(t *testing.T) {
 			x := testutil.Exec(t, workers, par.Static)
 			for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 				name := fmt.Sprintf("%s/w%d", variant, workers)
-				labels, st, _ := SVParallel(x, g, ParallelOptions{Variant: variant})
+				labels, st, _ := SVParallel(x, g, variant, nil, nil, new(bfs.Scratch))
 				testutil.MustEqualLabels(t, name, labels, ref)
 				if g.NumVertices() > 0 {
 					if err := Verify(g, labels); err != nil {
@@ -91,7 +92,7 @@ func TestSVParallelSeedEdgeCases(t *testing.T) {
 				x := testutil.Exec(t, workers, sched)
 				for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 					name := fmt.Sprintf("%s/%s/w%d/%s", c.name, variant, workers, sched)
-					labels, st, err := SVParallel(x, c.g, ParallelOptions{Variant: variant})
+					labels, st, err := SVParallel(x, c.g, variant, nil, nil, new(bfs.Scratch))
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -131,7 +132,7 @@ func TestSVParallelSharedPool(t *testing.T) {
 	ref, _ := SVBranchBased(g)
 	// Reuse one pool across runs; the kernel must not close it.
 	for run := 0; run < 3; run++ {
-		labels, _, _ := SVParallel(x, g, ParallelOptions{Variant: core.Hybrid})
+		labels, _, _ := SVParallel(x, g, core.Hybrid, nil, nil, new(bfs.Scratch))
 		for v := range labels {
 			if labels[v] != ref[v] {
 				t.Fatalf("run %d: vertex %d labeled %d, want %d", run, v, labels[v], ref[v])
@@ -154,7 +155,7 @@ func TestVariantString(t *testing.T) {
 
 func TestTalliesMatchParallelLabels(t *testing.T) {
 	g := gen.Disconnected(gen.GNM(400, 700, 9), 3)
-	labels, _, _ := SVParallel(testutil.Exec(t, 4, par.Static), g, ParallelOptions{Variant: core.BranchAvoiding})
+	labels, _, _ := SVParallel(testutil.Exec(t, 4, par.Static), g, core.BranchAvoiding, nil, nil, new(bfs.Scratch))
 	want := make(map[uint32]int)
 	for _, l := range labels {
 		want[l]++

@@ -23,6 +23,14 @@ const (
 	Hybrid
 )
 
+// HybridChangeFraction is the Hybrid switch threshold every family
+// shares: once a pass changes fewer than this fraction of the work it
+// compared (the labels propagation swept for CC, the arcs a pass
+// scanned for SSSP), the condition has become predictable and later
+// passes run the branch-based loop. The paper's §6.2 observes a single
+// crossover point, which makes the one-way switch sound.
+const HybridChangeFraction = 0.02
+
 // String implements fmt.Stringer.
 func (v Variant) String() string {
 	switch v {

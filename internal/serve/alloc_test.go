@@ -31,12 +31,11 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 
 // TestWarmQueriesAllocateLittle: once the batcher's workspace has
 // served a query of each kind, a BFS or SSSP query through the HTTP
-// handler allocates less than one distance array, with a garbage
-// collection before every query. The answer arrays and the kernels'
-// scratch live in a workspace the batcher keeps on a plain free list,
-// which a collection does not empty the way it empties a sync.Pool.
-// One collection between queries leaves the answer encoder's sync.Pool
-// buffer in the pool's victim cache, so it is reused too.
+// handler — engine or sequential kernel — allocates less than one
+// distance array, with a garbage collection before every query. The
+// answer arrays, the kernels' scratch and the encoded answer body live
+// in a workspace the batcher keeps on a plain free list, which a
+// collection does not empty the way it empties a sync.Pool.
 func TestWarmQueriesAllocateLittle(t *testing.T) {
 	g := testutil.RandomWeighted(20000, 80000, 40, 23)
 	n := g.NumVertices()
@@ -53,7 +52,9 @@ func TestWarmQueriesAllocateLittle(t *testing.T) {
 		distBytes  int // one distance array of the query's kind
 	}{
 		{"/query/bfs", "par-do", 4 * n},
+		{"/query/bfs", "bb", 4 * n},
 		{"/query/sssp", "par-hybrid", 8 * n},
+		{"/query/sssp", "dijkstra", 8 * n},
 	}
 	roots := []int{0, 7, 12345}
 	serveOne := func(path, algo string, root int) (uint64, *discardWriter) {
@@ -80,15 +81,8 @@ func TestWarmQueriesAllocateLittle(t *testing.T) {
 			if w.code != http.StatusOK || w.n == 0 {
 				t.Fatalf("%s root %d: status %d, %d body bytes", q.path, root, w.code, w.n)
 			}
-			limit := q.distBytes
-			if raceEnabled {
-				// The race detector makes a sync.Pool drop a quarter of
-				// what it is given, and the answer encoder keeps its
-				// buffers in one: allow one regrown answer body.
-				limit += 2 * w.n
-			}
-			if bytes >= uint64(limit) {
-				t.Errorf("%s root %d: a warm query allocated %d bytes, a distance array is %d", q.path, root, bytes, q.distBytes)
+			if bytes >= uint64(q.distBytes) {
+				t.Errorf("%s %s root %d: a warm query allocated %d bytes, a distance array is %d", q.path, q.algo, root, bytes, q.distBytes)
 			}
 		}
 	}

@@ -26,7 +26,8 @@ package serve
 // "ms" batches) runs in a bagraph.Workspace checked out from the
 // batcher's free list, so a warm daemon allocates neither the |V|-sized
 // answer arrays nor the kernels' scratch per query. The answer aliases
-// the workspace, so it goes back only after the HTTP handler has
+// the workspace, and the HTTP handler encodes it into a buffer the
+// workspace also holds, so it goes back only after the handler has
 // written the answer (or at once, on a kernel error). The free list is
 // a plain slice, not a sync.Pool, because a garbage collection empties
 // a pool and the workspaces are worth keeping; it holds at most
@@ -99,11 +100,26 @@ type Result struct {
 }
 
 // workspace is a bagraph.Workspace the batcher lends to one BFS or
-// SSSP request.
+// SSSP request, with the buffer the answer is encoded into.
 type workspace struct {
 	bagraph.Workspace
+	body  []byte
 	b     *Batcher
 	bytes int64 // Bytes() when it last came back to the batcher
+}
+
+// Bytes returns the capacity the workspace holds: the kernel
+// workspace's and the answer buffer's.
+func (w *workspace) Bytes() int64 { return w.Workspace.Bytes() + int64(cap(w.body)) }
+
+// answerBuf returns the buffer an answer aliasing w is encoded into:
+// the workspace's own, or a fresh one when the answer owns its memory
+// (a nil w).
+func (w *workspace) answerBuf() *[]byte {
+	if w == nil {
+		return new([]byte)
+	}
+	return &w.body
 }
 
 // release returns the workspace to its batcher. A nil workspace (an

@@ -105,7 +105,7 @@ func TestBatcherImmediateWindow(t *testing.T) {
 	if res.Err != nil || res.Batch != 1 {
 		t.Fatalf("immediate dispatch: batch %d err %v", res.Batch, res.Err)
 	}
-	want, _, _ := bfs.ParallelDO(testutil.Exec(t, 1, par.Static), e.Graph(), 3, bfs.ParallelOptions{})
+	want, _, _ := bfs.ParallelDO(testutil.Exec(t, 1, par.Static), e.Graph(), 3, nil, new(bfs.Scratch))
 	for v := range want {
 		if res.Hops[v] != want[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, res.Hops[v], want[v])

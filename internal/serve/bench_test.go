@@ -89,7 +89,7 @@ func BenchmarkServeBatch(b *testing.B) {
 					wg.Add(1)
 					go func(root uint32) {
 						defer wg.Done()
-						dist, _, _ := bfs.TopDown(context.Background(), g, root, core.BranchAvoiding)
+						dist, _, _ := bfs.TopDown(context.Background(), g, root, core.BranchAvoiding, nil, new(bfs.Scratch))
 						if len(dist) == 0 {
 							b.Error("bad result")
 						}

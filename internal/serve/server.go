@@ -42,7 +42,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,7 +49,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"bagraph"
@@ -274,30 +272,12 @@ type answer interface {
 	appendJSON(dst []byte) ([]byte, error)
 }
 
-// answerBufs holds the buffers query answers are encoded into, so the
-// length is known before the status line goes out.
-var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// encodeAnswer returns the encoding of v in a slice of its own, sized
-// to fit: a body to keep.
-func encodeAnswer(v answer) ([]byte, error) {
-	buf := answerBufs.Get().(*[]byte)
-	defer answerBufs.Put(buf)
-	wire, err := v.appendJSON((*buf)[:0])
-	if err != nil {
-		return nil, err
-	}
-	*buf = wire
-	return bytes.Clone(wire), nil
-}
-
 // writeAnswer sends a 200 query answer with its Content-Length, in one
 // Write: wire — the body the response is served as — when there is
-// one, the encoding of v otherwise.
-func writeAnswer(w http.ResponseWriter, wire []byte, v answer) {
+// one, otherwise the encoding of v, made in *buf (reused by capacity)
+// so the length is known before the status line goes out.
+func writeAnswer(w http.ResponseWriter, wire []byte, v answer, buf *[]byte) {
 	if wire == nil {
-		buf := answerBufs.Get().(*[]byte)
-		defer answerBufs.Put(buf)
 		var err error
 		if *buf, err = v.appendJSON((*buf)[:0]); err != nil {
 			writeError(w, http.StatusInternalServerError, "encode answer: %v", err)
@@ -405,7 +385,9 @@ func (s *Server) handleCC(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeAnswer(w, resp.wire, resp)
+	// An answer that is not a cached body is encoded once per epoch and
+	// shape (see ccResult.hitBody), into a slice of its own.
+	writeAnswer(w, resp.wire, resp, new([]byte))
 }
 
 // traversalQuery is the /query/bfs and /query/sssp request body.
@@ -427,7 +409,7 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeAnswer(w, resp.wire, resp)
+	writeAnswer(w, resp.wire, resp, resp.ws.answerBuf())
 	resp.ws.release()
 }
 
@@ -443,6 +425,6 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeAnswer(w, resp.wire, resp)
+	writeAnswer(w, resp.wire, resp, resp.ws.answerBuf())
 	resp.ws.release()
 }

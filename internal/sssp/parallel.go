@@ -79,10 +79,9 @@ package sssp
 // exactly the order they were produced; every counter is deterministic
 // there. All per-query scratch (candidate buffers, owner state, the two
 // bitsets' words, frontier arrays) lives in a Scratch the caller keeps
-// and passes back (ParallelOptions.Scratch). Its buffers are reused by
-// capacity, not by shape, so one Scratch serves graphs of different
-// sizes, and a query with its distance array and a warm Scratch
-// supplied allocates little. The scratch is plain memory the caller
+// and passes back. Its buffers are reused by capacity, not by shape, so
+// one Scratch serves graphs of different sizes, and a query with its
+// distance array and a warm Scratch supplied allocates little. The scratch is plain memory the caller
 // owns, not a sync.Pool a garbage collection empties. The bitsets are
 // plain words with no atomics: only owner o's tasks touch the words of
 // o's range, and each task sweeps back to zero the words it set.
@@ -100,12 +99,6 @@ import (
 	"bagraph/internal/perfcount"
 )
 
-// hybridChangeFraction is the Hybrid switch threshold: once a pass's
-// improved-vertex count falls below this fraction of the arcs it
-// scanned, the relaxation branch has become predictable and later
-// passes run branch-based.
-const hybridChangeFraction = 0.02
-
 // ParallelOptions configures Parallel.
 type ParallelOptions struct {
 	// Variant selects the relaxation inner loop (default
@@ -118,15 +111,6 @@ type ParallelOptions struct {
 	// level (BFS-like) and keeps re-relaxation bounded on weighted
 	// inputs.
 	Delta uint64
-	// Dist, when of length |V|, receives the distances and suppresses
-	// the per-call result allocation; its prior contents are
-	// overwritten. The returned slice aliases it. Long-lived callers
-	// (the serving layer) reuse this across queries.
-	Dist []uint64
-	// Scratch, when non-nil, holds the query's owner and worker state,
-	// bucket windows and bitsets and keeps them for the next query; nil
-	// allocates fresh ones.
-	Scratch *Scratch
 }
 
 // candidate is one proposed relaxation: a target vertex and the
@@ -172,17 +156,19 @@ func deltaShift(delta uint64, g *graph.Weighted) uint {
 
 // Parallel computes shortest-path distances from src with the
 // delta-stepping engine kernel; the result is element-for-element
-// identical to Dijkstra's for every variant and both schedules. A
-// cancelled x.Ctx is observed before the next scatter pass and returned
-// as the error, alongside the tentative distances computed so far.
-func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions) ([]uint64, perfcount.Stats, error) {
+// identical to Dijkstra's for every variant and both schedules. The
+// distances are written into dist, reused by capacity (core.Fit), and
+// every other piece of the query's state into s. A cancelled x.Ctx is
+// observed before the next scatter pass and returned as the error,
+// alongside the tentative distances computed so far.
+func Parallel(x par.Exec, g *graph.Weighted, src uint32, opt ParallelOptions, dist []uint64, s *Scratch) ([]uint64, perfcount.Stats, error) {
 	n := g.NumVertices()
-	dist := initDist(opt.Dist, n, src)
+	dist = initDist(dist, n, src)
 	var st perfcount.Stats
 	if n == 0 || int(src) >= n {
 		return dist, st, nil
 	}
-	q := newQuery(x.Pool.Workers(), g, dist, opt)
+	q := newQuery(x.Pool.Workers(), g, dist, opt, s)
 	defer q.release()
 
 	src0 := &q.owners[q.s.ownerOf[src/64]]
@@ -251,7 +237,7 @@ func (q *query) pass(x par.Exec, st *perfcount.Stats, l *vertexList) error {
 	st.PassChanges = append(st.PassChanges, changed)
 	st.Passes++
 	if q.hybrid && q.avoiding && scanned > 0 &&
-		float64(changed) < hybridChangeFraction*float64(scanned) {
+		float64(changed) < core.HybridChangeFraction*float64(scanned) {
 		q.avoiding = false
 	}
 	return nil
@@ -441,18 +427,17 @@ type Scratch struct {
 	// frontier is the coordinator's concatenation of the owners'
 	// frontier shares when there are several owners.
 	frontier vertexList
+	// heap is DijkstraCtx's priority queue.
+	heap minHeap
 }
 
 // prepare sizes the scratch for a graph of nwords bitset words on a
 // pool of workers, keeping every buffer that is already large enough.
 func (s *Scratch) prepare(nwords, workers int) {
-	if cap(s.ownerOf) < nwords {
-		s.ownerOf = make([]int32, nwords)
-		s.inFrontier = make([]uint64, nwords)
-		s.changed = make([]uint64, nwords)
-	}
-	s.ownerOf = s.ownerOf[:nwords]
-	s.inFrontier, s.changed = s.inFrontier[:nwords], s.changed[:nwords]
+	// A reallocated word set is zero, and a resliced one is zero by the
+	// invariant above.
+	s.ownerOf = core.Fit(s.ownerOf, nwords)
+	s.inFrontier, s.changed = core.Fit(s.inFrontier, nwords), core.Fit(s.changed, nwords)
 	for len(s.workers) < workers {
 		s.workers = append(s.workers, worker{})
 	}
@@ -470,7 +455,7 @@ func (s *Scratch) prepare(nwords, workers int) {
 // Bytes returns the capacity of the scratch's buffers, in bytes.
 func (s *Scratch) Bytes() int64 {
 	const cand, far = int64(unsafe.Sizeof(candidate{})), int64(unsafe.Sizeof(farEntry{}))
-	b := 4*int64(cap(s.ownerOf)) + 8*int64(cap(s.inFrontier)+cap(s.changed)) + s.frontier.bytes()
+	b := 4*int64(cap(s.ownerOf)) + 8*int64(cap(s.inFrontier)+cap(s.changed)) + s.frontier.bytes() + s.heap.bytes()
 	for t := range s.workers {
 		w := &s.workers[t]
 		b += cand * int64(cap(w.buf))
@@ -511,12 +496,8 @@ type query struct {
 	settleTask, openTask func(int)
 }
 
-func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions) *query {
+func newQuery(workers int, g *graph.Weighted, dist []uint64, opt ParallelOptions, s *Scratch) *query {
 	offs := g.Offsets()
-	s := opt.Scratch
-	if s == nil {
-		s = new(Scratch)
-	}
 	s.prepare((len(dist)+63)/64, workers)
 	q := &query{
 		s:        s,

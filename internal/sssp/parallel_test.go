@@ -30,7 +30,7 @@ func TestParallelMatchesDijkstra(t *testing.T) {
 			x := testutil.Exec(t, workers, par.Static)
 			for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 				name := fmt.Sprintf("%s/w%d", variant, workers)
-				dist, st, _ := Parallel(x, g, 0, ParallelOptions{Variant: variant})
+				dist, st, _ := Parallel(x, g, 0, ParallelOptions{Variant: variant}, nil, new(Scratch))
 				testutil.MustEqualDists(t, name, dist, want)
 				if g.NumVertices() > 0 {
 					if err := Verify(g, 0, dist); err != nil {
@@ -54,30 +54,30 @@ func TestParallelDeltaSweep(t *testing.T) {
 	x := testutil.Exec(t, 4, par.Static)
 	for _, delta := range []uint64{1, 2, 16, 1 << 20} {
 		for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
-			dist, _, _ := Parallel(x, g, 3, ParallelOptions{Variant: variant, Delta: delta})
+			dist, _, _ := Parallel(x, g, 3, ParallelOptions{Variant: variant, Delta: delta}, nil, new(Scratch))
 			testutil.MustEqualDists(t, fmt.Sprintf("delta=%d/%s", delta, variant), dist, want)
 		}
 	}
 }
 
 // TestParallelNonZeroSourceAndBuffer covers non-zero sources and the
-// Dist reuse contract: a |V|-length buffer is aliased, anything else
-// allocates.
+// distance buffer's reuse by capacity: a buffer that holds |V| is
+// aliased, a shorter one replaced.
 func TestParallelNonZeroSourceAndBuffer(t *testing.T) {
 	g := testutil.RandomWeighted(200, 700, 30, 9)
 	n := g.NumVertices()
-	buf := make([]uint64, n)
+	buf := make([]uint64, n+5)
 	x := testutil.Exec(t, 3, par.Static)
 	for _, src := range []uint32{1, 17, uint32(n - 1)} {
 		want := Dijkstra(g, src)
-		dist, _, _ := Parallel(x, g, src, ParallelOptions{Dist: buf})
+		dist, _, _ := Parallel(x, g, src, ParallelOptions{}, buf, new(Scratch))
 		if &dist[0] != &buf[0] {
 			t.Fatal("result does not alias the caller buffer")
 		}
 		testutil.MustEqualDists(t, fmt.Sprintf("src=%d", src), dist, want)
 	}
 	small := make([]uint64, 3)
-	dist, _, _ := Parallel(x, g, 0, ParallelOptions{Dist: small})
+	dist, _, _ := Parallel(x, g, 0, ParallelOptions{}, small, new(Scratch))
 	if len(dist) != n {
 		t.Fatalf("wrong-size buffer: len=%d, want %d", len(dist), n)
 	}
@@ -90,7 +90,7 @@ func TestParallelSharedPool(t *testing.T) {
 	g := testutil.RandomWeighted(150, 500, 20, 11)
 	want := Dijkstra(g, 0)
 	for run := 0; run < 3; run++ {
-		dist, _, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.Hybrid})
+		dist, _, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.Hybrid}, nil, new(Scratch))
 		testutil.MustEqualDists(t, fmt.Sprintf("run%d", run), dist, want)
 	}
 }
@@ -101,8 +101,8 @@ func TestParallelSharedPool(t *testing.T) {
 func TestParallelStoreAsymmetry(t *testing.T) {
 	g := testutil.RandomWeighted(400, 1600, 9, 13)
 	x := testutil.Exec(t, 2, par.Static)
-	_, bb, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.BranchBased})
-	_, ba, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.BranchAvoiding})
+	_, bb, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.BranchBased}, nil, new(Scratch))
+	_, ba, _ := Parallel(x, g, 0, ParallelOptions{Variant: core.BranchAvoiding}, nil, new(Scratch))
 	if ba.CandStores <= bb.CandStores {
 		t.Fatalf("BA cand stores = %d, not above BB's %d", ba.CandStores, bb.CandStores)
 	}
@@ -118,7 +118,7 @@ func TestParallelStoreAsymmetry(t *testing.T) {
 // out-of-range source yields an all-Inf labeling rather than a panic.
 func TestParallelOutOfRangeSource(t *testing.T) {
 	g := graph.MustBuildWeighted(3, []graph.WeightedEdge{{U: 0, V: 1, W: 2}}, "tiny")
-	dist, st, _ := Parallel(testutil.Exec(t, 2, par.Static), g, 9, ParallelOptions{})
+	dist, st, _ := Parallel(testutil.Exec(t, 2, par.Static), g, 9, ParallelOptions{}, nil, new(Scratch))
 	for v, d := range dist {
 		if d != Inf {
 			t.Fatalf("dist[%d] = %d, want Inf", v, d)
@@ -167,7 +167,7 @@ func TestParallelFarBuckets(t *testing.T) {
 			name := fmt.Sprintf("%s/w%d", variant, workers)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			dist, _, err := Parallel(x, g, 0, ParallelOptions{Variant: variant, Delta: 1})
+			dist, _, err := Parallel(x, g, 0, ParallelOptions{Variant: variant, Delta: 1}, nil, new(Scratch))
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -192,14 +192,15 @@ func TestParallelWarmQueryAllocatesLittle(t *testing.T) {
 	want := Dijkstra(g, 5)
 	for _, workers := range []int{1, 3} {
 		x := testutil.Exec(t, workers, par.Static)
-		opt := ParallelOptions{Variant: core.Hybrid, Dist: make([]uint64, n), Scratch: new(Scratch)}
-		Parallel(x, g, 5, opt) // warm the scratch
+		opt := ParallelOptions{Variant: core.Hybrid}
+		buf, s := make([]uint64, n), new(Scratch)
+		Parallel(x, g, 5, opt, buf, s) // warm the scratch
 		for run := 0; run < 4; run++ {
 			runtime.GC()
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			dist, _, _ := Parallel(x, g, 5, opt)
+			dist, _, _ := Parallel(x, g, 5, opt, buf, s)
 			runtime.ReadMemStats(&after)
 			testutil.MustEqualDists(t, fmt.Sprintf("w%d/run%d", workers, run), dist, want)
 			if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= uint64(8*n) {
@@ -234,14 +235,15 @@ func TestParallelCancelledQueryLeavesCleanScratch(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		pool := par.NewPool(workers)
 		t.Cleanup(pool.Close)
+		s := new(Scratch)
 		for budget := 0; budget < 12; budget++ {
 			opt := ParallelOptions{Variant: core.Hybrid, Delta: 4}
 			cut := par.Exec{Ctx: &passBudget{Context: context.Background(), left: budget}, Pool: pool}
-			if _, _, err := Parallel(cut, g, 0, opt); !errors.Is(err, context.Canceled) {
+			if _, _, err := Parallel(cut, g, 0, opt, nil, s); !errors.Is(err, context.Canceled) {
 				t.Fatalf("w%d budget %d: err = %v, want context.Canceled", workers, budget, err)
 			}
 			x := par.Exec{Ctx: context.Background(), Pool: pool}
-			dist, _, err := Parallel(x, g, 0, opt)
+			dist, _, err := Parallel(x, g, 0, opt, nil, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +268,7 @@ func TestParallelFrontierInVertexOrder(t *testing.T) {
 		for _, variant := range []core.Variant{core.BranchBased, core.BranchAvoiding, core.Hybrid} {
 			name := fmt.Sprintf("%s/w%d", variant, workers)
 			dist := initDist(nil, n, 0)
-			q := newQuery(workers, g, dist, ParallelOptions{Variant: variant, Delta: 8})
+			q := newQuery(workers, g, dist, ParallelOptions{Variant: variant, Delta: 8}, new(Scratch))
 			if workers > 1 && len(q.owners) != workers {
 				t.Fatalf("%s: %d owners", name, len(q.owners))
 			}

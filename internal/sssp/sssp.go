@@ -11,8 +11,8 @@
 // applies — and, as in SV, it leaves the loop branches as the only
 // branches and makes the store count exactly |V| per pass.
 //
-// Dijkstra (binary heap) is included as the classical baseline and as an
-// independent oracle for cross-validation.
+// Dijkstra (indexed binary heap, heap.go) is included as the classical
+// baseline and as an independent oracle for cross-validation.
 package sssp
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"bagraph/internal/core"
 	"bagraph/internal/graph"
-	"bagraph/internal/heap"
 	"bagraph/internal/perfcount"
 )
 
@@ -30,13 +29,10 @@ import (
 // the 64-bit branchless comparisons.
 const Inf = uint64(1) << 62
 
-// initDist initializes the distance array for a run from src, reusing
-// buf when it has length n (its prior contents are overwritten).
+// initDist initializes the distance array for a run from src in buf,
+// reused by capacity (core.Fit).
 func initDist(buf []uint64, n int, src uint32) []uint64 {
-	dist := buf
-	if dist == nil || len(dist) != n {
-		dist = make([]uint64, n)
-	}
+	dist := core.Fit(buf, n)
 	for i := range dist {
 		dist[i] = Inf
 	}
@@ -56,8 +52,8 @@ func initDist(buf []uint64, n int, src uint32) []uint64 {
 // vertex per pass, and maintains the change flag with XOR/OR arithmetic
 // — the weighted twins of the paper's Algorithms 2 and 3.
 //
-// The result is written into dist when it has length |V| (the returned
-// slice aliases it); any other length allocates. The context is observed
+// The result is written into dist, reused by capacity (core.Fit); the
+// returned slice aliases its memory when it was large enough. The context is observed
 // between sweeps (never in the relaxation loop, which stays exactly the
 // paper's operation mix), and a cancelled run returns the tentative
 // distances computed so far alongside ctx's error.
@@ -122,9 +118,10 @@ func BellmanFord(ctx context.Context, g *graph.Weighted, src uint32, variant cor
 }
 
 // Dijkstra computes shortest-path distances with a binary-heap priority
-// queue — the oracle the Bellman-Ford kernels are validated against.
+// queue in fresh memory — the oracle the Bellman-Ford kernels are
+// validated against.
 func Dijkstra(g *graph.Weighted, src uint32) []uint64 {
-	dist, _ := DijkstraCtx(context.Background(), g, src, nil)
+	dist, _ := DijkstraCtx(context.Background(), g, src, nil, new(Scratch))
 	return dist
 }
 
@@ -134,42 +131,38 @@ func Dijkstra(g *graph.Weighted, src uint32) []uint64 {
 // rare enough to stay invisible in the settle loop's profile.
 const dijkstraCancelStride = 4096
 
-// DijkstraCtx is Dijkstra writing into dist when it has length |V| (the
-// returned slice aliases it; any other length allocates), with
-// cooperative cancellation observed every dijkstraCancelStride settled
-// vertices. An out-of-range source reaches nothing: every distance is
-// Inf, as in BellmanFord and Parallel.
-func DijkstraCtx(ctx context.Context, g *graph.Weighted, src uint32, dist []uint64) ([]uint64, error) {
+// DijkstraCtx is Dijkstra writing into dist, reused by capacity
+// (core.Fit), with its heap in s, and with cooperative cancellation
+// observed every dijkstraCancelStride settled vertices. An out-of-range
+// source reaches nothing: every distance is Inf, as in BellmanFord and
+// Parallel.
+//
+// A vertex enters the heap at most once (decrease-key), so every pop
+// settles a new vertex, and a settled vertex needs no flag: its
+// distance is at most the popped one, which no non-negative arc can
+// improve on, so the relaxation test skips it.
+func DijkstraCtx(ctx context.Context, g *graph.Weighted, src uint32, dist []uint64, s *Scratch) ([]uint64, error) {
 	n := g.NumVertices()
 	dist = initDist(dist, n, src)
 	if int(src) >= n {
 		return dist, ctx.Err()
 	}
-	h := heap.NewMin(n)
-	h.Push(src, 0)
-	settled := make([]bool, n)
-	settles := 0
-	for h.Len() > 0 {
+	h := &s.heap
+	h.reset(n)
+	h.pushOrDecrease(src, 0)
+	for settles := 0; len(h.ids) > 0; settles++ {
 		if settles%dijkstraCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return dist, err
 			}
 		}
-		settles++
-		v, dv := h.Pop()
-		if settled[v] {
-			continue
-		}
-		settled[v] = true
+		v, dv := h.pop()
 		adj, ws := g.NeighborWeights(v)
 		for i, u := range adj {
-			if settled[u] {
-				continue
-			}
 			cand := dv + uint64(ws[i])
 			if cand < dist[u] {
 				dist[u] = cand
-				h.PushOrDecrease(u, cand)
+				h.pushOrDecrease(u, cand)
 			}
 		}
 	}

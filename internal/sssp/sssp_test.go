@@ -48,7 +48,7 @@ func TestAgreementProperty(t *testing.T) {
 		want := Dijkstra(g, src)
 		bb, _ := bellmanFord(g, src, core.BranchBased)
 		ba, _ := bellmanFord(g, src, core.BranchAvoiding)
-		eng, _, _ := Parallel(x, g, src, ParallelOptions{Variant: core.Hybrid})
+		eng, _, _ := Parallel(x, g, src, ParallelOptions{Variant: core.Hybrid}, nil, new(Scratch))
 		for v := range want {
 			if bb[v] != want[v] || ba[v] != want[v] || eng[v] != want[v] {
 				return false
@@ -148,7 +148,7 @@ func TestOutOfRangeSourceIsAllInf(t *testing.T) {
 		run  func(src uint32) []uint64
 	}{
 		{"dijkstra", func(src uint32) []uint64 {
-			dist, _ := DijkstraCtx(context.Background(), g, src, nil)
+			dist, _ := DijkstraCtx(context.Background(), g, src, nil, new(Scratch))
 			return dist
 		}},
 		{"bellman-ford", func(src uint32) []uint64 {
@@ -156,7 +156,7 @@ func TestOutOfRangeSourceIsAllInf(t *testing.T) {
 			return dist
 		}},
 		{"parallel", func(src uint32) []uint64 {
-			dist, _, _ := Parallel(x, g, src, ParallelOptions{Variant: core.Hybrid})
+			dist, _, _ := Parallel(x, g, src, ParallelOptions{Variant: core.Hybrid}, nil, new(Scratch))
 			return dist
 		}},
 	}
@@ -193,7 +193,7 @@ func TestMaxWeightNoOverflow(t *testing.T) {
 	}
 	bb, _ := bellmanFord(g, 0, core.BranchBased)
 	ba, _ := bellmanFord(g, 0, core.BranchAvoiding)
-	eng, _, _ := Parallel(testutil.Exec(t, 3, par.Static), g, 0, ParallelOptions{})
+	eng, _, _ := Parallel(testutil.Exec(t, 3, par.Static), g, 0, ParallelOptions{}, nil, new(Scratch))
 	testutil.MustEqualDists(t, "branch-based", bb, want)
 	testutil.MustEqualDists(t, "branch-avoiding", ba, want)
 	testutil.MustEqualDists(t, "parallel", eng, want)

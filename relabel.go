@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 
+	"bagraph/internal/core"
 	"bagraph/internal/graph"
 	"bagraph/internal/par"
 	"bagraph/internal/relabel"
@@ -128,48 +129,35 @@ type relabelScratch struct {
 	relFor Target
 }
 
+// relabel returns the workspace's relabeling state, made on first use.
+func (ws *Workspace) relabel() *relabelScratch {
+	if ws.rl == nil {
+		ws.rl = new(relabelScratch)
+	}
+	return ws.rl
+}
+
 // relabeledFor returns the Relabeled view of g for a Request.Relabel
-// run, reusing the one cached in ws (if ws is non-nil and was last used
-// with the same target). Without a workspace every call pays the full
-// permute — documented on Request.Relabel.
+// run, reusing the one cached in ws if ws was last used with the same
+// target. A fresh workspace pays the full permute — documented on
+// Request.Relabel.
 func relabeledFor(g Target, ws *Workspace) (*Relabeled, error) {
-	if ws != nil {
-		if ws.rl != nil && ws.rl.relFor == g && ws.rl.rel != nil {
-			return ws.rl.rel, nil
-		}
-		rl, err := RelabelDegree(g)
-		if err != nil {
-			return nil, err
-		}
-		if ws.rl == nil {
-			ws.rl = &relabelScratch{}
-		}
-		ws.rl.rel, ws.rl.relFor = rl, g
-		return rl, nil
+	sc := ws.relabel()
+	if sc.relFor == g && sc.rel != nil {
+		return sc.rel, nil
 	}
-	return RelabelDegree(g)
+	rl, err := RelabelDegree(g)
+	if err != nil {
+		return nil, err
+	}
+	sc.rel, sc.relFor = rl, g
+	return rl, nil
 }
 
-// unpermute32 writes src (indexed by permuted id) into dst (indexed by
-// original id): dst[old] = src[perm[old]]. dst is reallocated only when
-// its capacity is short.
-func unpermute32(dst, src, perm []uint32) []uint32 {
-	if src == nil {
-		return nil
-	}
-	dst = fit(dst, len(src))
-	for v := range dst {
-		dst[v] = src[perm[v]]
-	}
-	return dst
-}
-
-// unpermute64 is unpermute32 for the weighted distances.
-func unpermute64(dst []uint64, src []uint64, perm []uint32) []uint64 {
-	if src == nil {
-		return nil
-	}
-	dst = fit(dst, len(src))
+// unpermute writes src (indexed by permuted id) into dst (indexed by
+// original id), dst[old] = src[perm[old]], with dst reused by capacity.
+func unpermute[T uint32 | uint64](dst, src []T, perm []uint32) []T {
+	dst = core.Fit(dst, len(src))
 	for v := range dst {
 		dst[v] = src[perm[v]]
 	}
@@ -184,11 +172,8 @@ func unpermute64(dst []uint64, src []uint64, perm []uint32) []uint64 {
 // to the first original id encountered in an ascending scan, which is
 // its minimum. canon is scratch of length |V|.
 func unpermuteLabels(dst, src, perm, inv, canon []uint32) []uint32 {
-	if src == nil {
-		return nil
-	}
 	n := len(src)
-	dst = fit(dst, n)
+	dst = core.Fit(dst, n)
 	const unset = ^uint32(0)
 	for i := range canon {
 		canon[i] = unset
@@ -210,20 +195,11 @@ func unpermuteLabels(dst, src, perm, inv, canon []uint32) []uint32 {
 // translated too, so the contract of Run's partial-output clause holds
 // unchanged.
 func runRelabeled(ctx context.Context, r *Relabeled, req Request, pool *par.Pool) (*Result, error) {
-	outWS := req.Workspace
-	var scratch *relabelScratch
-	if outWS != nil {
-		if outWS.rl == nil {
-			outWS.rl = &relabelScratch{}
-		}
-		scratch = outWS.rl
-	} else {
-		scratch = &relabelScratch{}
-	}
-
+	ws := req.Workspace
+	sc := ws.relabel()
 	inner := req
 	inner.Relabel = false // the target is already permuted
-	inner.Workspace = &scratch.inner
+	inner.Workspace = &sc.inner
 	n := len(r.perm)
 	switch req.Kind {
 	case KindBFS, KindSSSP:
@@ -233,14 +209,14 @@ func runRelabeled(ctx context.Context, r *Relabeled, req Request, pool *par.Pool
 			inner.Root = r.perm[req.Root]
 		}
 	case KindBFSBatch:
-		scratch.roots = scratch.roots[:0]
+		sc.roots = sc.roots[:0]
 		for _, rt := range req.Roots {
 			if int(rt) < n {
 				rt = r.perm[rt]
 			}
-			scratch.roots = append(scratch.roots, rt)
+			sc.roots = append(sc.roots, rt)
 		}
-		inner.Roots = scratch.roots
+		inner.Roots = sc.roots
 	}
 
 	var tgt Target = r.g
@@ -255,46 +231,21 @@ func runRelabeled(ctx context.Context, r *Relabeled, req Request, pool *par.Pool
 	out := &Result{Stats: res.Stats}
 	switch req.Kind {
 	case KindCC:
-		scratch.canon = fit(scratch.canon, n)
-		var dst []uint32
-		if outWS != nil {
-			dst = outWS.Labels
-		}
-		out.Labels = unpermuteLabels(dst, res.Labels, r.perm, r.inv, scratch.canon)
-		if outWS != nil && out.Labels != nil {
-			outWS.Labels = out.Labels
-		}
+		sc.canon = core.Fit(sc.canon, n)
+		ws.Labels = unpermuteLabels(ws.Labels, res.Labels, r.perm, r.inv, sc.canon)
+		out.Labels = ws.Labels
 	case KindBFS:
-		var dst []uint32
-		if outWS != nil {
-			dst = outWS.Hops
-		}
-		out.Hops = unpermute32(dst, res.Hops, r.perm)
-		if outWS != nil && out.Hops != nil {
-			outWS.Hops = out.Hops
-		}
+		ws.Hops = unpermute(ws.Hops, res.Hops, r.perm)
+		out.Hops = ws.Hops
 	case KindBFSBatch:
-		var dsts [][]uint32
-		if outWS != nil {
-			dsts = outWS.HopsBatch
-		}
-		dsts = fit(dsts, len(res.HopsBatch))
+		ws.HopsBatch = core.Fit(ws.HopsBatch, len(res.HopsBatch))
 		for i, src := range res.HopsBatch {
-			dsts[i] = unpermute32(dsts[i], src, r.perm)
+			ws.HopsBatch[i] = unpermute(ws.HopsBatch[i], src, r.perm)
 		}
-		out.HopsBatch = dsts
-		if outWS != nil {
-			outWS.HopsBatch = dsts
-		}
+		out.HopsBatch = ws.HopsBatch
 	case KindSSSP:
-		var dst []uint64
-		if outWS != nil {
-			dst = outWS.Dists
-		}
-		out.Dists = unpermute64(dst, res.Dists, r.perm)
-		if outWS != nil && out.Dists != nil {
-			outWS.Dists = out.Dists
-		}
+		ws.Dists = unpermute(ws.Dists, res.Dists, r.perm)
+		out.Dists = ws.Dists
 	}
 	return out, err
 }

@@ -150,43 +150,40 @@ type Request struct {
 	// layout, the results come back in the original vertex ids,
 	// byte-identical to an unrelabeled run. The permuted view is cached
 	// in the Workspace, so long-lived callers pay the permute once per
-	// graph; without a workspace every call rebuilds it. Ignored when
+	// graph; a Run without a workspace pays it every call. Ignored when
 	// the target is already a *Relabeled.
 	Relabel bool
 	// Schedule selects static or work-stealing chunk scheduling for the
 	// parallel kernels (results are byte-identical; see the Schedule
 	// constants). Ignored by sequential kernels.
 	Schedule Schedule
-	// Workspace, when non-nil, supplies (and collects) the reusable
-	// buffers of the request kind. Results alias workspace buffers, so
-	// a later Run with the same workspace overwrites them; a workspace
-	// must not be shared by concurrent Runs.
+	// Workspace supplies the memory the request runs in; nil runs it in
+	// a fresh one. Results alias workspace buffers, so a later Run with
+	// the same workspace overwrites them; a workspace must not be shared
+	// by concurrent Runs.
 	Workspace *Workspace
 }
 
-// Workspace holds the reusable memory of Run requests: the result
-// buffers below and, privately, the per-query scratch of the engine
-// kernels — the parallel BFS's level queues, word sets and cost arrays
-// (also used by the parallel CC kernel's seed BFS) and the parallel
-// SSSP kernel's owner and worker state, bucket windows and bitsets.
-// The zero value is ready to use: buffers are allocated on first use
-// and kept after each Run, so a long-lived caller pays the allocations
-// once.
+// Workspace holds all the memory of Run requests: the result buffers
+// below and, privately, every kernel's scratch — the BFS kernels'
+// queues, word sets and cost arrays (also used by the parallel CC
+// kernel's seed BFS), the SSSP kernels' owner and worker state, bucket
+// windows, bitsets and Dijkstra's heap, and the relabeling layer's
+// buffers. The zero value is ready to use, and a Run without one runs
+// in a fresh one.
 //
-// Every buffer is reused by capacity, not by exact length: a buffer
-// grows only when a graph needs more than it holds, so once a
-// workspace has served the largest graph, Runs on graphs of any size
-// allocate no |V|-sized array. Results returned by Run alias these
-// buffers, so a later Run with the same workspace overwrites them, and
-// a workspace must not be shared by concurrent Runs. The engine kernels
-// (Parallel requests, KindBFSBatch, and all SSSP forms) write into a
-// preset buffer's memory; the remaining sequential kernels allocate
-// internally and the workspace captures their result instead — either
-// way, after a Run the matching field holds that run's output, partial
-// if the run was cancelled mid-kernel.
+// Every kernel form takes its memory under one rule: a buffer it is
+// given is reused by capacity, and a nil one is an empty buffer. A
+// buffer grows only when a graph needs more than it holds, so once a
+// workspace has served the largest graph, Runs of any kind on graphs
+// of any size allocate no |V|-sized array. Results returned by Run
+// alias these buffers (a parallel CC labeling aliases Labels or
+// Scratch, whichever the last pass wrote), so a later Run with the same
+// workspace overwrites them, and a workspace must not be shared by
+// concurrent Runs.
 type Workspace struct {
-	// Labels and Scratch are the parallel CC kernel's label
-	// double-buffer (Result.Labels aliases one).
+	// Labels receives KindCC labels. Scratch is the parallel CC
+	// kernel's second label buffer and the union-find forest.
 	Labels, Scratch []uint32
 	// Hops receives KindBFS distances.
 	Hops []uint32
@@ -195,7 +192,7 @@ type Workspace struct {
 	HopsBatch [][]uint32
 	// Dists receives KindSSSP distances.
 	Dists []uint64
-	// bfs and sssp are the engine kernels' per-query scratch.
+	// bfs and sssp are every BFS and SSSP kernel's per-query scratch.
 	bfs  bfs.Scratch
 	sssp sssp.Scratch
 	// rl holds the relabeling layer's private state: the cached
@@ -218,16 +215,6 @@ func (ws *Workspace) Bytes() int64 {
 		b += ws.rl.inner.Bytes() + 4*int64(cap(ws.rl.roots)+cap(ws.rl.canon))
 	}
 	return b
-}
-
-// fit returns buf resliced to length n, reallocating only when its
-// capacity is short. The contents are stale; every caller overwrites
-// them.
-func fit[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // Stats is the kernel-side observability record of one Run: the
@@ -289,9 +276,10 @@ func (p *WorkerPool) Run(ctx context.Context, g Target, req Request) (*Result, e
 func (p *WorkerPool) Each(n int, fn func(i int)) { p.pool.Run(n, fn) }
 
 // runRequest validates and dispatches one request. It is the one place
-// that defaults the context and, for an engine kernel with no resident
-// pool (pool == nil), starts and stops a transient one sized by
-// Request.Workers; the kernels below only borrow the resulting par.Exec.
+// that defaults the context and the workspace and, for an engine kernel
+// with no resident pool (pool == nil), starts and stops a transient one
+// sized by Request.Workers; the kernels below only borrow the resulting
+// par.Exec.
 func runRequest(ctx context.Context, g Target, req Request, pool *par.Pool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -299,6 +287,9 @@ func runRequest(ctx context.Context, g Target, req Request, pool *par.Pool) (*Re
 	if err := ctx.Err(); err != nil {
 		// Pre-cancelled: nothing runs, not even validation.
 		return nil, err
+	}
+	if req.Workspace == nil {
+		req.Workspace = new(Workspace)
 	}
 	if rl, ok := g.(*Relabeled); ok {
 		if rl == nil {
@@ -372,41 +363,29 @@ func runCCRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 		return nil, fmt.Errorf("bagraph: unknown CC algorithm %v", req.CC)
 	}
 	ws := req.Workspace
-	if req.Parallel {
-		opt := cc.ParallelOptions{Variant: variant}
-		if ws != nil {
-			// Prime the double-buffer so both arrays persist in the
-			// workspace across calls.
-			if n := g.NumVertices(); n > 0 {
-				ws.Labels, ws.Scratch = fit(ws.Labels, n), fit(ws.Scratch, n)
-				if &ws.Scratch[0] == &ws.Labels[0] {
-					ws.Scratch = make([]uint32, n)
-				}
-			}
-			opt.Labels, opt.Scratch, opt.Seed = ws.Labels, ws.Scratch, &ws.bfs
+	if n := g.NumVertices(); req.Parallel || req.CC == CCUnionFind {
+		// Both buffers are fitted here, so both persist in the
+		// workspace, and must stay distinct.
+		ws.Labels, ws.Scratch = core.Fit(ws.Labels, n), core.Fit(ws.Scratch, n)
+		if n > 0 && &ws.Scratch[0] == &ws.Labels[0] {
+			ws.Scratch = make([]uint32, n)
 		}
-		labels, st, err := cc.SVParallel(x, g, opt)
-		return &Result{Labels: labels, Stats: st}, err
 	}
 	var (
 		labels []uint32
 		st     Stats
 		err    error
 	)
-	if req.CC == CCUnionFind {
+	switch {
+	case req.Parallel:
+		labels, st, err = cc.SVParallel(x, g, variant, ws.Labels, ws.Scratch, &ws.bfs)
+	case req.CC == CCUnionFind:
 		// The union-find baseline has no pass structure to cancel at;
-		// the pre-call context check above is its only gate.
-		labels = cc.UnionFind(g)
-	} else {
-		labels, st, err = cc.SV(x.Ctx, g, variant)
-	}
-	if ws != nil && labels != nil {
-		// The sequential kernels allocate internally; capture the result
-		// so the workspace's Labels always hold the latest CC labeling —
-		// partial on cancellation, like the kinds that write the
-		// workspace buffers in place — and seed a later parallel run's
-		// double-buffer.
-		ws.Labels = labels
+		// the pre-call context check is its only gate.
+		labels = cc.UnionFindInto(g, ws.Labels, ws.Scratch)
+	default:
+		ws.Labels, st, err = cc.SV(x.Ctx, g, variant, ws.Labels)
+		labels = ws.Labels
 	}
 	return &Result{Labels: labels, Stats: st}, err
 }
@@ -416,37 +395,24 @@ func runBFSRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 	if err := checkRoot(g, req.Root); err != nil {
 		return nil, err
 	}
-	if req.Parallel {
-		var opt bfs.ParallelOptions
-		if ws := req.Workspace; ws != nil {
-			ws.Hops = fit(ws.Hops, g.NumVertices())
-			opt.Dist, opt.Scratch = ws.Hops, &ws.bfs
-		}
-		dist, st, err := bfs.ParallelDO(x, g, req.Root, opt)
-		return &Result{Hops: dist, Stats: st}, err
-	}
+	ws := req.Workspace
 	var (
-		dist []uint32
-		st   Stats
-		err  error
+		st  Stats
+		err error
 	)
-	switch req.BFS {
-	case BFSBranchBased:
-		dist, st, err = bfs.TopDown(x.Ctx, g, req.Root, core.BranchBased)
-	case BFSBranchAvoiding:
-		dist, st, err = bfs.TopDown(x.Ctx, g, req.Root, core.BranchAvoiding)
-	case BFSDirectionOptimizing:
-		dist, st, err = bfs.DirectionOptimizing(x.Ctx, g, req.Root, 0, 0)
+	switch {
+	case req.Parallel:
+		ws.Hops, st, err = bfs.ParallelDO(x, g, req.Root, ws.Hops, &ws.bfs)
+	case req.BFS == BFSBranchBased:
+		ws.Hops, st, err = bfs.TopDown(x.Ctx, g, req.Root, core.BranchBased, ws.Hops, &ws.bfs)
+	case req.BFS == BFSBranchAvoiding:
+		ws.Hops, st, err = bfs.TopDown(x.Ctx, g, req.Root, core.BranchAvoiding, ws.Hops, &ws.bfs)
+	case req.BFS == BFSDirectionOptimizing:
+		ws.Hops, st, err = bfs.DirectionOptimizing(x.Ctx, g, req.Root, 0, 0, ws.Hops, &ws.bfs)
 	default:
 		return nil, fmt.Errorf("bagraph: unknown BFS variant %v", req.BFS)
 	}
-	if req.Workspace != nil && dist != nil {
-		// The sequential kernels allocate internally; capture the result
-		// so the workspace's Hops always hold the latest BFS distances
-		// (partial on cancellation, like the in-place kinds).
-		req.Workspace.Hops = dist
-	}
-	return &Result{Hops: dist, Stats: st}, err
+	return &Result{Hops: ws.Hops, Stats: st}, err
 }
 
 // runBFSBatchRequest dispatches KindBFSBatch.
@@ -457,19 +423,12 @@ func runBFSBatchRequest(x par.Exec, g *Graph, req Request) (*Result, error) {
 		}
 	}
 	ws := req.Workspace
-	var distsBuf [][]uint32
-	if ws != nil {
-		ws.HopsBatch = fit(ws.HopsBatch, len(req.Roots))
-		for i := range ws.HopsBatch {
-			ws.HopsBatch[i] = fit(ws.HopsBatch[i], g.NumVertices())
-		}
-		distsBuf = ws.HopsBatch
-	}
-	dists, st, err := bfs.MultiSource(x, g, req.Roots, bfs.MultiSourceOptions{Dists: distsBuf})
-	if ws != nil {
-		ws.HopsBatch = dists
-	}
-	return &Result{HopsBatch: dists, Stats: st}, err
+	var (
+		st  Stats
+		err error
+	)
+	ws.HopsBatch, st, err = bfs.MultiSource(x, g, req.Roots, ws.HopsBatch, &ws.bfs)
+	return &Result{HopsBatch: ws.HopsBatch, Stats: st}, err
 }
 
 // runSSSPRequest dispatches KindSSSP.
@@ -496,28 +455,20 @@ func runSSSPRequest(x par.Exec, g *WeightedGraph, req Request) (*Result, error) 
 		return nil, fmt.Errorf("bagraph: unknown SSSP algorithm %v", req.SSSP)
 	}
 	ws := req.Workspace
-	opt := sssp.ParallelOptions{Variant: variant, Delta: req.Delta}
-	if ws != nil {
-		ws.Dists = fit(ws.Dists, g.NumVertices())
-		opt.Dist, opt.Scratch = ws.Dists, &ws.sssp
-	}
 	var (
-		dist []uint64
-		st   Stats
-		err  error
+		st  Stats
+		err error
 	)
 	switch {
 	case req.Parallel:
-		dist, st, err = sssp.Parallel(x, g, req.Root, opt)
+		opt := sssp.ParallelOptions{Variant: variant, Delta: req.Delta}
+		ws.Dists, st, err = sssp.Parallel(x, g, req.Root, opt, ws.Dists, &ws.sssp)
 	case req.SSSP == SSSPDijkstra:
-		dist, err = sssp.DijkstraCtx(x.Ctx, g, req.Root, opt.Dist)
+		ws.Dists, err = sssp.DijkstraCtx(x.Ctx, g, req.Root, ws.Dists, &ws.sssp)
 	default:
-		dist, st, err = sssp.BellmanFord(x.Ctx, g, req.Root, variant, opt.Dist)
+		ws.Dists, st, err = sssp.BellmanFord(x.Ctx, g, req.Root, variant, ws.Dists)
 	}
-	if ws != nil {
-		ws.Dists = dist
-	}
-	return &Result{Dists: dist, Stats: st}, err
+	return &Result{Dists: ws.Dists, Stats: st}, err
 }
 
 // Interface conformance: both graph forms satisfy Target.

@@ -72,8 +72,9 @@ func TestRunWarmWorkspaceAllocs(t *testing.T) {
 }
 
 // TestWorkspaceReusesCapacityAcrossGraphs: one Workspace serves a large
-// graph, then a small one, then the large one again, for the parallel
-// BFS, SSSP and CC kernels, on the plain graphs and on their
+// graph, then a small one, then the large one again, for every kernel
+// form — each CC, BFS and SSSP algorithm, sequential and parallel, and
+// the multi-source batch — on the plain graphs and on their
 // degree-ordered views. Every answer equals its oracle, and the second
 // large run allocates no |V|-sized array: the small graph's run
 // reslices the large buffers instead of replacing them.
@@ -113,6 +114,17 @@ func TestWorkspaceReusesCapacityAcrossGraphs(t *testing.T) {
 		{"par-bb-cc", Request{Kind: KindCC, CC: CCBranchBased, Parallel: true}},
 		{"par-ba-cc", Request{Kind: KindCC, CC: CCBranchAvoiding, Parallel: true}},
 		{"par-hybrid-cc", Request{Kind: KindCC, CC: CCHybrid, Parallel: true}},
+		{"sv-bb", Request{Kind: KindCC, CC: CCBranchBased}},
+		{"sv-ba", Request{Kind: KindCC, CC: CCBranchAvoiding}},
+		{"hybrid", Request{Kind: KindCC, CC: CCHybrid}},
+		{"unionfind", Request{Kind: KindCC, CC: CCUnionFind}},
+		{"bb-bfs", Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 3}},
+		{"ba-bfs", Request{Kind: KindBFS, BFS: BFSBranchAvoiding, Root: 3}},
+		{"dir-opt", Request{Kind: KindBFS, BFS: BFSDirectionOptimizing, Root: 3}},
+		{"bb-sssp", Request{Kind: KindSSSP, SSSP: SSSPBellmanFord, Root: 3}},
+		{"ba-sssp", Request{Kind: KindSSSP, SSSP: SSSPBellmanFordBranchAvoiding, Root: 3}},
+		{"dijkstra", Request{Kind: KindSSSP, SSSP: SSSPDijkstra, Root: 3}},
+		{"ms", Request{Kind: KindBFSBatch, Roots: []uint32{3, 250, 3}}},
 	}
 	check := func(name string, g *WeightedGraph, req Request, res *Result) {
 		t.Helper()
@@ -120,6 +132,14 @@ func TestWorkspaceReusesCapacityAcrossGraphs(t *testing.T) {
 		case KindBFS:
 			want, _ := bfs.TopDownBranchBased(g.Graph, req.Root)
 			testutil.MustEqualDists(t, name, res.Hops, want)
+		case KindBFSBatch:
+			if len(res.HopsBatch) != len(req.Roots) {
+				t.Fatalf("%s: %d arrays for %d roots", name, len(res.HopsBatch), len(req.Roots))
+			}
+			for i, r := range req.Roots {
+				want, _ := bfs.TopDownBranchBased(g.Graph, r)
+				testutil.MustEqualDists(t, fmt.Sprintf("%s/root%d", name, i), res.HopsBatch[i], want)
+			}
 		case KindSSSP:
 			testutil.MustEqualDists(t, name, res.Dists, sssp.Dijkstra(g, req.Root))
 		default:

@@ -428,18 +428,20 @@ func TestWorkspaceReuse(t *testing.T) {
 	clean := runOK(t, g, Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 7})
 	testutil.MustEqualDists(t, "workspace reuse", again.Hops, clean.Hops)
 
-	// Sequential kernels allocate internally; the workspace captures
-	// their result, so reading ws.Hops/ws.Labels after a sequential Run
-	// never yields a previous run's output.
+	// Sequential kernels write into the same buffers.
 	seqBFS := runOK(t, g, Request{Kind: KindBFS, BFS: BFSBranchBased, Root: 9, Workspace: ws})
-	if &ws.Hops[0] != &seqBFS.Hops[0] {
-		t.Fatal("sequential BFS result not captured in the workspace")
+	if &seqBFS.Hops[0] != hops0 {
+		t.Fatal("sequential BFS result does not alias the workspace")
 	}
 	seqCC := runOK(t, g, Request{Kind: KindCC, CC: CCBranchAvoiding, Workspace: ws})
-	if &ws.Labels[0] != &seqCC.Labels[0] {
-		t.Fatal("sequential CC result not captured in the workspace")
+	if &seqCC.Labels[0] != labels0 {
+		t.Fatal("sequential CC result does not alias the workspace")
 	}
-	// The capture keeps the workspace valid for a later parallel run.
+	uf := runOK(t, g, Request{Kind: KindCC, CC: CCUnionFind, Workspace: ws})
+	if &uf.Labels[0] != labels0 || &ws.Scratch[0] != scratch0 {
+		t.Fatal("union-find run reallocated the workspace")
+	}
+	testutil.MustEqualLabels(t, "union-find in a used workspace", uf.Labels, runOK(t, g, Request{Kind: KindCC}).Labels)
 	runOK(t, g, Request{Kind: KindCC, CC: CCHybrid, Parallel: true, Workers: 2, Workspace: ws})
 }
 
