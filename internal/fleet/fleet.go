@@ -768,8 +768,10 @@ func (r *Router) route(ctx context.Context, q query) (answer, error) {
 		}
 		out, err := r.attempt(ctx, q, s, trial, tried)
 		if err == nil {
-			if q.kind == "cc" {
-				r.stale.store(q, out.cc)
+			if q.kind == "cc" && r.cfg.MaxStale > 0 {
+				if err := r.stale.store(q, out.cc); err != nil {
+					r.logf("fleet: CC for %q not kept for stale serving: %v", q.graph, err)
+				}
 			}
 			return out, nil
 		}

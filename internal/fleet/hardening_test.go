@@ -506,6 +506,8 @@ func TestChaosSoak(t *testing.T) {
 		{"bfs", "cm", 0}, {"bfs", "cm", 1}, {"bfs", "dblp", 0}, {"bfs", "dblp", 2},
 		{"sssp", "cm", 0}, {"sssp", "dblp", 1},
 	}
+	// do answers q with the bytes the router's server would send for it
+	// (a stale answer's without its marker).
 	do := func(q chaosQuery) (stale bool, raw []byte, err error) {
 		switch q.kind {
 		case "cc":
@@ -519,21 +521,21 @@ func TestChaosSoak(t *testing.T) {
 				c.Stale = false
 				resp = &c
 			}
-			raw, err = json.Marshal(resp)
+			raw, err = resp.Body()
 			return stale, raw, err
 		case "bfs":
 			resp, e := r.BFS(ctx, q.graph, q.root, "bb")
 			if e != nil {
 				return false, nil, e
 			}
-			raw, err = json.Marshal(resp)
+			raw, err = resp.Body()
 			return false, raw, err
 		default:
 			resp, e := r.SSSP(ctx, q.graph, q.root, "bb")
 			if e != nil {
 				return false, nil, e
 			}
-			raw, err = json.Marshal(resp)
+			raw, err = resp.Body()
 			return false, raw, err
 		}
 	}

@@ -3,12 +3,14 @@ package fleet
 // The router is a proxy: what a client reads from a router-fronted
 // server is the body the shard wrote, byte for byte — on the clean
 // path, after corrupted and truncated attempts were retried, and (the
-// marker apart) when the answer is served stale. The chaos soak calls
-// Router.CC directly and never crosses the server's write path; this
-// test does.
+// marker apart) when the answer is served stale, even after the relay
+// buffer it arrived in has carried other answers. The chaos soak calls
+// the Router directly and never crosses the server's write path, where
+// relay buffers are given back; this test does.
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -80,9 +82,26 @@ func TestRoutedAnswersAreTheShardsBytes(t *testing.T) {
 		}
 	}
 
-	// Stale serve: the marker is the only difference, so the retained
-	// bytes (which lack it) were dropped and the answer encoded afresh.
+	// A router that serves nothing stale keeps nothing for it.
+	r0 := newTestRouter(t, time.Hour, shard.URL)
+	if _, err := r0.CC(context.Background(), "cm", "bb", true); err != nil {
+		t.Fatal(err)
+	}
+	r0.stale.mu.RLock()
+	kept := len(r0.stale.m)
+	r0.stale.mu.RUnlock()
+	if kept != 0 {
+		t.Fatalf("MaxStale 0: %d CC answers kept for stale serving", kept)
+	}
+
+	// Stale serve: the marker is the only difference, so the kept bytes
+	// (which lack it) were dropped and the answer encoded afresh. The
+	// BFS and SSSP between are read into the relay buffer the fresh CC
+	// answer was, so a stale entry aliasing it would serve their bytes.
 	fresh, _ := post(front.URL, queries[0].path, queries[0].query)
+	for _, q := range queries[1:] {
+		post(front.URL, q.path, q.query)
+	}
 	shard.CloseClientConnections()
 	shard.Close()
 	stale, _ := post(front.URL, queries[0].path, queries[0].query)
@@ -90,6 +109,6 @@ func TestRoutedAnswersAreTheShardsBytes(t *testing.T) {
 		t.Fatalf("degraded answer not marked stale: %.200s", stale)
 	}
 	if !bytes.Equal(bytes.Replace(stale, []byte(`"stale":true,`), nil, 1), fresh) {
-		t.Fatal("stale answer differs from the fresh one beyond the marker")
+		t.Fatalf("stale answer differs from the fresh one beyond the marker\n got %.300s\nwant %.300s", stale, fresh)
 	}
 }

@@ -6,15 +6,17 @@ package serve
 // entries, which is exactly the boundary that lets the same handlers
 // front either an in-process batcher (Local, the single-daemon and
 // shard configuration) or a remote shard over HTTP (ShardClient, what
-// the fleet router fans queries through). Both implementations produce
-// the same response structs and the same typed errors. A response may
-// also carry the body it is served as (the unexported wire field): a
-// ShardClient keeps the verified bytes the shard sent, so a response
-// that travelled router → shard → router IS the one the shard served,
-// and Local hands a CC cache hit the encoding its epoch's cache already
-// holds. The server writes those bytes instead of encoding the struct.
+// the fleet router fans queries through). Both implementations answer
+// with the same response types, serve the same bytes and return the
+// same typed errors. A response may carry the body it is served as (the
+// unexported wire field): a ShardClient relays the verified bytes the
+// shard sent, so a response that travelled router → shard → router IS
+// the one the shard served, and Local hands a CC cache hit the encoding
+// its epoch's cache already holds. The server writes those bytes
+// instead of encoding the struct; Body returns them either way.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -28,6 +30,12 @@ import (
 // when the failure has a definite HTTP status (unknown graph, bad
 // algorithm, out-of-range root) and pass context errors through
 // unwrapped so the transport maps them to 504/499 uniformly.
+//
+// A query answer's head fields are always set. Its array (Labels or
+// Dist) may not be: a relayed answer — a ShardClient's, and so a fleet
+// router's — carries the shard's verified body and leaves the array
+// nil, because no element of it is read on the way through. Body
+// returns what the answer says in full, whichever the backend.
 type Backend interface {
 	// CC answers a connected-components query. labels requests the full
 	// per-vertex array.
@@ -160,29 +168,81 @@ type CCResponse struct {
 	Stats      QueryStats `json:"stats"`
 	Labels     []uint32   `json:"labels,omitempty"`
 
-	// wire, when set, is the body this response is served as: the
-	// shard's bytes a ShardClient decoded it from and verified, or the
-	// encoding Local's per-epoch CC cache holds for a hit. The server
-	// sends it as the answer; code that changes any field above must
-	// clear it.
-	wire []byte
+	served
 }
 
-// appendJSON appends the response's encoding (see appendAnswer).
-func (r *CCResponse) appendJSON(dst []byte) ([]byte, error) {
+// served is how a query answer goes out, beside what it says.
+type served struct {
+	// wire, when set, is the body the answer is served as: the shard's
+	// bytes a ShardClient verified and relays, or the encoding Local's
+	// per-epoch CC cache holds for a hit. Code that changes any field
+	// of the answer must clear it.
+	wire []byte
+	// What the answer borrows until the handler that writes it calls
+	// release: the batcher workspace its array aliases and its body is
+	// encoded into, or the relay buffer wire was read into. An answer
+	// no handler writes leaves them to the garbage collector.
+	ws    *workspace
+	relay *relayBuf
+}
+
+// release gives back what the answer borrows; the answer must not be
+// read afterwards.
+func (s *served) release() {
+	s.ws.release()
+	s.relay.release()
+}
+
+// encode makes the body of an answer that carries none (see
+// appendAnswer), in the buffer of the workspace ws — a fresh one when
+// ws is nil.
+func encode[T uint32 | uint64](ws *workspace, v, head any, key string, elems []T) ([]byte, error) {
+	buf := ws.answerBuf()
+	var err error
+	*buf, err = appendAnswer((*buf)[:0], v, head, key, elems)
+	return *buf, err
+}
+
+// Body returns the bytes the response is served as: the body it
+// carries — a relayed shard answer, a cached CC hit — or else its
+// encoding. They stay valid until the response is released.
+func (r *CCResponse) Body() ([]byte, error) {
+	if r.wire != nil {
+		return r.wire, nil
+	}
 	head := *r
 	head.Labels = nil
-	return appendAnswer(dst, r, &head, "labels", r.Labels)
+	return encode(r.ws, r, &head, "labels", r.Labels)
+}
+
+// Detach returns a copy of the response that borrows nothing: it
+// carries its own copy of the bytes the response is served as, so it
+// outlives the response's release. Labels, when set, is shared with
+// the receiver, read-only.
+func (r *CCResponse) Detach() (*CCResponse, error) {
+	body, err := r.Body()
+	if err != nil {
+		return nil, err
+	}
+	c := *r
+	c.served = served{wire: bytes.Clone(body)}
+	return &c, nil
 }
 
 // MarkStale returns a copy of the response marked stale, without the
-// retained body (which does not carry the marker), so the server
-// encodes the copy. Labels is shared with the receiver, read-only.
-func (r *CCResponse) MarkStale() *CCResponse {
+// body it carries (which does not carry the marker), so the server
+// encodes the copy. A relayed response's labels are decoded from that
+// body here; otherwise Labels is shared with the receiver, read-only.
+func (r *CCResponse) MarkStale() (*CCResponse, error) {
 	c := *r
+	if c.Labels == nil && r.wire != nil {
+		if err := decodeAnswer(r.wire, "labels", headRoom(r.Graph), &c, &c.Labels); err != nil {
+			return nil, err
+		}
+	}
 	c.Stale = true
-	c.wire = nil
-	return &c
+	c.served = served{}
+	return &c, nil
 }
 
 // BFSResponse is the /query/bfs response body.
@@ -196,15 +256,17 @@ type BFSResponse struct {
 	Stats   QueryStats `json:"stats"`
 	Dist    []uint32   `json:"dist"`
 
-	wire []byte     // see CCResponse
-	ws   *workspace // the batcher workspace Dist aliases; see release
+	served
 }
 
-// appendJSON appends the response's encoding (see appendAnswer).
-func (r *BFSResponse) appendJSON(dst []byte) ([]byte, error) {
+// Body returns the bytes the response is served as (see CCResponse).
+func (r *BFSResponse) Body() ([]byte, error) {
+	if r.wire != nil {
+		return r.wire, nil
+	}
 	head := *r
 	head.Dist = []uint32{}
-	return appendAnswer(dst, r, &head, "dist", r.Dist)
+	return encode(r.ws, r, &head, "dist", r.Dist)
 }
 
 // SSSPResponse is the /query/sssp response body. Sum (of finite
@@ -221,13 +283,15 @@ type SSSPResponse struct {
 	Stats   QueryStats `json:"stats"`
 	Dist    []uint64   `json:"dist"`
 
-	wire []byte     // see CCResponse
-	ws   *workspace // the batcher workspace Dist aliases; see release
+	served
 }
 
-// appendJSON appends the response's encoding (see appendAnswer).
-func (r *SSSPResponse) appendJSON(dst []byte) ([]byte, error) {
+// Body returns the bytes the response is served as (see CCResponse).
+func (r *SSSPResponse) Body() ([]byte, error) {
+	if r.wire != nil {
+		return r.wire, nil
+	}
 	head := *r
 	head.Dist = []uint64{}
-	return appendAnswer(dst, r, &head, "dist", r.Dist)
+	return encode(r.ws, r, &head, "dist", r.Dist)
 }

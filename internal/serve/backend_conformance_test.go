@@ -2,9 +2,9 @@ package serve_test
 
 // Backend conformance: the in-process Local backend and the HTTP
 // ShardClient are two implementations of the same dispatch plane, so a
-// query answered through either must JSON-encode to the same bytes —
-// that equivalence is what lets the fleet router relay a shard's
-// answer as if it had computed it. The suite drives both backends over
+// query answered through either must be served as the same bytes (its
+// Body) — that equivalence is what lets the fleet router relay a
+// shard's answer as if it had computed it. The suite drives both backends over
 // identically-seeded registries with a static schedule (deterministic
 // kernels), and pins the typed-error contract: *Error statuses and
 // messages match, a pre-cancelled context maps to 499 and an expired
@@ -47,10 +47,17 @@ func conformanceBackends(t *testing.T) (local, remote serve.Backend) {
 	return cores[0].Backend(), serve.NewShardClient(ts.URL, nil)
 }
 
-// mustJSON canonicalizes a response for byte comparison.
-func mustJSON(t *testing.T, v any) string {
+// servedBytes is what a response goes out as: a query answer's Body,
+// or the JSON encoding of anything else.
+func servedBytes(t *testing.T, v any) string {
 	t.Helper()
-	buf, err := json.Marshal(v)
+	var buf []byte
+	var err error
+	if a, ok := v.(interface{ Body() ([]byte, error) }); ok {
+		buf, err = a.Body()
+	} else {
+		buf, err = json.Marshal(v)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestBackendConformanceResponses(t *testing.T) {
 		if lerr != nil || rerr != nil {
 			t.Fatalf("%s: local err %v, remote err %v", step.name, lerr, rerr)
 		}
-		lj, rj := mustJSON(t, lv), mustJSON(t, rv)
+		lj, rj := servedBytes(t, lv), servedBytes(t, rv)
 		if lj != rj {
 			t.Fatalf("%s: backends disagree\nlocal:  %s\nremote: %s", step.name, lj, rj)
 		}

@@ -2,18 +2,20 @@ package serve
 
 // ShardClient is the remote Backend: it speaks the daemon's own
 // HTTP+JSON API against one shard process. A 200 query answer is read
-// whole, verified by the strict reader in wire.go — which also fills
-// in the same struct the in-process backend produces — and kept on
-// that struct, so the router's server forwards the shard's bytes
-// instead of encoding them a second time; nothing is passed on before
-// the last byte has been verified. Failures split into two families
-// the fleet router routes on: an application answer from a live shard
-// (any non-200 status, surfaced as *Error so the router passes it
-// through) versus a transport failure (the shard is unreachable, died
-// mid-response, or sent a body that does not verify — the router
-// retries the query on a replica). The caller's context errors pass
-// through unwrapped, so a cancelled client still maps to 499 and a
-// fired deadline to 504, exactly as with the in-process backend.
+// whole into a relay buffer the client reuses by capacity, verified
+// element by element by the strict reader in wire.go — which decodes
+// the head fields and keeps no element of the array — and relayed: the
+// router's server forwards the shard's bytes instead of encoding them a
+// second time, and nothing is passed on before the last byte has been
+// verified. The handler that writes the answer gives the buffer back.
+// Failures split into two families the fleet router routes on: an
+// application answer from a live shard (any non-200 status, surfaced as
+// *Error so the router passes it through) versus a transport failure
+// (the shard is unreachable, died mid-response, or sent a body that
+// does not verify — the router retries the query on a replica). The
+// caller's context errors pass through unwrapped, so a cancelled client
+// still maps to 499 and a fired deadline to 504, exactly as with the
+// in-process backend.
 
 import (
 	"bytes"
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 )
@@ -34,6 +37,47 @@ type ShardClient struct {
 
 	mu       sync.Mutex
 	vertices map[string]int // graph sizes, from the last listing and Replace answers
+	relays   []*relayBuf    // free relay buffers, at most GOMAXPROCS
+}
+
+// relayBuf is a buffer a ShardClient reads query answers into. It is
+// lent to the answer whose body it holds until the handler writing that
+// answer releases it, then read into again. The free list is a plain
+// slice, not a sync.Pool, for the reason the batcher's workspace list
+// is: a garbage collection would empty a pool. It holds at most
+// GOMAXPROCS buffers, each grown to the largest answer it has held; one
+// released beyond that, or never released (a losing hedge leg, an
+// in-process caller's answer), goes to the GC.
+type relayBuf struct {
+	b []byte
+	c *ShardClient
+}
+
+// takeRelay takes a buffer off the free list, or makes an empty one.
+func (c *ShardClient) takeRelay() *relayBuf {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.relays)
+	if n == 0 {
+		return &relayBuf{c: c}
+	}
+	rb := c.relays[n-1]
+	c.relays = c.relays[:n-1]
+	return rb
+}
+
+// release returns the buffer to its client's free list; nil is a
+// no-op. The answer it was lent to must not be read afterwards.
+func (rb *relayBuf) release() {
+	if rb == nil {
+		return
+	}
+	c := rb.c
+	c.mu.Lock()
+	if len(c.relays) < runtime.GOMAXPROCS(0) {
+		c.relays = append(c.relays, rb)
+	}
+	c.mu.Unlock()
 }
 
 // NewShardClient builds a client for a shard at addr (host:port, or a
@@ -73,12 +117,13 @@ func (e *TransportError) Unwrap() error { return e.Err }
 const controlBodyCap = 8 << 20
 
 // do sends one API call (POST with a JSON body, or GET with a nil one)
-// and reads the whole answer, refusing one longer than limit bytes. A
-// 200 returns the body; any other status returns the *Error it
-// carries. Failing to get or finish an answer is a *TransportError,
-// unless the caller's own context ended: that is not a shard fault and
-// surfaces unwrapped, so it maps to 499/504 like an in-process query.
-func (c *ShardClient) do(ctx context.Context, method, path string, body any, limit int64) ([]byte, error) {
+// and reads the whole answer into dst, reused by capacity, refusing one
+// longer than limit bytes. A 200 returns the body; any other status
+// returns the *Error it carries. Failing to get or finish an answer is
+// a *TransportError, unless the caller's own context ended: that is not
+// a shard fault and surfaces unwrapped, so it maps to 499/504 like an
+// in-process query.
+func (c *ShardClient) do(ctx context.Context, method, path string, body any, limit int64, dst []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -98,7 +143,7 @@ func (c *ShardClient) do(ctx context.Context, method, path string, body any, lim
 	if err != nil {
 		return nil, c.failed(ctx, err)
 	}
-	raw, err := readBody(resp, limit)
+	raw, err := readBody(resp, limit, dst)
 	if err != nil {
 		return nil, c.failed(ctx, err)
 	}
@@ -132,14 +177,14 @@ func (e *overCapError) Error() string {
 	return fmt.Sprintf("response body of %d bytes exceeds the %d-byte cap", e.length, e.limit)
 }
 
-// readBody reads and closes the response body, sized from its
-// Content-Length when the shard sent one.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
+// readBody reads and closes the response body into dst, reused by
+// capacity and sized from the Content-Length when the shard sent one.
+func readBody(resp *http.Response, limit int64, dst []byte) ([]byte, error) {
 	defer resp.Body.Close()
 	if resp.ContentLength > limit {
 		return nil, &overCapError{resp.ContentLength, limit}
 	}
-	var buf bytes.Buffer
+	buf := bytes.NewBuffer(dst[:0])
 	if resp.ContentLength > 0 {
 		// MinRead of slack lets ReadFrom see EOF without growing.
 		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
@@ -161,7 +206,7 @@ func (c *ShardClient) badBody(err error) error {
 
 // roundTrip makes one small-answer call and decodes its JSON into out.
 func (c *ShardClient) roundTrip(ctx context.Context, method, path string, body, out any) error {
-	raw, err := c.do(ctx, method, path, body, controlBodyCap)
+	raw, err := c.do(ctx, method, path, body, controlBodyCap, nil)
 	if err != nil {
 		return err
 	}
@@ -191,69 +236,75 @@ func (c *ShardClient) vertexCount(ctx context.Context, graph string, refresh boo
 	return c.vertices[graph], nil
 }
 
-// query makes one /query call for v, a response struct whose trailing
-// array field arr points at, and returns the verified body to retain.
-// The body is read whole — never longer than the graph's vertex count
-// allows — and verified before anything is returned: a truncated,
-// corrupted, oversized or merely unfamiliar body is a transport fault
-// the router retries elsewhere, never a partly trusted answer. An
-// oversized body may only mean the listing is stale — the graph was
-// replaced by a larger one since — so the listing is refreshed once,
-// and the query asked again if the graph grew.
-func query[T uint32 | uint64](ctx context.Context, c *ShardClient, path, graph string, req any, key string, v any, arr *[]T) ([]byte, error) {
+// query makes one /query call for v, a response struct whose array
+// holds elements of type T under key, and relays the verified body on
+// v's served. The body is read whole into a relay buffer — never longer
+// than the graph's vertex count allows — and verified before anything
+// is returned: a truncated, corrupted, oversized or merely unfamiliar
+// body is a transport fault the router retries elsewhere, never a
+// partly trusted answer. An oversized body may only mean the listing is
+// stale — the graph was replaced by a larger one since — so the listing
+// is refreshed once, and the query asked again if the graph grew.
+func query[T uint32 | uint64](ctx context.Context, c *ShardClient, path, graph string, req any, key string, v any, s *served) error {
 	n, err := c.vertexCount(ctx, graph, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	raw, err := c.do(ctx, http.MethodPost, path, req, answerCap(graph, n, uint64(^T(0))))
+	rb := c.takeRelay()
+	raw, err := c.do(ctx, http.MethodPost, path, req, answerCap(graph, n, uint64(^T(0))), rb.b)
 	var over *overCapError
 	if errors.As(err, &over) {
 		if m, lerr := c.vertexCount(ctx, graph, true); lerr == nil && m > n {
-			raw, err = c.do(ctx, http.MethodPost, path, req, answerCap(graph, m, uint64(^T(0))))
+			raw, err = c.do(ctx, http.MethodPost, path, req, answerCap(graph, m, uint64(^T(0))), rb.b)
+		}
+	}
+	if err == nil {
+		rb.b = raw
+		if err = decodeAnswer[T](raw, key, headRoom(graph), v, nil); err != nil {
+			err = c.badBody(err)
 		}
 	}
 	if err != nil {
-		return nil, err
+		rb.release()
+		return err
 	}
-	if err := decodeAnswer(raw, key, headRoom(graph), v, arr); err != nil {
-		return nil, c.badBody(err)
-	}
-	return raw, nil
+	s.wire, s.relay = raw, rb
+	return nil
 }
 
 // CC implements Backend by forwarding to the shard's /query/cc.
 func (c *ShardClient) CC(ctx context.Context, graph, algo string, labels bool) (*CCResponse, error) {
 	out := new(CCResponse)
-	var err error
-	out.wire, err = query(ctx, c, "/query/cc", graph,
-		ccQuery{Graph: graph, Algo: algo, Labels: labels}, "labels", out, &out.Labels)
+	err := query[uint32](ctx, c, "/query/cc", graph,
+		ccQuery{Graph: graph, Algo: algo, Labels: labels}, "labels", out, &out.served)
 	if err != nil {
 		return nil, err
 	}
+	out.Labels = nil // the head's empty array: the elements stay in the body
 	return out, nil
 }
 
 // BFS implements Backend by forwarding to the shard's /query/bfs.
 func (c *ShardClient) BFS(ctx context.Context, graph string, root uint32, algo string) (*BFSResponse, error) {
 	out := new(BFSResponse)
-	var err error
-	out.wire, err = query(ctx, c, "/query/bfs", graph,
-		traversalQuery{Graph: graph, Root: root, Algo: algo}, "dist", out, &out.Dist)
+	err := query[uint32](ctx, c, "/query/bfs", graph,
+		traversalQuery{Graph: graph, Root: root, Algo: algo}, "dist", out, &out.served)
 	if err != nil {
 		return nil, err
 	}
+	out.Dist = nil // the head's empty array: the elements stay in the body
 	return out, nil
 }
 
 // SSSP implements Backend by forwarding to the shard's /query/sssp.
 func (c *ShardClient) SSSP(ctx context.Context, graph string, root uint32, algo string) (*SSSPResponse, error) {
 	out := new(SSSPResponse)
-	var err error
-	out.wire, err = query(ctx, c, "/query/sssp", graph,
-		traversalQuery{Graph: graph, Root: root, Algo: algo}, "dist", out, &out.Dist)
+	err := query[uint64](ctx, c, "/query/sssp", graph,
+		traversalQuery{Graph: graph, Root: root, Algo: algo}, "dist", out, &out.served)
 	if err != nil {
 		return nil, err
 	}
+	out.Dist = nil // the head's empty array: the elements stay in the body
 	return out, nil
 }
 

@@ -159,7 +159,7 @@ func (l *Local) BFS(ctx context.Context, graph string, root uint32, algo string)
 		Reached: reached,
 		Stats:   statsPayload(res.Stats),
 		Dist:    res.Hops,
-		ws:      res.ws,
+		served:  served{ws: res.ws},
 	}, nil
 }
 
@@ -199,7 +199,7 @@ func (l *Local) SSSP(ctx context.Context, graph string, root uint32, algo string
 		Sum:     sum,
 		Stats:   statsPayload(res.Stats),
 		Dist:    res.Dists,
-		ws:      res.ws,
+		served:  served{ws: res.ws},
 	}, nil
 }
 

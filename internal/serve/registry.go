@@ -83,7 +83,7 @@ func (res *ccResult) hitBody(resp *CCResponse, labels bool) []byte {
 	if labels {
 		b = &res.hits[1]
 	}
-	b.once.Do(func() { b.wire, _ = resp.appendJSON(nil) })
+	b.once.Do(func() { b.wire, _ = resp.Body() })
 	return b.wire
 }
 

@@ -12,7 +12,8 @@
 // body the response is served as — a shard's verified bytes when the
 // backend is a router relaying one, a local CC answer's encoding cached
 // for its epoch — or else the struct's encoding (wire.go's append
-// encoder); every dispatch decision lives behind the interface.
+// encoder), then release the buffer the body was in; every dispatch
+// decision lives behind the interface.
 //
 // Endpoints:
 //
@@ -267,28 +268,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the connection owns delivery; nothing to do on failure
 }
 
-// answer is a query response: it appends its own encoding.
+// answer is a query response: the bytes it is served as, and what it
+// borrows until they are written.
 type answer interface {
-	appendJSON(dst []byte) ([]byte, error)
+	Body() ([]byte, error)
+	release()
 }
 
 // writeAnswer sends a 200 query answer with its Content-Length, in one
-// Write: wire — the body the response is served as — when there is
-// one, otherwise the encoding of v, made in *buf (reused by capacity)
-// so the length is known before the status line goes out.
-func writeAnswer(w http.ResponseWriter, wire []byte, v answer, buf *[]byte) {
-	if wire == nil {
-		var err error
-		if *buf, err = v.appendJSON((*buf)[:0]); err != nil {
-			writeError(w, http.StatusInternalServerError, "encode answer: %v", err)
-			return
-		}
-		wire = *buf
+// Write of v's Body — made before the status line goes out, so the
+// length is known — and then releases what v borrows.
+func writeAnswer(w http.ResponseWriter, v answer) {
+	defer v.release()
+	body, err := v.Body()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode answer: %v", err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(wire) // the connection owns delivery; nothing to do on failure
+	_, _ = w.Write(body) // the connection owns delivery; nothing to do on failure
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -385,9 +385,7 @@ func (s *Server) handleCC(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	// An answer that is not a cached body is encoded once per epoch and
-	// shape (see ccResult.hitBody), into a slice of its own.
-	writeAnswer(w, resp.wire, resp, new([]byte))
+	writeAnswer(w, resp)
 }
 
 // traversalQuery is the /query/bfs and /query/sssp request body.
@@ -409,8 +407,7 @@ func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeAnswer(w, resp.wire, resp, resp.ws.answerBuf())
-	resp.ws.release()
+	writeAnswer(w, resp)
 }
 
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
@@ -425,6 +422,5 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		writeBackendError(w, err)
 		return
 	}
-	writeAnswer(w, resp.wire, resp, resp.ws.answerBuf())
-	resp.ws.release()
+	writeAnswer(w, resp)
 }

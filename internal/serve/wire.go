@@ -14,7 +14,10 @@ package serve
 // 200 query answer with. A routed answer is forwarded as the bytes the
 // shard sent, so this is the only inspection those bytes get: it must
 // accept nothing encoding/json would refuse or decode differently, and
-// it accepts exactly the array spelling appendAnswer produces.
+// it accepts exactly the array spelling appendAnswer produces. The
+// client runs it without an array to fill: every element is checked
+// and none is kept, since the bytes, not a decoded array, are what the
+// router serves. The router's stale cache decodes a kept body in full.
 
 import (
 	"bytes"
@@ -89,15 +92,18 @@ func appendAnswer[T uint32 | uint64](dst []byte, v, head any, key string, elems 
 	return append(dst, "]}\n"...), nil
 }
 
-// decodeAnswer verifies one 200 query body and decodes it into v, whose
-// trailing array field arr points at. The body is accepted only in the
-// shape `{head…,"key":[e,e,…,e]}` + newline: the head — closed as if
-// the array were empty — must satisfy encoding/json and be at most
-// headMax bytes; the elements must be canonical decimals (no sign,
-// fraction, exponent or leading zero) within T, separated by single
-// commas; nothing may follow the newline. A body with no such array
-// within headMax bytes is all head (a CC answer without labels) and
-// goes through encoding/json whole, if it is that short.
+// decodeAnswer verifies one 200 query body and decodes its head into
+// v, whose trailing array field arr points at, and its array into arr.
+// A nil arr verifies the array the same way and keeps none of it: v's
+// array field is left as the head alone sets it, empty. The
+// body is accepted only in the shape `{head…,"key":[e,e,…,e]}` +
+// newline: the head — closed as if the array were empty — must satisfy
+// encoding/json and be at most headMax bytes; the elements must be
+// canonical decimals (no sign, fraction, exponent or leading zero)
+// within T, separated by single commas; nothing may follow the newline.
+// A body with no such array within headMax bytes is all head (a CC
+// answer without labels) and goes through encoding/json whole, if it
+// is that short — into v, whatever arr is.
 //
 // Whatever this accepts, json.Unmarshal accepts and decodes to the
 // same value: the key is matched with its leading comma, so its
@@ -124,12 +130,15 @@ func decodeAnswer[T uint32 | uint64](raw []byte, key string, headMax int, v any,
 		return err
 	}
 	elems := raw[split:]
+	keep := arr != nil
 	var out []T
 	end := 0
 	if len(elems) == 0 || elems[0] != ']' {
+		if keep {
+			out = make([]T, 0, bytes.Count(elems, []byte{','})+1)
+		}
 		var err error
-		out, end, err = parseUints(elems, make([]T, 0, bytes.Count(elems, []byte{','})+1))
-		if err != nil {
+		if out, end, err = parseUints(elems, out, keep); err != nil {
 			return fmt.Errorf("%q array: %w", key, err)
 		}
 	}
@@ -142,13 +151,14 @@ func decodeAnswer[T uint32 | uint64](raw []byte, key string, headMax int, v any,
 	return nil
 }
 
-// parseUints appends the elements of a canonical array body to out and
-// returns them with the index of the closing bracket.
-func parseUints[T uint32 | uint64](p []byte, out []T) ([]T, int, error) {
+// parseUints checks the elements of a canonical array body, appending
+// them to out when keep is set, and returns out with the index of the
+// closing bracket.
+func parseUints[T uint32 | uint64](p []byte, out []T, keep bool) ([]T, int, error) {
 	max := uint64(^T(0))
 	widest := maxDigits(max)
 	i := 0
-	for {
+	for n := 0; ; n++ {
 		start := i
 		var v uint64
 		for i < len(p) {
@@ -162,28 +172,30 @@ func parseUints[T uint32 | uint64](p []byte, out []T) ([]T, int, error) {
 		digits := i - start
 		switch {
 		case i == len(p):
-			return nil, 0, fmt.Errorf("body ends inside element %d", len(out))
+			return nil, 0, fmt.Errorf("body ends inside element %d", n)
 		case digits == 0:
-			return nil, 0, fmt.Errorf("unexpected byte %q in element %d", p[i], len(out))
+			return nil, 0, fmt.Errorf("unexpected byte %q in element %d", p[i], n)
 		case p[start] == '0' && digits > 1:
-			return nil, 0, fmt.Errorf("leading zero in element %d", len(out))
+			return nil, 0, fmt.Errorf("leading zero in element %d", n)
 		case digits == widest && max == math.MaxUint64:
 			// The one length at which v can have wrapped and still be in range.
 			var err error
 			if v, err = strconv.ParseUint(string(p[start:i]), 10, 64); err != nil {
-				return nil, 0, fmt.Errorf("element %d exceeds %d", len(out), max)
+				return nil, 0, fmt.Errorf("element %d exceeds %d", n, max)
 			}
 		case digits > widest || v > max:
-			return nil, 0, fmt.Errorf("element %d exceeds %d", len(out), max)
+			return nil, 0, fmt.Errorf("element %d exceeds %d", n, max)
 		}
-		out = append(out, T(v))
+		if keep {
+			out = append(out, T(v))
+		}
 		switch p[i] {
 		case ',':
 			i++
 		case ']':
 			return out, i, nil
 		default:
-			return nil, 0, fmt.Errorf("unexpected byte %q after element %d", p[i], len(out)-1)
+			return nil, 0, fmt.Errorf("unexpected byte %q after element %d", p[i], n)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package serve_test
 
 // The two halves of the answer wire format. The strict reader behind
-// ShardClient: real answers decode to what encoding/json makes of them,
-// every damaged or merely unfamiliar body is refused, and — the
-// property the router's byte forwarding rests on — nothing is ever
+// ShardClient, in both of its modes (the full decode, and the
+// verify-only pass a relay runs): real answers decode to what
+// encoding/json makes of them, every damaged or merely unfamiliar body
+// is refused, and — the property the router's byte forwarding rests
+// on — nothing is ever
 // accepted that encoding/json would refuse or read differently
 // (FuzzShardDecode). The append encoder behind every served answer:
 // its bytes are encoding/json's, and the strict reader takes them back
@@ -90,10 +92,45 @@ var hostileBodies = map[string]string{
 	"long unknown head": `{"graph":"g","pad":"` + strings.Repeat("x", 8<<10) + `","dist":[1,2]}` + "\n",
 }
 
+// headOf is an answer with its array dropped.
+func headOf(v any) any {
+	switch r := v.(type) {
+	case *serve.CCResponse:
+		c := *r
+		c.Labels = nil
+		return &c
+	case *serve.BFSResponse:
+		c := *r
+		c.Dist = nil
+		return &c
+	default:
+		c := *r.(*serve.SSSPResponse)
+		c.Dist = nil
+		return &c
+	}
+}
+
+// decodeBoth runs the strict reader over raw in both of its modes: the
+// full decode and the verify-only pass a ShardClient relays with. They
+// must accept or refuse raw together and, accepting it, decode the same
+// head. It returns the full decode.
+func decodeBoth(t *testing.T, kind string, raw []byte) (any, error) {
+	t.Helper()
+	got, err := serve.DecodeAnswer(kind, raw)
+	head, verr := serve.VerifyAnswer(kind, raw)
+	if (err == nil) != (verr == nil) {
+		t.Fatalf("%s: full decode says %v, verify-only says %v, on %.300q", kind, err, verr, raw)
+	}
+	if err == nil && !reflect.DeepEqual(headOf(got), headOf(head)) {
+		t.Fatalf("%s: full decode read head %+v, verify-only %+v, from %.300q", kind, headOf(got), headOf(head), raw)
+	}
+	return got, err
+}
+
 func TestShardDecode(t *testing.T) {
 	bodies := realAnswers(t)
 	for _, kind := range answerKinds {
-		got, err := serve.DecodeAnswer(kind, bodies[kind])
+		got, err := decodeBoth(t, kind, bodies[kind])
 		if err != nil {
 			t.Fatalf("%s: real answer refused: %v", kind, err)
 		}
@@ -105,7 +142,7 @@ func TestShardDecode(t *testing.T) {
 			t.Fatalf("%s: strict reader and encoding/json disagree on a real answer", kind)
 		}
 		for _, damage := range []string{"/truncated", "/corrupted"} {
-			if _, err := serve.DecodeAnswer(kind, bodies[kind+damage]); err == nil {
+			if _, err := decodeBoth(t, kind, bodies[kind+damage]); err == nil {
 				t.Fatalf("%s: accepted", kind+damage)
 			}
 		}
@@ -119,22 +156,24 @@ func TestShardDecode(t *testing.T) {
 			if kind == "cc" {
 				b = strings.Replace(b, `"dist"`, `"labels"`, 1)
 			}
-			if _, err := serve.DecodeAnswer(kind, []byte(b)); err == nil {
+			if _, err := decodeBoth(t, kind, []byte(b)); err == nil {
 				t.Errorf("%s as %s: accepted %q", name, kind, b)
 			}
 		}
 	}
 	// The widest elements of each width are in range.
-	if _, err := serve.DecodeAnswer("bfs", []byte(`{"graph":"g","dist":[0,4294967295]}`+"\n")); err != nil {
+	if _, err := decodeBoth(t, "bfs", []byte(`{"graph":"g","dist":[0,4294967295]}`+"\n")); err != nil {
 		t.Errorf("MaxUint32 hop refused: %v", err)
 	}
-	if _, err := serve.DecodeAnswer("sssp", []byte(`{"graph":"g","dist":[0,18446744073709551615]}`+"\n")); err != nil {
+	if _, err := decodeBoth(t, "sssp", []byte(`{"graph":"g","dist":[0,18446744073709551615]}`+"\n")); err != nil {
 		t.Errorf("MaxUint64 distance refused: %v", err)
 	}
 }
 
 // FuzzShardDecode is the soundness check: whatever the strict reader
-// accepts, json.Unmarshal accepts too and yields a deeply equal struct.
+// accepts, json.Unmarshal accepts too and yields a deeply equal struct;
+// and the verify-only pass a ShardClient relays with accepts exactly
+// what the full decode does, reading the same head.
 func FuzzShardDecode(f *testing.F) {
 	for name, body := range realAnswers(f) {
 		kind := uint8(0)
@@ -157,7 +196,7 @@ func FuzzShardDecode(f *testing.F) {
 	f.Add(uint8(2), []byte(`{"graph":"g","dist":[1],"dist":[2,3]}`+"\n"))
 	f.Add(uint8(1), []byte(`{"graph":"g","\"dist":[1,2]}`+"\n")) // the key's opening quote is inside a string
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		got, err := serve.DecodeAnswer(answerKinds[int(kind)%len(answerKinds)], data)
+		got, err := decodeBoth(t, answerKinds[int(kind)%len(answerKinds)], data)
 		if err != nil {
 			return
 		}
